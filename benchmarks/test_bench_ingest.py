@@ -10,8 +10,8 @@ them):
   TSH over a unix socket into a live daemon sealing a real archive.
 * **tail** — the same capture ingested by following a growing file.
 * **feeder only** — SegmentFeeder.feed without the daemon around it,
-  the compression-bound ceiling the socket path should stay within
-  sight of.
+  on the daemon's own engine (``auto``): the compression-bound ceiling
+  the socket path should stay within sight of.
 """
 
 from __future__ import annotations
@@ -70,14 +70,20 @@ class TestIngestThroughput:
         sock = str(tmp_path / "bench.sock")
 
         def send():
+            # The daemon binds the socket file before it listens: retry
+            # a refused connect as well as a missing file.
             deadline = time.monotonic() + 10
-            while not Path(sock).exists():
-                if time.monotonic() > deadline:
-                    raise TimeoutError(sock)
-                time.sleep(0.005)
-            client = socket.socket(socket.AF_UNIX)
+            while True:
+                client = socket.socket(socket.AF_UNIX)
+                try:
+                    client.connect(sock)
+                    break
+                except (ConnectionRefusedError, FileNotFoundError):
+                    client.close()
+                    if time.monotonic() > deadline:
+                        raise
+                    time.sleep(0.005)
             try:
-                client.connect(sock)
                 step = 1024 * 44
                 for start in range(0, len(ingest_data), step):
                     client.sendall(frame(ingest_data[start : start + step]))
@@ -126,6 +132,7 @@ class TestIngestThroughput:
             epoch=EpochRef(),
             segment_packets=SEGMENT_PACKETS,
             segment_span=None,
+            engine="auto",  # what the daemon runs (ServeOptions default)
         )
         start = time.perf_counter()
         for offset in range(0, len(packets), 1024):

@@ -266,8 +266,15 @@ def _synthesize_flow_packets(
     client_seq = rng.getrandbits(32)
     server_seq = rng.getrandbits(32)
 
+    # Host properties are functions of the address alone: derive each
+    # endpoint's once per flow, not once per packet.
+    server_ip = spec.server_ip
+    client_ttl, client_window = plausible_ttl(client_ip), plausible_window(client_ip)
+    server_ttl, server_window = plausible_ttl(server_ip), plausible_window(server_ip)
+    characterization = config.characterization
+
     for position, value in enumerate(template.values):
-        g1, g2, g3 = decode_packet_value(value, config.characterization)
+        g1, g2, g3 = decode_packet_value(value, characterization)
         if position > 0:
             if spec.is_long:
                 # Quantize to the codec's resolution so in-memory and
@@ -289,7 +296,7 @@ def _synthesize_flow_packets(
             packet = PacketRecord(
                 timestamp=timestamp,
                 src_ip=client_ip,
-                dst_ip=spec.server_ip,
+                dst_ip=server_ip,
                 src_port=client_port,
                 dst_port=SERVER_PORT,
                 flags=flags,
@@ -297,14 +304,14 @@ def _synthesize_flow_packets(
                 seq=client_seq,
                 ack=server_seq,
                 ip_id=rng.getrandbits(16),
-                ttl=plausible_ttl(client_ip),
-                window=plausible_window(client_ip),
+                ttl=client_ttl,
+                window=client_window,
             )
             client_seq = (client_seq + max(payload, 1)) & 0xFFFFFFFF
         else:
             packet = PacketRecord(
                 timestamp=timestamp,
-                src_ip=spec.server_ip,
+                src_ip=server_ip,
                 dst_ip=client_ip,
                 src_port=SERVER_PORT,
                 dst_port=client_port,
@@ -313,8 +320,8 @@ def _synthesize_flow_packets(
                 seq=server_seq,
                 ack=client_seq,
                 ip_id=rng.getrandbits(16),
-                ttl=plausible_ttl(spec.server_ip),
-                window=plausible_window(spec.server_ip),
+                ttl=server_ttl,
+                window=server_window,
             )
             server_seq = (server_seq + max(payload, 1)) & 0xFFFFFFFF
         yield packet

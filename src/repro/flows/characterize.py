@@ -31,6 +31,7 @@ and the compressor's template datasets operate on.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.flows.model import Direction, Flow, FlowPacket
 from repro.net.tcp import classify_flags
@@ -133,6 +134,7 @@ def characterize_flow(
     return tuple(values)
 
 
+@lru_cache(maxsize=1024)
 def decode_packet_value(
     value: int, config: CharacterizationConfig = CharacterizationConfig()
 ) -> tuple[int, int, int]:
@@ -141,6 +143,10 @@ def decode_packet_value(
     With the default weights (16, 4, 1) and class ranges g1<=3, g2<=1,
     g3<=2 the mapping is uniquely decodable by place value; the
     decompressor relies on this to re-synthesize flags and sizes.
+
+    Memoized per ``(value, config)``: a configuration has at most a few
+    dozen valid values and the decompressor decodes one per packet.  An
+    invalid value raises on every call (exceptions are never cached).
     """
     weights = config.weights
     if (

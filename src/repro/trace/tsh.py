@@ -28,58 +28,91 @@ import io
 import struct
 from typing import BinaryIO, Iterable, Iterator
 
-from repro.net.checksum import ipv4_header_checksum
 from repro.net.packet import HEADER_BYTES, PacketRecord, validate_packet
 
 TSH_RECORD_BYTES = 44
 """On-disk bytes per packet in a TSH trace."""
 
-_IP_HEADER = struct.Struct(">BBHHHBBHII")
-_TCP_PREFIX = struct.Struct(">HHIIBBH")
 _MICROSECOND = 1_000_000
+_MAX_PAYLOAD = 0xFFFF - HEADER_BYTES
 
 # The whole 44-byte record as one struct: timing header, IPv4 header and
-# TCP prefix flattened.  One unpack per record instead of three, and the
+# TCP prefix flattened.  One pack or unpack per record, and the
 # iter_unpack/unpack_from forms never slice per-record byte copies.
 _TSH_RECORD = struct.Struct(">IB3sBBHHHBBHIIHHIIBBH")
 assert _TSH_RECORD.size == TSH_RECORD_BYTES
 
+_BATCH_RECORDS = 64 * 1024 // TSH_RECORD_BYTES
+"""Records per ``write_tsh`` write: batches of at most 64 KiB."""
+
 
 def encode_record(packet: PacketRecord, interface: int = 1) -> bytes:
-    """Encode one packet as a 44-byte TSH record."""
-    validate_packet(packet)
-    seconds = int(packet.timestamp)
-    micros = int(round((packet.timestamp - seconds) * _MICROSECOND))
+    """Encode one packet as a 44-byte TSH record.
+
+    One ``_TSH_RECORD.pack`` per record.  The IPv4 header checksum is
+    the RFC 1071 sum of the header's ten 16-bit words, taken straight
+    from the fields (version/IHL+TOS, total length, id, flags/fragment,
+    TTL+protocol and the four address halves; the checksum word itself
+    counts as zero), which equals ``internet_checksum`` over the packed
+    header.  Ten words of at most 0xFFFF sum below 2**20, so two carry
+    folds suffice.
+
+    Every field is range-checked on every packet: ``struct`` rejects an
+    out-of-range integer field, and :func:`validate_packet` then raises
+    the ``ValueError`` that names it.  The timestamp sign and
+    ``payload_len`` are checked explicitly, since ``struct`` never sees
+    them directly.
+    """
+    timestamp = packet.timestamp
+    payload_len = packet.payload_len
+    if timestamp < 0 or not 0 <= payload_len <= _MAX_PAYLOAD:
+        validate_packet(packet)
+    seconds = int(timestamp)
+    micros = int(round((timestamp - seconds) * _MICROSECOND))
     if micros >= _MICROSECOND:  # rounding may spill into the next second
         seconds += 1
         micros -= _MICROSECOND
-    header = struct.pack(
-        ">IB3s", seconds, interface & 0xFF, micros.to_bytes(3, "big")
+    total_length = HEADER_BYTES + payload_len
+    ip_id, ttl, protocol = packet.ip_id, packet.ttl, packet.protocol
+    src_ip, dst_ip = packet.src_ip, packet.dst_ip
+    total = (
+        0x4500
+        + total_length
+        + ip_id
+        + (ttl << 8 | protocol)
+        + (src_ip >> 16)
+        + (src_ip & 0xFFFF)
+        + (dst_ip >> 16)
+        + (dst_ip & 0xFFFF)
     )
-    bare_ip_header = _IP_HEADER.pack(
-        0x45,  # version 4, IHL 5
-        0,  # TOS
-        packet.total_length(),
-        packet.ip_id,
-        0,  # flags / fragment offset
-        packet.ttl,
-        packet.protocol,
-        0,  # checksum placeholder
-        packet.src_ip,
-        packet.dst_ip,
-    )
-    checksum = ipv4_header_checksum(bare_ip_header)
-    ip_header = bare_ip_header[:10] + checksum.to_bytes(2, "big") + bare_ip_header[12:]
-    tcp_prefix = _TCP_PREFIX.pack(
-        packet.src_port,
-        packet.dst_port,
-        packet.seq,
-        packet.ack,
-        0x50,  # data offset 5, no reserved bits
-        packet.flags,
-        packet.window,
-    )
-    return header + ip_header + tcp_prefix
+    total = (total & 0xFFFF) + (total >> 16)
+    total = (total & 0xFFFF) + (total >> 16)
+    try:
+        return _TSH_RECORD.pack(
+            seconds,
+            interface & 0xFF,
+            micros.to_bytes(3, "big"),
+            0x45,  # version 4, IHL 5
+            0,  # TOS
+            total_length,
+            ip_id,
+            0,  # flags / fragment offset
+            ttl,
+            protocol,
+            ~total & 0xFFFF,
+            src_ip,
+            dst_ip,
+            packet.src_port,
+            packet.dst_port,
+            packet.seq,
+            packet.ack,
+            0x50,  # data offset 5, no reserved bits
+            packet.flags,
+            packet.window,
+        )
+    except struct.error:
+        validate_packet(packet)  # names the out-of-range field
+        raise
 
 
 def decode_record(record: bytes) -> PacketRecord:
@@ -88,46 +121,15 @@ def decode_record(record: bytes) -> PacketRecord:
         raise ValueError(
             f"TSH record must be {TSH_RECORD_BYTES} bytes, got {len(record)}"
         )
-    seconds, _interface, micro_bytes = struct.unpack(">IB3s", record[:8])
-    micros = int.from_bytes(micro_bytes, "big")
-    (
-        _ver_ihl,
-        _tos,
-        total_length,
-        ip_id,
-        _frag,
-        ttl,
-        protocol,
-        _checksum,
-        src_ip,
-        dst_ip,
-    ) = _IP_HEADER.unpack(record[8:28])
-    (src_port, dst_port, seq, ack, _offset, flags, window) = _TCP_PREFIX.unpack(
-        record[28:44]
-    )
-    return PacketRecord(
-        timestamp=seconds + micros / _MICROSECOND,
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        src_port=src_port,
-        dst_port=dst_port,
-        protocol=protocol,
-        flags=flags,
-        payload_len=max(0, total_length - HEADER_BYTES),
-        seq=seq,
-        ack=ack,
-        ttl=ttl,
-        ip_id=ip_id,
-        window=window,
-    )
+    return decode_record_from(record)
 
 
 def decode_record_from(buffer, offset: int = 0) -> PacketRecord:
     """Decode the 44-byte record at ``offset`` of ``buffer`` in place.
 
-    The chunked reader's per-record form: ``unpack_from`` over one
-    hoisted :class:`memoryview` instead of a sliced byte copy per
-    record, and one struct unpack instead of three.
+    The chunked reader calls it with ``unpack_from`` over one hoisted
+    :class:`memoryview` instead of a sliced byte copy per record;
+    :func:`decode_record` calls it on one whole record.
     """
     (
         seconds,
@@ -294,11 +296,27 @@ def decode_columns(data):
 
 
 def write_tsh(packets: Iterable[PacketRecord], stream: BinaryIO) -> int:
-    """Write packets to a binary stream; returns the number written."""
+    """Write packets to a binary stream; returns the number written.
+
+    Records are joined into batches of at most 64 KiB and
+    each batch is written once.  If encoding or the packet iterator
+    raises, the records encoded before it are still written, so the
+    stream holds the same bytes a record-at-a-time writer would leave.
+    """
     count = 0
-    for packet in packets:
-        stream.write(encode_record(packet))
-        count += 1
+    batch: list[bytes] = []
+    append = batch.append
+    try:
+        for packet in packets:
+            append(encode_record(packet))
+            if len(batch) == _BATCH_RECORDS:
+                stream.write(b"".join(batch))
+                count += _BATCH_RECORDS
+                batch.clear()
+    finally:
+        if batch:
+            stream.write(b"".join(batch))
+            count += len(batch)
     return count
 
 

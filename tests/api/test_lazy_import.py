@@ -39,9 +39,19 @@ def _loaded_after(statement: str) -> set[str]:
     return set(json.loads(out.stdout))
 
 
+def _added_by(statement: str) -> set[str]:
+    """Modules ``statement`` loads beyond a bare interpreter's startup set.
+
+    Some interpreters import modules such as ``lzma`` or ``bz2`` at
+    startup, before any repro code runs; only what the statement itself
+    adds can be blamed on it.
+    """
+    return _loaded_after(statement) - _loaded_after("pass")
+
+
 class TestImportRepro:
     def test_pulls_no_heavy_submodule(self):
-        loaded = _loaded_after("import repro")
+        loaded = _added_by("import repro")
         offenders = [name for name in HEAVY_MODULES if name in loaded]
         assert not offenders, f"import repro eagerly loaded: {offenders}"
 
@@ -50,7 +60,7 @@ class TestImportRepro:
         assert "repro.core" not in loaded
 
     def test_api_package_is_lazy_too(self):
-        loaded = _loaded_after("import repro.api")
+        loaded = _added_by("import repro.api")
         offenders = [name for name in HEAVY_MODULES if name in loaded]
         assert not offenders, f"import repro.api eagerly loaded: {offenders}"
 

@@ -19,7 +19,9 @@ from repro.core.decompressor import (
     decompress_trace,
 )
 from repro.flows.assembler import assemble_flows
+from repro.core.replay import iter_decompressed
 from repro.flows.characterize import characterize_flow
+from repro.net.hostprops import plausible_ttl, plausible_window
 from repro.net.ip import address_class
 from repro.trace.trace import Trace
 
@@ -92,6 +94,13 @@ class TestReconstruction:
         assert trace[1].timestamp == pytest.approx(0.2, abs=1e-9)
 
 
+    def test_host_properties_follow_the_source_address(self, multi_flow_trace):
+        trace = decompress_trace(compress_trace(multi_flow_trace))
+        for packet in trace.packets:
+            assert packet.ttl == plausible_ttl(packet.src_ip)
+            assert packet.window == plausible_window(packet.src_ip)
+
+
 class TestLongFlowReplay:
     def test_gaps_replayed_exactly(self):
         compressed = CompressedTrace(name="t")
@@ -148,6 +157,15 @@ class TestConfig:
     def test_invalid_class(self):
         with pytest.raises(ValueError):
             DecompressorConfig().payload_for_class(3)
+
+    def test_invalid_template_value_raises_on_every_replay(self):
+        compressed = simple_compressed()
+        compressed.short_templates[0] = ShortFlowTemplate((4, 16 * 4, 32))
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a valid"):
+                decompress_trace(compressed)
+            with pytest.raises(ValueError, match="not a valid"):
+                list(iter_decompressed(compressed))
 
     def test_empty_compressed_gives_empty_trace(self):
         compressed = CompressedTrace(name="empty", addresses=AddressTable())

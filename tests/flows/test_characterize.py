@@ -113,6 +113,21 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_packet_value(16 * 4)  # g1 would be 4
 
+    def test_invalid_value_raises_on_every_call(self):
+        # Decoding is memoized; a failure must never be remembered as a
+        # result, nor a result stop a later failure.
+        for _ in range(3):
+            with pytest.raises(ValueError, match="not a valid"):
+                decode_packet_value(16 * 4)
+            assert decode_packet_value(16 * 3 + 4 + 2) == (3, 1, 2)
+
+    def test_memo_is_per_config(self):
+        wide = CharacterizationConfig(weights=Weights(32, 8, 2))
+        assert decode_packet_value(40, wide) == (1, 1, 0)
+        with pytest.raises(ValueError, match="not a valid"):
+            decode_packet_value(40)  # g2 would be 2 under (16, 4, 1)
+        assert decode_packet_value(40, wide) == (1, 1, 0)
+
     def test_non_place_value_weights_rejected(self):
         config = CharacterizationConfig(weights=Weights(1, 1, 1))
         with pytest.raises(ValueError, match="place-value"):

@@ -10,6 +10,7 @@ SIGTERM path, which needs a real process to signal, lives in
 from __future__ import annotations
 
 import os
+import signal
 import socket
 import threading
 import time
@@ -20,6 +21,8 @@ from repro.synth import generate_web_trace
 from repro.trace.framing import END_OF_STREAM, frame
 
 CONNECT_TIMEOUT = 5.0
+SERVE_DEADLINE = 60.0
+"""Seconds a daemon test may run before the watchdog stops its daemon."""
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +32,24 @@ def workload():
     return trace, trace.to_tsh_bytes()
 
 
-def wait_for_path(path: str, timeout: float = CONNECT_TIMEOUT) -> None:
+def connect_unix(path: str, timeout: float = CONNECT_TIMEOUT) -> socket.socket:
+    """Connect to the daemon's unix socket, retrying until ``timeout``.
+
+    ``asyncio.start_unix_server`` binds (creating the socket file)
+    before it listens, so a client can see the file and still be
+    refused; either error is retried until the deadline.
+    """
     deadline = time.monotonic() + timeout
-    while not os.path.exists(path):
-        if time.monotonic() > deadline:
-            raise TimeoutError(f"{path} never appeared")
-        time.sleep(0.01)
+    while True:
+        client = socket.socket(socket.AF_UNIX)
+        try:
+            client.connect(path)
+            return client
+        except (ConnectionRefusedError, FileNotFoundError):
+            client.close()
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.01)
 
 
 def send_framed(
@@ -45,10 +60,8 @@ def send_framed(
     end_of_stream: bool = True,
 ) -> None:
     """Connect to a daemon unix socket and stream ``data`` in odd frames."""
-    wait_for_path(sock_path)
-    client = socket.socket(socket.AF_UNIX)
+    client = connect_unix(sock_path)
     try:
-        client.connect(sock_path)
         for start in range(0, len(data), frame_bytes):
             client.sendall(frame(data[start : start + frame_bytes]))
         if end_of_stream:
@@ -61,3 +74,29 @@ def in_thread(target, *args, **kwargs) -> threading.Thread:
     thread = threading.Thread(target=target, args=args, kwargs=kwargs, daemon=True)
     thread.start()
     return thread
+
+
+@pytest.fixture
+def serve_watchdog():
+    """Stop a daemon that outlives :data:`SERVE_DEADLINE`, then fail.
+
+    A test whose client thread dies waits in ``api.serve`` for a packet
+    budget that never arrives.  The watchdog sends SIGINT, which the
+    daemon handles as a stop request: ``api.serve`` returns, and the
+    test fails instead of hanging.
+    """
+    fired = threading.Event()
+
+    def interrupt() -> None:
+        fired.set()
+        os.kill(os.getpid(), signal.SIGINT)
+
+    timer = threading.Timer(SERVE_DEADLINE, interrupt)
+    timer.daemon = True
+    timer.start()
+    try:
+        yield
+    finally:
+        timer.cancel()
+    if fired.is_set():
+        pytest.fail(f"daemon test ran past its {SERVE_DEADLINE:.0f} s watchdog")

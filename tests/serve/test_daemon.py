@@ -22,9 +22,13 @@ from repro.serve.sources import parse_source
 from repro.trace.pcaplite import write_pcap
 from repro.trace.tsh import read_tsh_bytes
 
-from tests.serve.conftest import in_thread, send_framed, wait_for_path
+from tests.serve.conftest import connect_unix, in_thread, send_framed
 
 SEGMENT_SPAN = 5.0
+
+# Every daemon here blocks until its clients deliver a packet budget; a
+# client that fails must fail the test, not leave the daemon waiting.
+pytestmark = pytest.mark.usefixtures("serve_watchdog")
 
 
 def _base_options(**serve_kwargs) -> Options:
@@ -270,10 +274,8 @@ class TestGuards:
         live = tmp_path / "torn.fctca"
 
         def send_torn():
-            wait_for_path(sock)
-            client = socket.socket(socket.AF_UNIX)
+            client = connect_unix(sock)
             try:
-                client.connect(sock)
                 from repro.trace.framing import frame
 
                 # 100 whole records, then a torn half-record, no EOS.
