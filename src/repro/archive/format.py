@@ -307,24 +307,31 @@ def index_entry_for(
     """
     if not compressed.time_seq:
         raise ArchiveError("refusing to index an empty segment")
-    time_units = [quantize_timestamp(r.timestamp) for r in compressed.time_seq]
-    rtt_units = [quantize_rtt(r.rtt) for r in compressed.time_seq]
-    flow_packets = [compressed.packets_for(r) for r in compressed.time_seq]
-    short_flows = sum(
-        1 for r in compressed.time_seq if r.dataset is DatasetId.SHORT
-    )
+    time_seq = compressed.time_seq
+    # Both quantizers are monotone (saturation included), so quantizing
+    # the raw extremes gives the extremes of the quantized values.
+    timestamps = [r.timestamp for r in time_seq]
+    rtts = [r.rtt for r in time_seq]
+    template_packets = {
+        DatasetId.SHORT: [t.n for t in compressed.short_templates],
+        DatasetId.LONG: [t.n for t in compressed.long_templates],
+    }
+    flow_packets = [
+        template_packets[r.dataset][r.template_index] for r in time_seq
+    ]
+    short_flows = sum(1 for r in time_seq if r.dataset is DatasetId.SHORT)
     return SegmentIndexEntry(
         offset=offset,
         length=length,
-        time_min_units=min(time_units),
-        time_max_units=max(time_units),
-        flow_count=len(compressed.time_seq),
+        time_min_units=quantize_timestamp(min(timestamps)),
+        time_max_units=quantize_timestamp(max(timestamps)),
+        flow_count=len(time_seq),
         short_flow_count=short_flows,
         packet_count=compressed.original_packet_count,
         min_flow_packets=min(flow_packets),
         max_flow_packets=max(flow_packets),
-        min_rtt_units=min(rtt_units),
-        max_rtt_units=max(rtt_units),
+        min_rtt_units=quantize_rtt(min(rtts)),
+        max_rtt_units=quantize_rtt(max(rtts)),
         address_count=len(compressed.addresses),
         summary=AddressSummary.build(compressed.addresses),
         section_backends=tuple(section_backends),

@@ -212,9 +212,12 @@ class SegmentFeeder:
             # packet budget or the first timestamp past the span bound.
             stop = min(total, start + self._segment_packets - self._segment_fed)
             if self._segment_span is not None:
-                limit = self._segment_first_ts + self._segment_span
+                # The same float expression as the row-0 check above and
+                # add_packet: ``ts >= first + span`` can round differently
+                # and stop on a row that check does not seal on.
+                first, span = self._segment_first_ts, self._segment_span
                 for row in range(start, stop):
-                    if timestamps[row] >= limit:
+                    if timestamps[row] - first >= span:
                         stop = row
                         break
             self._compressor.feed_columns(columns.slice(start, stop))

@@ -47,6 +47,7 @@ from repro.core.datasets import (
     DatasetId,
     LongFlowTemplate,
     TimeSeqRecord,
+    inter_packet_gaps,
 )
 from repro.core.errors import CompressionError
 from repro.net.columns import PacketColumns, numpy_or_none, tolist
@@ -395,9 +396,7 @@ class ColumnarFlowCompressor:
             )
         else:
             stats.long_flows += 1
-            times = state[_TIMES]
-            gaps = [later - earlier for earlier, later in zip(times, times[1:])]
-            gaps.append(0.0)
+            gaps = inter_packet_gaps(state[_TIMES])
             index = len(self._output.long_templates)
             self._output.long_templates.append(
                 LongFlowTemplate(values=tuple(values), gaps=tuple(gaps))

@@ -136,6 +136,11 @@ class TemplateMatcher:
     for equal-length vectors — and scans a bucket in insertion order, so
     search results (and therefore template numbering) are deterministic.
     Shared by the compressor's close path and the parallel shard merge.
+
+    Positive answers are memoized per vector.  Templates are immutable
+    and buckets only grow at the end, so the first match a scan finds
+    for a vector stays its first match for the matcher's lifetime.  A
+    miss is never cached: a later :meth:`add` may create a match.
     """
 
     def __init__(
@@ -146,6 +151,8 @@ class TemplateMatcher:
         self._by_length: dict[int, list[int]] = defaultdict(list)
         for index, template in enumerate(templates):
             self._by_length[template.n].append(index)
+        self._found: dict[tuple[int, ...], int] = {}
+        self._missed: tuple[int, ...] | None = None
 
     def find(self, vector: tuple[int, ...]) -> int | None:
         """First template of the same length within d_max (eq. 4).
@@ -153,6 +160,9 @@ class TemplateMatcher:
         Exact duplicates always merge, even at a 0% threshold where the
         strict "lower than" rule would otherwise reject them.
         """
+        index = self._found.get(vector)
+        if index is not None:
+            return index
         threshold = similarity_threshold(
             len(vector), self._config.similarity_percent, self._config.per_packet_max
         )
@@ -160,7 +170,9 @@ class TemplateMatcher:
             center = self._templates[index].values
             distance = vector_distance(center, vector)
             if distance == 0 or distance < threshold:
+                self._found[vector] = index
                 return index
+        self._missed = vector
         return None
 
     def add(self, vector: tuple[int, ...]) -> int:
@@ -168,6 +180,11 @@ class TemplateMatcher:
         index = len(self._templates)
         self._templates.append(ShortFlowTemplate(vector))
         self._by_length[len(vector)].append(index)
+        if vector == self._missed:
+            # The last scan for this vector found nothing, so the template
+            # just appended is its first match.
+            self._found[vector] = index
+        self._missed = None
         return index
 
 

@@ -84,6 +84,21 @@ class LongFlowTemplate:
         return len(self.values)
 
 
+def inter_packet_gaps(timestamps: list[float]) -> list[float]:
+    """A long flow's gaps: ``t[i+1] - t[i]`` per packet, then a trailing 0.
+
+    A packet stamped earlier than its flow's previous packet — two
+    capture streams merged into one ingest source can interleave that
+    way — gets a 0 gap: a template cannot store a negative one, and
+    rejecting the flow would drop every packet in it.
+    """
+    gaps = [later - earlier for earlier, later in zip(timestamps, timestamps[1:])]
+    if gaps and min(gaps) < 0.0:
+        gaps = [max(0.0, gap) for gap in gaps]
+    gaps.append(0.0)
+    return gaps
+
+
 class AddressTable:
     """The ``address`` dataset: unique destination IPs, index-addressable."""
 

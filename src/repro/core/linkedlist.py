@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from repro.core.datasets import inter_packet_gaps
 from repro.flows.model import Direction
 from repro.net.flowkey import FiveTuple, flow_hash
 
@@ -75,10 +76,7 @@ class FlowNode:
 
     def inter_packet_gaps(self) -> list[float]:
         """Gaps between consecutive packets, with a trailing 0 (n entries)."""
-        times = [entry.timestamp for entry in self.entries]
-        gaps = [later - earlier for earlier, later in zip(times, times[1:])]
-        gaps.append(0.0)
-        return gaps
+        return inter_packet_gaps([entry.timestamp for entry in self.entries])
 
     def estimate_rtt(self) -> float:
         """Gap to the first direction turnaround (section 2's RTT notion)."""

@@ -4,7 +4,8 @@ One asyncio loop runs three kinds of task per daemon:
 
 * **producers** — one per source: socket servers decode length-framed
   TSH/pcap payloads per connection, tail sources poll a growing file;
-  both push decoded packet chunks into the source's bounded queue
+  both push decoded :class:`~repro.net.columns.PacketColumns` chunks
+  (one per socket or tail read) into the source's bounded queue
   (``put_nowait`` first; a full queue counts a backpressure event and
   awaits — that bound, times the chunk size, is the daemon's whole
   ingest memory);
@@ -41,7 +42,7 @@ from repro.api.errors import OptionsError
 from repro.api.options import Options
 from repro.archive.writer import ArchiveWriter, SegmentFeeder
 from repro.core.datasets import CompressedTrace
-from repro.net.packet import PacketRecord
+from repro.net.columns import PacketColumns
 from repro.obs import current as obs_current, render_prometheus
 from repro.serve.sources import (
     SCHEME_TAIL,
@@ -380,14 +381,14 @@ class _Daemon:
                 # by the drain deadline anyway.
                 pass
 
-    async def _enqueue(self, source: _Source, packets: list[PacketRecord]) -> None:
+    async def _enqueue(self, source: _Source, columns: PacketColumns) -> None:
         queue = source.queue
         try:
-            queue.put_nowait(packets)
+            queue.put_nowait(columns)
         except asyncio.QueueFull:
             source.report.backpressure_waits += 1
             source.backpressure_counter.inc()
-            await queue.put(packets)
+            await queue.put(columns)
         source.report.chunks += 1
         source.chunks_counter.inc()
         source.queue_depth_gauge.set_max(float(queue.qsize()))
@@ -412,11 +413,11 @@ class _Daemon:
                     data = await reader.read(_SOCKET_READ_BYTES)
                     if not data:
                         break
-                    packets: list[PacketRecord] = []
-                    for payload in framer.feed(data):
-                        packets.extend(decoder.feed(payload))
-                    if packets:
-                        await self._enqueue(source, packets)
+                    # Payloads are transport chunking of one continuous
+                    # stream: decode everything this read completed at once.
+                    columns = decoder.feed_columns(b"".join(framer.feed(data)))
+                    if columns:
+                        await self._enqueue(source, columns)
                 framer.finish()
                 decoder.finish()
             except FrameDecodeError as exc:
@@ -495,9 +496,9 @@ class _Daemon:
             if not data:
                 return position
             position += len(data)
-            packets = decoder.feed(data)
-            if packets:
-                await self._enqueue(source, packets)
+            columns = decoder.feed_columns(data)
+            if columns:
+                await self._enqueue(source, columns)
 
     # -- consumers and services -------------------------------------------
 

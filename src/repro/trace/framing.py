@@ -23,11 +23,14 @@ This module is that buffering, factored out once and shared:
     one continuous TSH or pcap byte stream.
 
 :class:`TshStreamDecoder` / :class:`PcapStreamDecoder`
-    Format decoders: feed arbitrary byte slices, get fully decoded
-    :class:`~repro.net.packet.PacketRecord` lists back.  The TSH
-    decoder rides the vectorized block decoder
-    (:func:`~repro.trace.tsh.decode_columns`) so a socket feed keeps
-    the columnar hot path; the pcap decoder is the incremental core
+    Format decoders: feed arbitrary byte slices, get the completed
+    packets back — as a :class:`~repro.net.columns.PacketColumns`
+    chunk from ``feed_columns`` (what the serve daemon queues) or as
+    :class:`~repro.net.packet.PacketRecord` lists from ``feed``.  The
+    TSH decoder rides the vectorized block decoder
+    (:func:`~repro.trace.tsh.decode_columns`), so a socket feed keeps
+    the columnar hot path and records are only a view of the columns;
+    the pcap decoder is the incremental core
     :func:`~repro.trace.pcaplite.read_pcap` now wraps.
 
 All four are sans-IO: no sockets, no files, no event loop — any driver
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import struct
 
+from repro.net.columns import PacketColumns, columns_from_records
 from repro.net.packet import HEADER_BYTES, PacketRecord
 from repro.trace.pcaplite import LINKTYPE_RAW, PCAP_MAGIC
 from repro.trace.tsh import TSH_RECORD_BYTES, decode_columns
@@ -175,27 +179,36 @@ class TshStreamDecoder:
     """Incremental TSH decoder: arbitrary byte slices in, packets out.
 
     Thin composition of :class:`RecordChunker` and the block decoder —
-    each ``feed`` decodes every completed 44-byte record in one
+    each ``feed_columns`` decodes every completed 44-byte record in one
     vectorized pass (numpy when available, the stdlib fallback
     otherwise), exactly the bytes-to-packets path of the chunked file
-    reader.
+    reader.  ``feed`` is the same chunk materialized as records.
     """
 
     format = FORMAT_TSH
-    __slots__ = ("_chunker",)
+    __slots__ = ("_chunker", "_empty")
 
     def __init__(self) -> None:
         self._chunker = RecordChunker(TSH_RECORD_BYTES, label="TSH record")
+        self._empty: PacketColumns | None = None
 
     @property
     def pending_bytes(self) -> int:
         return self._chunker.pending_bytes
 
-    def feed(self, data: bytes) -> list[PacketRecord]:
+    def feed_columns(self, data: bytes) -> PacketColumns:
+        """Every record ``data`` completes, as one (maybe empty) chunk."""
         block = self._chunker.feed(data)
-        if not block:
-            return []
-        return decode_columns(block).to_records()
+        if block:
+            return decode_columns(block)
+        # A sub-record feed completes nothing; reuse one decoded empty
+        # chunk rather than paying a vectorized decode of zero rows.
+        if self._empty is None:
+            self._empty = decode_columns(block)
+        return self._empty
+
+    def feed(self, data: bytes) -> list[PacketRecord]:
+        return self.feed_columns(data).to_records()
 
     def finish(self) -> None:
         self._chunker.finish()
@@ -224,37 +237,46 @@ class PcapStreamDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[PacketRecord]:
-        self._buffer += data
+        buffer = self._buffer + data if self._buffer else bytes(data)
         packets: list[PacketRecord] = []
-        if not self._header_done:
-            if len(self._buffer) < _PCAP_GLOBAL.size:
-                return packets
-            magic, _major, _minor, _zone, _sigfigs, _snaplen, linktype = (
-                _PCAP_GLOBAL.unpack_from(self._buffer)
-            )
-            if magic != PCAP_MAGIC:
-                raise FrameDecodeError(f"unsupported pcap magic: {magic:#x}")
-            if linktype != LINKTYPE_RAW:
-                raise FrameDecodeError(f"unsupported link type: {linktype}")
-            self._buffer = self._buffer[_PCAP_GLOBAL.size :]
-            self._header_done = True
-        while len(self._buffer) >= _PCAP_RECORD.size:
-            seconds, micros, captured, original = _PCAP_RECORD.unpack_from(
-                self._buffer
-            )
-            if captured < HEADER_BYTES:
-                raise FrameDecodeError(
-                    f"record too short for TCP/IP headers: {captured}"
+        # Walk the buffer by offset and trim it once per feed: re-slicing
+        # after every record would copy the rest of the buffer each time.
+        offset = 0
+        try:
+            if not self._header_done:
+                if len(buffer) < _PCAP_GLOBAL.size:
+                    return packets
+                magic, _major, _minor, _zone, _sigfigs, _snaplen, linktype = (
+                    _PCAP_GLOBAL.unpack_from(buffer)
                 )
-            end = _PCAP_RECORD.size + captured
-            if len(self._buffer) < end:
-                break
-            body = self._buffer[_PCAP_RECORD.size : end]
-            self._buffer = self._buffer[end:]
-            packets.append(
-                _decode_pcap_body(seconds, micros, original, body)
-            )
-        return packets
+                if magic != PCAP_MAGIC:
+                    raise FrameDecodeError(f"unsupported pcap magic: {magic:#x}")
+                if linktype != LINKTYPE_RAW:
+                    raise FrameDecodeError(f"unsupported link type: {linktype}")
+                offset = _PCAP_GLOBAL.size
+                self._header_done = True
+            while len(buffer) - offset >= _PCAP_RECORD.size:
+                seconds, micros, captured, original = _PCAP_RECORD.unpack_from(
+                    buffer, offset
+                )
+                if captured < HEADER_BYTES:
+                    raise FrameDecodeError(
+                        f"record too short for TCP/IP headers: {captured}"
+                    )
+                body = offset + _PCAP_RECORD.size
+                if len(buffer) < body + captured:
+                    break
+                packets.append(
+                    _decode_pcap_body(seconds, micros, original, buffer, body)
+                )
+                offset = body + captured
+            return packets
+        finally:
+            self._buffer = buffer[offset:]
+
+    def feed_columns(self, data: bytes) -> PacketColumns:
+        """:meth:`feed`'s packets as one (maybe empty) columnar chunk."""
+        return columns_from_records(self.feed(data))
 
     def finish(self) -> None:
         if self._buffer or not self._header_done:
@@ -265,9 +287,9 @@ class PcapStreamDecoder:
 
 
 def _decode_pcap_body(
-    seconds: int, micros: int, original: int, body: bytes
+    seconds: int, micros: int, original: int, buffer: bytes, offset: int
 ) -> PacketRecord:
-    """Decode one captured 40-byte header snapshot into a record."""
+    """Decode the captured 40-byte header snapshot at ``offset``."""
     (
         _ver_ihl,
         _tos,
@@ -279,9 +301,9 @@ def _decode_pcap_body(
         _checksum,
         src_ip,
         dst_ip,
-    ) = _PCAP_IP.unpack_from(body)
+    ) = _PCAP_IP.unpack_from(buffer, offset)
     (src_port, dst_port, seq, ack, _off, flags, window, _ck, _urg) = (
-        _PCAP_TCP.unpack_from(body, 20)
+        _PCAP_TCP.unpack_from(buffer, offset + 20)
     )
     return PacketRecord(
         timestamp=seconds + micros / _MICROSECOND,

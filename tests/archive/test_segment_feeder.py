@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.archive.writer import ArchiveWriter, EpochRef, SegmentFeeder
+from repro.net.columns import columns_from_records
+from repro.net.packet import PacketRecord
 from repro.synth import generate_web_trace
 from repro.trace.tsh import read_tsh_bytes
 
@@ -105,6 +107,42 @@ class TestSegmentFeeder:
             SegmentFeeder(lambda c: None, epoch=EpochRef(), segment_packets=0)
         with pytest.raises(ValueError, match="segment_span"):
             SegmentFeeder(lambda c: None, epoch=EpochRef(), segment_span=0.0)
+
+
+class TestColumnsMatchRecords:
+    @pytest.mark.parametrize(
+        "timestamps, expected",
+        [
+            # 258.915577 - 253.915577 rounds just below 5.0 while
+            # 253.915577 + 5.0 rounds to 258.915577: the column split
+            # used to stop on that row without sealing, forever.
+            ((253.915577, 258.915577, 258.92), [2, 1]),
+            # 7.71287 - 2.71287 >= 5.0 but 7.71287 < 2.71287 + 5.0: the
+            # column split used to keep the row the record path seals on.
+            ((2.71287, 3.0, 7.71287, 7.8), [2, 2]),
+        ],
+    )
+    def test_span_boundary_that_rounds_differently(self, timestamps, expected):
+        packets = [
+            PacketRecord(
+                timestamp=timestamp, src_ip=1, dst_ip=2, src_port=port,
+                dst_port=80, protocol=6, flags=0x02, payload_len=0,
+                seq=0, ack=0, ttl=64, ip_id=0, window=0,
+            )
+            for port, timestamp in enumerate(timestamps)
+        ]
+
+        def sealed_by(feed):
+            sealed = []
+            feeder = SegmentFeeder(sealed.append, epoch=EpochRef(), segment_span=5.0)
+            feed(feeder)
+            feeder.close()
+            return [trace.packet_count() for trace in sealed]
+
+        assert sealed_by(lambda feeder: feeder.feed(packets)) == expected
+        assert sealed_by(
+            lambda feeder: feeder.feed_columns(columns_from_records(packets))
+        ) == expected
 
 
 class TestWriterEquivalence:

@@ -121,6 +121,21 @@ def test_rebase_on_out_of_order_timestamps():
         assert _columnar(packets, chunk=chunk) == expected
 
 
+def test_long_flow_packet_out_of_order_gets_a_zero_gap():
+    """Two merged streams can hand a long flow an earlier-stamped packet."""
+    from repro.core.codec import deserialize_compressed
+
+    packets = _flow(0.0, 4000, 60)
+    packets[30:32] = [packets[31], packets[30]]  # 0.31 arrives before 0.30
+    expected = _scalar(packets)
+    for chunk in (1, 7, len(packets)):
+        assert _columnar(packets, chunk=chunk) == expected
+    (template,) = deserialize_compressed(expected).long_templates
+    assert template.n == 60
+    assert template.gaps[30] == 0.0
+    assert min(template.gaps) == 0.0
+
+
 def test_explicit_base_time():
     packets = _flow(100.0, 4000, 6)
     assert _columnar(packets, base_time=90.0) == _scalar(packets, base_time=90.0)

@@ -70,8 +70,31 @@ def send_framed(
         client.close()
 
 
-def in_thread(target, *args, **kwargs) -> threading.Thread:
-    thread = threading.Thread(target=target, args=args, kwargs=kwargs, daemon=True)
+class ClientThread(threading.Thread):
+    """A background client whose failure fails the test that joins it.
+
+    An exception in the client is stored instead of being lost on the
+    thread, and :meth:`join` re-raises it; a client still running when
+    the join times out is a failure too.
+    """
+
+    error: BaseException | None = None
+
+    def run(self) -> None:
+        try:
+            super().run()
+        except BaseException as exc:  # noqa: BLE001 — re-raised on join
+            self.error = exc
+
+    def join(self, timeout: float | None = None) -> None:
+        super().join(timeout)
+        assert not self.is_alive(), f"client thread still running after {timeout} s"
+        if self.error is not None:
+            raise self.error
+
+
+def in_thread(target, *args, **kwargs) -> ClientThread:
+    thread = ClientThread(target=target, args=args, kwargs=kwargs, daemon=True)
     thread.start()
     return thread
 

@@ -6,6 +6,7 @@ from __future__ import annotations
 import asyncio
 import io
 import socket
+import threading
 import time
 from dataclasses import replace
 
@@ -19,10 +20,15 @@ from repro.archive.writer import ArchiveWriter
 from repro.obs import MetricsRegistry, metric_name, scoped
 from repro.serve.daemon import _Daemon, _Source
 from repro.serve.sources import parse_source
-from repro.trace.pcaplite import write_pcap
+from repro.trace.pcaplite import read_pcap, write_pcap
 from repro.trace.tsh import read_tsh_bytes
 
-from tests.serve.conftest import connect_unix, in_thread, send_framed
+from tests.serve.conftest import (
+    SERVE_DEADLINE,
+    connect_unix,
+    in_thread,
+    send_framed,
+)
 
 SEGMENT_SPAN = 5.0
 
@@ -184,6 +190,17 @@ class TestPcapSource:
         client.join(timeout=5)
         assert report.packets == len(packets)
         assert report.sources[0].decode_errors == 0
+
+        buffer.seek(0)
+        pcap_packets = list(read_pcap(buffer))
+        offline_path = tmp_path / "offline.fctca"
+        offline = _offline_archive(
+            offline_path,
+            pcap_packets,
+            label="unix0",
+            epoch=pcap_packets[0].timestamp,
+        )
+        assert live.read_bytes() == offline
         assert len(_replayed(live)) == len(packets)
 
 
@@ -261,6 +278,26 @@ class TestPrometheusEndpoint:
         assert "200 OK" in page
         assert "text/plain; version=0.0.4" in page
         assert metric_name("serve.source.unix0.packets") in page
+
+
+class TestClientThread:
+    def test_join_reraises_the_client_exception(self):
+        def fail():
+            raise ConnectionRefusedError("no daemon")
+
+        client = in_thread(fail)
+        with pytest.raises(ConnectionRefusedError, match="no daemon"):
+            client.join(timeout=5)
+
+    def test_join_fails_while_the_client_still_runs(self):
+        release = threading.Event()
+        client = in_thread(release.wait, SERVE_DEADLINE)
+        try:
+            with pytest.raises(AssertionError, match="still running"):
+                client.join(timeout=0.01)
+        finally:
+            release.set()
+        client.join(timeout=5)
 
 
 class TestGuards:

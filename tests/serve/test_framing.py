@@ -11,7 +11,9 @@ from __future__ import annotations
 import io
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.net.columns import PacketColumns
 from repro.trace.framing import (
     DEFAULT_MAX_FRAME_BYTES,
     END_OF_STREAM,
@@ -119,6 +121,31 @@ class TestStreamDecoders:
         assert packets == read_tsh_bytes(data)
         assert len(packets) == len(trace)
 
+    @settings(max_examples=60, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 500), min_size=1, max_size=6))
+    def test_tsh_feed_columns_is_feed(self, workload, sizes):
+        data = workload[1][: 300 * TSH_RECORD_BYTES]
+        by_columns, by_records = TshStreamDecoder(), TshStreamDecoder()
+        packets = []
+        for piece in _slices(data, sizes):
+            columns = by_columns.feed_columns(piece)
+            assert isinstance(columns, PacketColumns)
+            records = columns.to_records()
+            assert records == by_records.feed(piece)
+            packets.extend(records)
+        by_columns.finish()
+        assert packets == read_tsh_bytes(data)
+
+    def test_tsh_feed_columns_empty_and_sub_record(self, workload):
+        data = workload[1]
+        decoder = TshStreamDecoder()
+        assert len(decoder.feed_columns(b"")) == 0
+        assert len(decoder.feed_columns(data[: TSH_RECORD_BYTES - 1])) == 0
+        assert decoder.pending_bytes == TSH_RECORD_BYTES - 1
+        whole = decoder.feed_columns(data[TSH_RECORD_BYTES - 1 : 2 * TSH_RECORD_BYTES])
+        assert whole.to_records() == read_tsh_bytes(data[: 2 * TSH_RECORD_BYTES])
+        assert decoder.feed(b"") == []
+
     def test_tsh_decoder_truncation(self):
         decoder = TshStreamDecoder()
         decoder.feed(b"\x01" * 10)
@@ -126,7 +153,10 @@ class TestStreamDecoders:
         with pytest.raises(FrameDecodeError, match="truncated TSH record"):
             decoder.finish()
 
-    @pytest.mark.parametrize("sizes", [[1], [13, 509], [65536]])
+    # The last slicing feeds the whole file at once.
+    @pytest.mark.parametrize(
+        "sizes", [[1], [13, 509], [65536], [7], [56], [1 << 30]]
+    )
     def test_pcap_decoder_matches_file_reader(self, trace, sizes):
         buffer = io.BytesIO()
         write_pcap(list(trace), buffer)
@@ -135,11 +165,23 @@ class TestStreamDecoders:
         packets = []
         for piece in _slices(data, sizes):
             packets.extend(decoder.feed(piece))
+            assert decoder.pending_bytes < 56  # at most one partial record
         decoder.finish()
+        assert len(packets) == len(trace)
         buffer.seek(0)
         from repro.trace.pcaplite import read_pcap
 
         assert packets == list(read_pcap(buffer))
+
+    def test_pcap_feed_columns(self, workload):
+        packets = read_tsh_bytes(workload[1])[:50]
+        buffer = io.BytesIO()
+        write_pcap(packets, buffer)
+        decoder = PcapStreamDecoder()
+        assert len(decoder.feed_columns(buffer.getvalue()[:30])) == 0
+        columns = decoder.feed_columns(buffer.getvalue()[30:])
+        assert isinstance(columns, PacketColumns)
+        assert columns.to_records() == packets
 
     def test_pcap_decoder_bad_magic(self):
         decoder = PcapStreamDecoder()
