@@ -344,6 +344,8 @@ class TraceStore:
     ) -> Iterator[FlowSummary]:
         """Evaluate a predicate over summary rows, maintaining ``stats``."""
         predicate = predicate or MatchAll()
+        if limit == 0:
+            return
         for row in rows:
             stats.flows_scanned += 1
             if predicate.match_flow(row):
@@ -412,6 +414,7 @@ class TraceFileStore(TraceStore):
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> Iterator[FlowSummary]:
+        _check_limit(limit)
         stats = QueryStats()
         return self._query_over_rows(
             flow_summaries(0, self._compress_in_memory(self.options)),
@@ -423,6 +426,7 @@ class TraceFileStore(TraceStore):
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
+        _check_limit(limit)
         stats = QueryStats(
             segments_total=1,
             segments_matched=1,
@@ -701,6 +705,7 @@ class ContainerStore(TraceStore):
         stats: QueryStats | None = None,
     ) -> Iterator[PacketRecord]:
         self._reject_parallel(workers)
+        _check_limit(limit)
         config = self.options.decompressor
         if predicate is None and limit is None and stats is None:
             return StreamingDecompressor(self.compressed, config).packets()
@@ -728,6 +733,7 @@ class ContainerStore(TraceStore):
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> Iterator[FlowSummary]:
+        _check_limit(limit)
         return self._query_over_rows(
             flow_summaries(0, self.compressed), predicate, limit, QueryStats()
         )
@@ -735,6 +741,7 @@ class ContainerStore(TraceStore):
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
+        _check_limit(limit)
         stats = QueryStats(
             segments_total=1,
             segments_matched=1,
@@ -903,7 +910,11 @@ class ArchiveStore(TraceStore):
 
     Wraps an open :class:`~repro.archive.reader.ArchiveReader`; the
     footer index is parsed (and validated) at :func:`repro.open` time,
-    segment bytes only when a verb actually needs them.
+    segment bytes only when a verb actually needs them.  ``query``,
+    ``flows`` and index-path ``stats``/``matrices`` share the reader's
+    bounded cache of decoded segment views for the store's lifetime, so
+    each segment decodes once per session (``append`` keeps the views
+    of every segment it leaves unchanged).
     """
 
     kind = SourceKind.ARCHIVE
@@ -931,6 +942,7 @@ class ArchiveStore(TraceStore):
     ) -> Iterator[PacketRecord]:
         if workers < 1:
             raise OptionsError(f"workers must be >= 1, got {workers}")
+        _check_limit(limit)
         if predicate is None and limit is None and stats is None:
             return self.reader.iter_packets(
                 self.options.decompressor, workers=workers
@@ -955,6 +967,7 @@ class ArchiveStore(TraceStore):
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
+        _check_limit(limit)
         return self._engine().run(predicate, limit=limit)
 
     def filter(
@@ -970,6 +983,7 @@ class ArchiveStore(TraceStore):
         ``options.codec`` re-encodes the surviving segments; a ``None``
         backend keeps each source segment's own section backends.
         """
+        _check_limit(limit)
         options = options or self.options
         return self._engine().filter_to(
             dest, predicate, limit=limit, options=options
@@ -1008,13 +1022,16 @@ class ArchiveStore(TraceStore):
         ``sources`` is a list of trace paths (each opened through the
         façade, so TSH streams and pcap loads) or a bare packet
         iterable.  The reader is reopened afterwards, so the session
-        sees the appended segments.
+        sees the appended segments; it keeps the cached views of every
+        segment whose index entry the append left unchanged — all of
+        them on success, since sealed segments are never rewritten.
         """
         options = options or self.options
         from repro.archive.writer import ArchiveWriter
 
         feeds = _packet_feeds(sources, options)
-        self.reader.close()
+        previous = self.reader
+        previous.close()
         try:
             with ArchiveWriter.append(self.path, options=options) as writer:
                 before = writer.segment_count
@@ -1026,6 +1043,7 @@ class ArchiveStore(TraceStore):
             from repro.archive.reader import ArchiveReader
 
             self.reader = ArchiveReader(self.path)
+            self.reader.adopt_views(previous)
         return ArchiveBuildReport(
             path=self.path,
             segments_written=len(entries) - before,
@@ -1121,6 +1139,11 @@ class ArchiveStore(TraceStore):
             flows=self.reader.flow_count(),
             detail_lines=tuple(lines),
         )
+
+
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 0:
+        raise OptionsError(f"limit must be >= 0, got {limit}")
 
 
 _STORE_CLASSES = {

@@ -19,6 +19,12 @@ per-segment synthesis fans out across processes while the parent
 performs the same ordered merge at the seams — identical output, more
 throughput, memory bounded by in-flight segments instead of the
 concurrent-flow fan-out.
+
+:meth:`segment_view` is the repeat-read path: a segment is immutable
+once sealed, so whatever a caller derives from one decode (the query
+engine's :class:`~repro.query.engine.SegmentView`) is kept in a
+per-reader LRU bounded by :data:`VIEW_CACHE_FLOWS` cached flows, and
+later calls over the same segment skip the decode entirely.
 """
 
 from __future__ import annotations
@@ -27,10 +33,10 @@ import heapq
 import io
 import mmap
 import multiprocessing
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator
+from typing import Any, BinaryIO, Callable, Iterator
 
 from repro.archive.format import (
     ARCHIVE_MAGIC,
@@ -56,6 +62,16 @@ from repro.core.flowmeta import FlowRecord, flow_records
 from repro.core.replay import ReplayStats, merge_packet_stream
 from repro.net.packet import PacketRecord
 from repro.obs import current as obs_current
+
+VIEW_CACHE_FLOWS = 1 << 15
+"""Most flows one reader's segment view cache keeps resident.
+
+About 20 MB at the ~610 B a cached flow costs (a slotted
+:class:`~repro.query.engine.FlowSummary` plus its
+:class:`~repro.core.flowmeta.FlowRecord`).  Least recently used views
+are evicted past it; a segment holding more flows than this on its own
+is served but never cached.
+"""
 
 
 def parse_archive_tail(
@@ -130,6 +146,8 @@ class ArchiveReader:
             raise
         self.segments_decoded = 0
         self.bytes_decoded = 0
+        self._views: OrderedDict[int, Any] = OrderedDict()
+        self._view_flows = 0
 
     @property
     def segment_count(self) -> int:
@@ -180,6 +198,72 @@ class ArchiveReader:
             "archive.bytes_decoded", "serialized segment bytes decoded"
         ).inc(entry.length)
         return compressed
+
+    def segment_view(
+        self,
+        index: int,
+        view_type: Callable[[int, CompressedTrace], Any],
+        config: DecompressorConfig | None = None,
+    ) -> Any:
+        """Segment ``index``'s cached view, decoding only on a miss.
+
+        ``view_type(index, compressed)`` builds a view from one decode;
+        the view answers ``covers(config)`` and derives what it lacks
+        with ``extend(config, compressed)``, and ``len(view)`` is its
+        flow count.  A resident view that covers ``config`` is a hit;
+        anything else decodes the segment through :meth:`load_segment`
+        (so ``segments_decoded`` counts real decodes only), builds or
+        extends the view and caches it.  The decoded trace itself is
+        dropped.  A decode or derivation that raises caches nothing.
+        """
+        registry = obs_current()
+        view = self._views.get(index)
+        if view is not None and view.covers(config):
+            self._views.move_to_end(index)
+            registry.counter(
+                "archive.segment_cache.hits", "segment views served from the cache"
+            ).inc()
+            return view
+        registry.counter(
+            "archive.segment_cache.misses", "segment view requests that decoded"
+        ).inc()
+        compressed = self.load_segment(index)
+        if view is None:
+            view = view_type(index, compressed)
+        view.extend(config, compressed)
+        if index in self._views:
+            self._views.move_to_end(index)
+        elif len(view) <= VIEW_CACHE_FLOWS:
+            self._views[index] = view
+            self._view_flows += len(view)
+            while self._view_flows > VIEW_CACHE_FLOWS:
+                _, evicted = self._views.popitem(last=False)
+                self._view_flows -= len(evicted)
+                registry.counter(
+                    "archive.segment_cache.evictions",
+                    "segment views evicted past the flow bound",
+                ).inc()
+        return view
+
+    @property
+    def cached_flows(self) -> int:
+        """Flows held by the resident segment views."""
+        return self._view_flows
+
+    def adopt_views(self, previous: "ArchiveReader") -> None:
+        """Take over ``previous``'s views of every segment left unchanged.
+
+        A segment whose index entry is identical in both readers has the
+        same bytes (appends never rewrite a sealed segment), so its view
+        stays valid; every other view is dropped.
+        """
+        for index, view in previous._views.items():
+            if (
+                index < len(self.entries)
+                and self.entries[index] == previous.entries[index]
+            ):
+                self._views[index] = view
+                self._view_flows += len(view)
 
     def iter_segments(self) -> Iterator[tuple[int, CompressedTrace]]:
         """Decode every segment in file order."""
@@ -232,8 +316,7 @@ class ArchiveReader:
         config: DecompressorConfig | None = None,
         *,
         indices: list[int] | None = None,
-        source: Callable[[int, CompressedTrace], Iterator[FlowRecord]]
-        | None = None,
+        source: Callable[[int], Iterator[FlowRecord]] | None = None,
     ) -> Iterator[FlowRecord]:
         """Stream flow metadata in global start order — no packet synthesis.
 
@@ -243,24 +326,26 @@ class ArchiveReader:
         walked in :func:`segment_runs` order — within a run the
         per-segment record streams heap-merge, between runs they simply
         concatenate — so downstream window aggregation never needs more
-        than the current run's datasets in memory.
+        than the current run's records in memory (plus, on the query
+        engine's cached path, the :data:`VIEW_CACHE_FLOWS`-bounded view
+        cache).
 
         ``indices`` restricts the walk (a query planner's surviving
-        segments); ``source(segment, compressed)`` overrides the
-        per-segment record stream — the query engine passes a filtering
-        source, the differential harness the synthesize-everything twin.
+        segments); ``source(segment)`` overrides the per-segment record
+        stream — the query engine passes a filtering source over its
+        cached segment views, the differential harness the
+        synthesize-everything twin.  The default source decodes each
+        segment.
         """
         config = config or DecompressorConfig()
         if indices is None:
             indices = list(range(len(self.entries)))
         if source is None:
-            source = lambda segment, compressed: flow_records(  # noqa: E731
-                compressed, config, segment=segment
+            source = lambda segment: flow_records(  # noqa: E731
+                self.load_segment(segment), config, segment=segment
             )
         for run in segment_runs(self.entries, indices):
-            streams = [
-                source(segment, self.load_segment(segment)) for segment in run
-            ]
+            streams = [source(segment) for segment in run]
             if len(streams) == 1:
                 yield from streams[0]
             else:

@@ -1,12 +1,22 @@
 """Predicate evaluation over an archive: plan on the index, decode late.
 
 The engine walks the archive footer first, skips every segment whose
-index entry cannot match the predicate, and decodes the survivors one at
+index entry cannot match the predicate, and scans the survivors one at
 a time.  Matching is evaluated directly against ``time-seq`` records and
 the template/address datasets — no packet is ever synthesized — and
 results stream out as :class:`FlowSummary` rows.  :class:`QueryStats`
-records how much work the index saved (segments and bytes decoded vs.
+records how much work the index saved (segments and bytes scanned vs.
 total), which the benchmarks and the acceptance tests assert on.
+
+:meth:`QueryEngine.run` and the analytics path
+(:meth:`QueryEngine.iter_flow_records` with ``method="index"``) scan
+:class:`SegmentView` objects from the reader's bounded view cache
+(:meth:`~repro.archive.reader.ArchiveReader.segment_view`): each
+segment is decoded once per session, its summaries and flow records
+derived once, and every later call filters the cached rows.  The
+verbs that need templates or packets — :meth:`QueryEngine.filter_to`,
+:meth:`QueryEngine.stream_packets` and ``method="decode"`` — decode
+their segments every time.
 
 :func:`filter_archive` reuses the same plan to materialize a filtered
 sub-archive: each matching segment's selected records are re-packed
@@ -29,6 +39,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -53,7 +64,7 @@ from repro.query.predicates import MatchAll, Predicate, TimeRange
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FlowSummary:
     """One matching flow, resolved from its time-seq record.
 
@@ -77,7 +88,7 @@ class QueryStats:
 
     segments_total: int = 0
     segments_matched: int = 0  # index entries the predicate could not rule out
-    segments_decoded: int = 0
+    segments_decoded: int = 0  # survivors scanned, from a decode or a cached view
     bytes_total: int = 0
     bytes_decoded: int = 0
     flows_scanned: int = 0
@@ -99,7 +110,7 @@ class QueryStats:
             "query.segments_pruned", "segments the index ruled out undecoded"
         ).inc(self.segments_total - self.segments_matched)
         registry.counter(
-            "query.segments_decoded", "segments decoded to answer queries"
+            "query.segments_decoded", "index survivors scanned to answer queries"
         ).inc(self.segments_decoded)
         registry.counter(
             "query.bytes_decoded", "segment bytes decoded to answer queries"
@@ -162,6 +173,63 @@ def summarize_record(
     )
 
 
+class SegmentView:
+    """One decoded segment's flows, kept so repeat calls skip the decode.
+
+    ``flows`` holds the segment's :class:`FlowSummary` rows in file
+    (``time-seq``) order — what :meth:`QueryEngine.run` yields.  Per
+    :class:`~repro.core.decompressor.DecompressorConfig`, :meth:`extend`
+    adds the segment's :class:`~repro.core.flowmeta.FlowRecord` list in
+    ``sorted_time_seq`` order, each record paired with the same summary
+    object.  Records are derived from the whole segment: occurrence
+    ordinals count over the full walk either way, so filtering the
+    cached pairs yields exactly the records a filtered walk would.
+
+    The view keeps no reference to the decoded trace; a config whose
+    records are not derived yet costs one more decode.
+    """
+
+    __slots__ = ("segment", "flows", "_by_start", "_records")
+
+    def __init__(self, segment: int, compressed: CompressedTrace) -> None:
+        self.segment = segment
+        self.flows = tuple(flow_summaries(segment, compressed))
+        self._by_start: tuple[FlowSummary, ...] = ()
+        self._records: dict[DecompressorConfig, tuple[FlowRecord, ...]] = {}
+
+    def __len__(self) -> int:
+        return len(self.flows)
+
+    def covers(self, config: DecompressorConfig | None) -> bool:
+        """Whether the view already answers for ``config`` (None: summaries)."""
+        return config is None or config in self._records
+
+    def extend(
+        self, config: DecompressorConfig | None, compressed: CompressedTrace
+    ) -> None:
+        """Derive ``config``'s records from this segment's decode."""
+        if self.covers(config):
+            return
+        records = tuple(flow_records(compressed, config, segment=self.segment))
+        if not self._by_start:
+            # sorted_time_seq is a stable sort on timestamp over file
+            # order; the summaries carry the same timestamps in the same
+            # file order, so this is the records' order.
+            self._by_start = tuple(sorted(self.flows, key=attrgetter("timestamp")))
+        self._records[config] = records
+
+    def records(
+        self, config: DecompressorConfig
+    ) -> Iterator[tuple[FlowRecord, FlowSummary]]:
+        """(record, summary) pairs in start order; :meth:`extend` first."""
+        return zip(self._records[config], self._by_start)
+
+
+def _check_limit(limit: int | None) -> None:
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+
+
 def _entry_backend_spec(entry: SegmentIndexEntry) -> dict[str, str]:
     """Per-section backend names a source segment's index entry recorded.
 
@@ -186,8 +254,12 @@ class QueryEngine:
         """Evaluate ``predicate``; returns matching flows plus statistics.
 
         ``limit`` stops the scan once that many flows matched (segments
-        after the stop are neither decoded nor counted as scanned).
+        after the stop are neither scanned nor counted); ``limit=0``
+        scans nothing.  ``segments_decoded`` counts the index survivors
+        whose flows were scanned, whether their view came from the
+        reader's cache or from a fresh decode.
         """
+        _check_limit(limit)
         predicate = predicate or MatchAll()
         stats = QueryStats(
             segments_total=self.reader.segment_count,
@@ -196,14 +268,16 @@ class QueryEngine:
         result = QueryResult(stats=stats)
         try:
             for index, entry in enumerate(self.reader.entries):
+                if limit is not None and stats.flows_matched >= limit:
+                    break
                 if not predicate.match_segment(entry):
                     _log.debug("query: index pruned segment %d", index)
                     continue
                 stats.segments_matched += 1
-                compressed = self.reader.load_segment(index)
+                view = self.reader.segment_view(index, SegmentView)
                 stats.segments_decoded += 1
                 stats.bytes_decoded += entry.length
-                for flow in flow_summaries(index, compressed):
+                for flow in view.flows:
                     stats.flows_scanned += 1
                     if predicate.match_flow(flow):
                         stats.flows_matched += 1
@@ -297,8 +371,10 @@ class QueryEngine:
         """Stream matching flows' metadata — the analytics fast path.
 
         ``method="index"`` prunes segments on the footer index and
-        derives each surviving flow's record without synthesizing a
-        packet (:func:`~repro.core.flowmeta.flow_records`);
+        filters each surviving segment's cached records, derived once
+        per session without synthesizing a packet
+        (:func:`~repro.core.flowmeta.flow_records`, via
+        :class:`SegmentView`);
         ``method="decode"`` synthesizes every segment's packets and
         folds them back down (:func:`flow_records_by_decode`) — the
         differential baseline, which by construction cannot prune.
@@ -323,18 +399,34 @@ class QueryEngine:
         else:
             indices = list(range(self.reader.segment_count))
         stats.segments_matched = len(indices)
-        records = flow_records if method == "index" else flow_records_by_decode
-
+        # MatchAll accepts every flow by definition — skip the per-flow
+        # predicate call just to learn that.
         match_all = type(predicate) is MatchAll
 
-        def source(segment: int, compressed: CompressedTrace):
+        def scanned(segment: int) -> None:
             stats.segments_decoded += 1
             stats.bytes_decoded += self.reader.entries[segment].length
 
+        def cached(segment: int) -> Iterator[FlowRecord]:
+            view = self.reader.segment_view(segment, SegmentView, config)
+            scanned(segment)
+            return matching(view.records(config))
+
+        def matching(
+            pairs: Iterator[tuple[FlowRecord, FlowSummary]]
+        ) -> Iterator[FlowRecord]:
+            for record, flow in pairs:
+                stats.flows_scanned += 1
+                if match_all or predicate.match_flow(flow):
+                    stats.flows_matched += 1
+                    yield record
+
+        def decoded(segment: int) -> Iterator[FlowRecord]:
+            compressed = self.reader.load_segment(segment)
+            scanned(segment)
+
             def keep(record: TimeSeqRecord) -> bool:
                 stats.flows_scanned += 1
-                # MatchAll accepts every flow by definition — skip
-                # building a FlowSummary per record just to learn that.
                 if match_all or predicate.match_flow(
                     summarize_record(segment, compressed, record)
                 ):
@@ -342,14 +434,16 @@ class QueryEngine:
                     return True
                 return False
 
-            return records(
+            return flow_records_by_decode(
                 compressed, config, segment=segment, record_filter=keep
             )
 
         def stream() -> Iterator[FlowRecord]:
             try:
                 yield from self.reader.iter_flow_records(
-                    config, indices=indices, source=source
+                    config,
+                    indices=indices,
+                    source=cached if method == "index" else decoded,
                 )
             finally:
                 stats.publish()
@@ -375,8 +469,9 @@ class QueryEngine:
         the index rules out are never decoded.  ``limit`` caps the
         *flows* replayed (their packets all stream out); pass a
         :class:`QueryStats` to receive the work accounting, which fills
-        in as the stream is consumed.
+        in as the stream is consumed; ``limit=0`` decodes nothing.
         """
+        _check_limit(limit)
         predicate = predicate or MatchAll()
         if config is None:
             # The façade's layered Options threads through here; an
@@ -449,7 +544,8 @@ class QueryEngine:
 
         Segment boundaries and the epoch are preserved; segments with no
         matching flow are dropped entirely.  ``limit`` caps the flows
-        written, mirroring :meth:`run` — the scan stops once reached.
+        written, mirroring :meth:`run` — the scan stops once reached,
+        and ``limit=0`` writes an empty archive without decoding.
         ``backend``/``level`` re-encode the surviving segments through a
         chosen codec; when ``backend`` is ``None`` each re-packed
         segment keeps the per-section backends its source segment's
@@ -467,6 +563,7 @@ class QueryEngine:
         # own spec), so validate before out_path is truncated and before
         # any segment is scanned.
         validate_backend_request(backend, level)
+        _check_limit(limit)
         predicate = predicate or MatchAll()
         stats = QueryStats(
             segments_total=self.reader.segment_count,
@@ -476,6 +573,8 @@ class QueryEngine:
             out_path, epoch=self.reader.epoch, name=name, level=level
         ) as writer:
             for index, entry in enumerate(self.reader.entries):
+                if limit is not None and stats.flows_matched >= limit:
+                    break
                 if not predicate.match_segment(entry):
                     _log.debug("filter: index pruned segment %d", index)
                     continue
@@ -498,8 +597,6 @@ class QueryEngine:
                         if backend is not None
                         else _entry_backend_spec(entry),
                     )
-                if limit is not None and stats.flows_matched >= limit:
-                    break
             written = writer.segment_count
             writer.close()
         stats.publish()
