@@ -19,7 +19,7 @@ Public API highlights
 This module is PEP 562-lazy: ``import repro`` loads no subsystem (not
 even :class:`Trace`); the first attribute access does.  ``import
 repro`` must stay cheap enough for CLI startup — a regression test pins
-that no heavy module (``multiprocessing``, ``lzma``, ...) is pulled in
+that no heavy module (``lzma``, ``bz2``, ...) is pulled in
 eagerly.
 """
 

@@ -32,7 +32,7 @@ class UnknownFormatError(ReproError, ValueError):
 
 
 class CorruptInputError(ReproError, ValueError):
-    """A recognized container or archive is truncated or malformed."""
+    """A recognized input (container, archive, pcap) is truncated or malformed."""
 
 
 class EmptyTraceError(ReproError, ValueError):

@@ -3,14 +3,14 @@
 Before the façade, every subsystem grew its own knobs: the compressor
 has :class:`~repro.core.compressor.CompressorConfig`, the decompressor
 :class:`~repro.core.decompressor.DecompressorConfig`, the codec takes
-``backend``/``level`` strings, the streaming front-end chunk sizes and
-worker counts, and the archive writer segment bounds.  :class:`Options`
+``backend``/``level`` strings, the streaming front-end chunk sizes,
+and the archive writer segment bounds.  :class:`Options`
 nests them into one validated value that every façade verb (and, via
 their ``options=`` keywords, the archive writer and query engine)
 accepts:
 
 * ``options.codec`` — section backend + level (:class:`CodecOptions`)
-* ``options.streaming`` — batch/stream choice, chunking, workers
+* ``options.streaming`` — batch/stream choice, chunking, engine
   (:class:`StreamingOptions`)
 * ``options.archive`` — segment rotation bounds + epoch
   (:class:`ArchiveOptions`)
@@ -84,14 +84,12 @@ class CodecOptions:
 
 @dataclass(frozen=True)
 class StreamingOptions:
-    """How compression reads its input: batch, chunked, or sharded.
+    """How compression reads its input: batch or chunked.
 
     ``mode="auto"`` (default) batches small inputs and streams large
     ones (:data:`DEFAULT_STREAM_THRESHOLD_PACKETS`); ``"stream"`` forces
     chunked reads (byte-identical output, bounded memory);  ``"batch"``
-    forces whole-trace loads.  ``workers > 1`` shards flows across a
-    process pool — that path renumbers templates, so it refuses to
-    combine with ``mode="stream"``'s byte-identity promise.
+    forces whole-trace loads.
 
     ``engine`` selects the compression hot path: ``"auto"`` (default)
     runs the vectorized columnar engine when numpy is importable and the
@@ -102,7 +100,6 @@ class StreamingOptions:
 
     mode: str = MODE_AUTO
     chunk_packets: int = DEFAULT_CHUNK_PACKETS
-    workers: int = 1
     stream_threshold_packets: int = DEFAULT_STREAM_THRESHOLD_PACKETS
     engine: str = ENGINE_AUTO
 
@@ -119,17 +116,10 @@ class StreamingOptions:
             raise OptionsError(
                 f"chunk_packets must be >= 1, got {self.chunk_packets}"
             )
-        if self.workers < 1:
-            raise OptionsError(f"workers must be >= 1, got {self.workers}")
         if self.stream_threshold_packets < 0:
             raise OptionsError(
                 "stream_threshold_packets must be >= 0, got "
                 f"{self.stream_threshold_packets}"
-            )
-        if self.workers > 1 and self.mode == MODE_STREAM:
-            raise OptionsError(
-                "stream mode promises byte-identical output, which the "
-                "parallel merge cannot; drop workers or the stream mode"
             )
 
 
@@ -243,8 +233,8 @@ class Options:
     """Every knob of the compression system, in one validated value.
 
     The zero-argument ``Options()`` reproduces the library's historic
-    defaults (raw sections, auto batch/stream choice, one process, the
-    paper's algorithm constants) — safe for fixtures and byte-level
+    defaults (raw sections, auto batch/stream choice, the paper's
+    algorithm constants) — safe for fixtures and byte-level
     compatibility.  :meth:`production` is the deployment preset.
     ``name`` overrides the compressed trace's embedded name (default:
     the input file's stem).
@@ -276,7 +266,6 @@ class Options:
         mode: str | None = None,
         stream: bool = False,
         chunk_packets: int | None = None,
-        workers: int | None = None,
         engine: str | None = None,
         segment_packets: int | None = None,
         segment_span: float | None = None,
@@ -290,10 +279,8 @@ class Options:
         ``None`` means "keep the default" everywhere, which lets a thin
         caller forward its optional flags verbatim.  ``stream=True`` is
         shorthand for ``mode="stream"``; an explicit ``chunk_packets``
-        or ``workers`` without a mode keeps ``auto`` unless streaming
-        was requested — matching the historic CLI flag semantics, where
-        any streaming-family flag selects chunked reads and
-        ``workers > 1`` selects the sharded path on its own.
+        without a mode selects chunked reads — matching the historic CLI
+        flag semantics, where any streaming-family flag streams.
         """
         if stream and mode is not None and mode != MODE_STREAM:
             raise OptionsError(
@@ -302,16 +289,12 @@ class Options:
         streaming_kwargs = {}
         if stream or mode is not None:
             streaming_kwargs["mode"] = MODE_STREAM if stream else mode
-        elif chunk_packets is not None or workers is not None:
-            # A chunking/worker knob without a mode is a streaming-family
-            # request: never silently load the whole trace.
-            streaming_kwargs["mode"] = (
-                MODE_AUTO if (workers or 1) > 1 else MODE_STREAM
-            )
+        elif chunk_packets is not None:
+            # A chunking knob without a mode is a streaming request:
+            # never silently load the whole trace.
+            streaming_kwargs["mode"] = MODE_STREAM
         if chunk_packets is not None:
             streaming_kwargs["chunk_packets"] = chunk_packets
-        if workers is not None:
-            streaming_kwargs["workers"] = workers
         if engine is not None:
             # Orthogonal to the mode inference: choosing an engine says
             # nothing about batch-versus-stream.

@@ -80,6 +80,7 @@ from repro.core.replay import (
 )
 from repro.core.decompressor import flow_specs
 from repro.core.generator import TraceModel
+from repro.flows.characterize import PacketValueError
 from repro.net.packet import PacketRecord
 from repro.obs import RunReport, record_run, scoped as obs_scoped
 from repro.query.engine import (
@@ -92,6 +93,7 @@ from repro.query.engine import (
 )
 from repro.query.predicates import MatchAll, Predicate
 from repro.trace.export import ExportResult, export_packet_stream
+from repro.trace.framing import FrameDecodeError
 from repro.trace.reader import count_tsh_packets, iter_tsh_packets
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.trace import Trace
@@ -107,13 +109,30 @@ __all__ = [
 ]
 
 
+_DECODE_ERRORS = (CodecError, FrameDecodeError, PacketValueError)
+"""Low-level decode failures: ``.fctc``/``.fctca`` framing (ArchiveError
+subclasses CodecError), pcap/TSH framing, and template values that are
+no ``f(p)`` encoding — the last only surfaces during synthesis."""
+
+
 @contextmanager
 def _typed_decode_errors(path: Path):
     """Re-raise low-level decode failures as the façade's typed errors."""
     try:
         yield
-    except CodecError as exc:  # ArchiveError subclasses CodecError
+    except _DECODE_ERRORS as exc:
         raise CorruptInputError(f"{path}: {exc}") from exc
+
+
+def _typed_stream(path: Path, stream: Iterator[PacketRecord]) -> Iterator[PacketRecord]:
+    """``stream``, re-raising decode failures met while it drains as typed.
+
+    Archive segments decode, and templates synthesize, only as the
+    packet stream is consumed — long after :meth:`TraceStore.packets`
+    returned.
+    """
+    with _typed_decode_errors(path):
+        yield from stream
 
 
 @dataclass(frozen=True)
@@ -178,8 +197,23 @@ class TraceStore:
         predicate: Predicate | None = None,
         *,
         limit: int | None = None,
-        workers: int = 1,
         stats: QueryStats | None = None,
+    ) -> Iterator[PacketRecord]:
+        """The (optionally filtered) packet stream, in time order.
+
+        Damaged input raises :class:`CorruptInputError`, whether it is
+        found when the stream is set up or while it is drained.
+        """
+        with _typed_decode_errors(self.path):
+            stream = self._packets(predicate, limit=limit, stats=stats)
+        return _typed_stream(self.path, stream)
+
+    def _packets(
+        self,
+        predicate: Predicate | None,
+        *,
+        limit: int | None,
+        stats: QueryStats | None,
     ) -> Iterator[PacketRecord]:
         raise NotImplementedError
 
@@ -240,7 +274,6 @@ class TraceStore:
         predicate: Predicate | None = None,
         *,
         limit: int | None = None,
-        workers: int = 1,
         stats: QueryStats | None = None,
     ) -> ExportResult:
         """Write the (optionally filtered) packet stream to ``dest``.
@@ -251,7 +284,7 @@ class TraceStore:
         to be three subcommands: decompress, replay, and convert.
         """
         return export_packet_stream(
-            self.packets(predicate, limit=limit, workers=workers, stats=stats),
+            self.packets(predicate, limit=limit, stats=stats),
             dest,
         )
 
@@ -331,10 +364,6 @@ class TraceStore:
     def _name(self, options: Options) -> str:
         return options.name or self.path.stem
 
-    def _reject_parallel(self, workers: int) -> None:
-        if workers != 1:
-            raise self._unsupported("parallel replay (workers > 1)", "archive")
-
     def _query_over_rows(
         self,
         rows: Iterator[FlowSummary],
@@ -384,23 +413,26 @@ class TraceFileStore(TraceStore):
         return len(self.load_trace())
 
     def load_trace(self) -> Trace:
-        """Materialize the whole trace, once per session (batch verbs)."""
+        """Materialize the whole trace, once per session (batch verbs).
+
+        Every whole-trace read goes through here, so a damaged pcap
+        raises :class:`CorruptInputError` whichever verb reads it.
+        """
         if self._trace is None:
-            if self.kind is SourceKind.TSH:
-                self._trace = Trace.load_tsh(self.path, name=self.options.name)
-            else:
-                self._trace = Trace.load_pcap(self.path, name=self.options.name)
+            with _typed_decode_errors(self.path):
+                if self.kind is SourceKind.TSH:
+                    self._trace = Trace.load_tsh(self.path, name=self.options.name)
+                else:
+                    self._trace = Trace.load_pcap(self.path, name=self.options.name)
         return self._trace
 
-    def packets(
+    def _packets(
         self,
-        predicate: Predicate | None = None,
+        predicate: Predicate | None,
         *,
-        limit: int | None = None,
-        workers: int = 1,
-        stats: QueryStats | None = None,
+        limit: int | None,
+        stats: QueryStats | None,
     ) -> Iterator[PacketRecord]:
-        self._reject_parallel(workers)
         if predicate is not None or limit is not None or stats is not None:
             raise self._unsupported(
                 "filtered packet replay", "container, archive"
@@ -556,39 +588,17 @@ class TraceFileStore(TraceStore):
         """Compress into ``dest`` — ``.fctca`` builds a segmented archive,
         anything else a single ``.fctc`` container.
 
-        The engine path is chosen internally: ``workers > 1`` shards
-        flows across processes (TSH container output only — the sharded
-        merge has no archive or pcap form, so those combinations are
-        rejected rather than silently run single-process), stream mode
-        (or ``auto`` above the size threshold) feeds chunked reads to
-        the streaming compressor, and small batch inputs run the
-        paper's one-shot path.  Batch and stream produce byte-identical
-        containers.
+        The engine path is chosen internally: stream mode (or ``auto``
+        above the size threshold) feeds chunked reads to the streaming
+        compressor, and small batch inputs run the paper's one-shot
+        path.  Batch and stream produce byte-identical containers.
         """
         dest = Path(dest)
-        if options.streaming.workers > 1 and (
-            dest.suffix.lower() == ".fctca" or self.kind is not SourceKind.TSH
-        ):
-            raise OptionsError(
-                "workers > 1 shards a TSH trace into one container; it "
-                "supports neither archive output nor pcap input"
-            )
         if dest.suffix.lower() == ".fctca":
             return _build_archive(dest, [self._input_feed(options)], options)
         backend, level = options.codec.backend, options.codec.level
         name = self._name(options)
-        if options.streaming.workers > 1:
-            from repro.core.streaming import compress_tsh_file_parallel
-
-            compressed = compress_tsh_file_parallel(
-                self.path,
-                options.streaming.workers,
-                options.compressor,
-                name=name,
-                chunk_size=options.streaming.chunk_packets,
-                engine=options.streaming.engine,
-            )
-        elif self._should_stream(options):
+        if self._should_stream(options):
             from repro.core.streaming import compress_tsh_file
 
             compressed = compress_tsh_file(
@@ -696,15 +706,13 @@ class ContainerStore(TraceStore):
             self.compressed = deserialize_compressed(self._data)
             self._container_info = container_info(self._data)
 
-    def packets(
+    def _packets(
         self,
-        predicate: Predicate | None = None,
+        predicate: Predicate | None,
         *,
-        limit: int | None = None,
-        workers: int = 1,
-        stats: QueryStats | None = None,
+        limit: int | None,
+        stats: QueryStats | None,
     ) -> Iterator[PacketRecord]:
-        self._reject_parallel(workers)
         _check_limit(limit)
         config = self.options.decompressor
         if predicate is None and limit is None and stats is None:
@@ -932,26 +940,16 @@ class ArchiveStore(TraceStore):
     def _engine(self) -> QueryEngine:
         return QueryEngine(self.reader)
 
-    def packets(
+    def _packets(
         self,
-        predicate: Predicate | None = None,
+        predicate: Predicate | None,
         *,
-        limit: int | None = None,
-        workers: int = 1,
-        stats: QueryStats | None = None,
+        limit: int | None,
+        stats: QueryStats | None,
     ) -> Iterator[PacketRecord]:
-        if workers < 1:
-            raise OptionsError(f"workers must be >= 1, got {workers}")
         _check_limit(limit)
         if predicate is None and limit is None and stats is None:
-            return self.reader.iter_packets(
-                self.options.decompressor, workers=workers
-            )
-        if workers > 1:
-            raise OptionsError(
-                "parallel replay covers the full archive only; drop the "
-                "flow filters/limit or the extra workers"
-            )
+            return self.reader.iter_packets(self.options.decompressor)
         return self._engine().stream_packets(
             predicate,
             limit=limit,

@@ -14,11 +14,7 @@ whole file.
 whole archive's synthetic packets in one globally time-ordered sequence,
 decoding segments one at a time as the merge frontier reaches them (the
 footer's per-segment time bounds tell the merge when the next segment
-*must* be decoded without touching its bytes).  With ``workers > 1`` the
-per-segment synthesis fans out across processes while the parent
-performs the same ordered merge at the seams — identical output, more
-throughput, memory bounded by in-flight segments instead of the
-concurrent-flow fan-out.
+*must* be decoded without touching its bytes).
 
 :meth:`segment_view` is the repeat-read path: a segment is immutable
 once sealed, so whatever a caller derives from one decode (the query
@@ -32,9 +28,7 @@ from __future__ import annotations
 import heapq
 import io
 import mmap
-import multiprocessing
 from collections import OrderedDict, deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterator
 
@@ -53,9 +47,7 @@ from repro.core.datasets import CompressedTrace
 from repro.core.decompressor import (
     DecompressorConfig,
     FlowSpec,
-    decompress_trace,
     flow_specs,
-    merge_sort_key,
 )
 from repro.core.errors import ArchiveError, CodecError
 from repro.core.flowmeta import FlowRecord, flow_records
@@ -274,7 +266,6 @@ class ArchiveReader:
         self,
         config: DecompressorConfig | None = None,
         *,
-        workers: int = 1,
         stats: ReplayStats | None = None,
     ) -> Iterator[PacketRecord]:
         """Stream the archive's synthetic packets in global time order.
@@ -282,26 +273,13 @@ class ArchiveReader:
         The output is exactly the merge of every segment's batch
         ``decompress_trace`` packets under the decompressor's global
         sort order (ties broken by segment, then flow, then packet
-        position) — but no segment's packet list is ever materialized on
-        the sequential path: segments are decoded one at a time when the
-        merge frontier reaches their index ``time_min``, and a decoded
-        segment's datasets are dropped as soon as its last flow drains.
-
-        ``workers > 1`` synthesizes segments in a process pool (each
-        worker re-opens the archive and replays one segment) while the
-        parent merges the seams in the same order — byte-identical
-        output; memory is bounded by the in-flight segments' packets
-        rather than the concurrent-flow fan-out, the trade for
-        multi-core throughput.
+        position) — but no segment's packet list is ever materialized:
+        segments are decoded one at a time when the merge frontier
+        reaches their index ``time_min``, and a decoded segment's
+        datasets are dropped as soon as its last flow drains.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1: {workers}")
         config = config or DecompressorConfig()
         indices = list(range(len(self.entries)))
-        if workers > 1:
-            return _iter_packets_parallel(
-                self.path, self.entries, indices, config, workers, stats
-            )
 
         def spec_source(
             segment: int, compressed: CompressedTrace
@@ -381,11 +359,9 @@ def order_by_time(
 ) -> list[int]:
     """Segment indices sorted by index ``time_min`` (file order on ties).
 
-    Both replay paths walk segments in this order: it is what makes a
-    single-level overlap check in :func:`segment_runs` complete, and
-    what makes the head of the parallel path's FIFO carry the minimum
-    ``time_min`` of everything still pending.  For archives written by
-    a rolling capture it is simply file order.
+    :func:`segment_runs` walks segments in this order: it is what makes
+    a single-level overlap check there complete.  For archives written
+    by a rolling capture it is simply file order.
     """
     return sorted(indices, key=lambda index: (entries[index].time_min_units, index))
 
@@ -481,90 +457,3 @@ class ArchiveSpecFeed:
         if len(streams) == 1:
             return streams[0]
         return heapq.merge(*streams, key=lambda spec: (spec.start, *spec.order))
-
-
-@dataclass(frozen=True)
-class _SegmentReplayTask:
-    """One worker's unit: replay segment ``segment`` of the archive."""
-
-    path: str
-    segment: int
-    config: DecompressorConfig
-
-
-def _replay_segment(task: _SegmentReplayTask) -> list[PacketRecord]:
-    """Worker body: batch-decompress one segment into its sorted packets."""
-    with ArchiveReader(task.path) as reader:
-        return decompress_trace(reader.load_segment(task.segment), task.config).packets
-
-
-def _iter_packets_parallel(
-    path: Path,
-    entries: list[SegmentIndexEntry],
-    indices: list[int],
-    config: DecompressorConfig,
-    workers: int,
-    stats: ReplayStats | None = None,
-) -> Iterator[PacketRecord]:
-    """Ordered seam merge over per-segment packet lists from a pool.
-
-    Each worker's list is already in the decompressor's global order, so
-    the parent only interleaves at the seams: a segment's list is pulled
-    (blocking on the pool) exactly when the merge frontier reaches the
-    segment's index ``time_min``.  Segments are dispatched in
-    :func:`order_by_time` order, so the FIFO head's ``time_min`` is the
-    minimum over everything still pending and the admission check is a
-    true lower bound.  The heap key mirrors the sequential path —
-    (packet sort key, segment, position-in-list) — position stands in
-    for (flow, packet) because each list is already stably sorted by
-    that finer key.
-
-    ``stats`` fills in flow/packet counts as the stream is consumed;
-    ``peak_open_flows`` stays 0 here — the parent merges whole segment
-    lists and never holds per-flow state.
-    """
-    if not indices:
-        return
-    stats = stats if stats is not None else ReplayStats()
-    ordered = order_by_time(entries, indices)
-    tasks = deque(_SegmentReplayTask(str(path), index, config) for index in ordered)
-    pending = deque(ordered)
-    heap: list[tuple[tuple, PacketRecord, int, list[PacketRecord], int]] = []
-
-    def push(segment: int, packets: list[PacketRecord], position: int) -> None:
-        packet = packets[position]
-        key = (*merge_sort_key(packet), segment, position)
-        heapq.heappush(heap, (key, packet, segment, packets, position))
-
-    with multiprocessing.Pool(workers) as pool:
-        # Dispatch a bounded window of tasks (workers + 1 outstanding)
-        # instead of imap over the whole list: workers must not race
-        # ahead of the consumer and buffer every synthesized segment —
-        # that would rebuild the batch path's memory blowup in the
-        # result queue.
-        in_flight: deque = deque()
-
-        def refill() -> None:
-            while tasks and len(in_flight) <= workers:
-                in_flight.append(
-                    pool.apply_async(_replay_segment, (tasks.popleft(),))
-                )
-
-        refill()
-        while True:
-            while pending and (
-                not heap or heap[0][0][0] >= entries[pending[0]].time_min
-            ):
-                segment = pending.popleft()
-                packets = in_flight.popleft().get()
-                refill()
-                stats.flows_replayed += entries[segment].flow_count
-                if packets:
-                    push(segment, packets, 0)
-            if not heap:
-                return
-            _key, packet, segment, packets, position = heapq.heappop(heap)
-            yield packet
-            stats.packets_emitted += 1
-            if position + 1 < len(packets):
-                push(segment, packets, position + 1)

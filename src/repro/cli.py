@@ -8,9 +8,9 @@ library behavior cannot diverge.  Subcommands (full reference in
     repro-trace generate out.tsh --duration 100 --rate 40 --seed 1
     repro-trace generate out.tsh --scenario flood     (--list-scenarios for names)
     repro-trace fidelity [--scenario NAME ...] [--duration 10] [--out report.json]
-    repro-trace compress in.tsh out.fctc [--stream] [--workers N] [--backend auto]
+    repro-trace compress in.tsh out.fctc [--stream] [--backend auto]
     repro-trace decompress in.fctc out.tsh
-    repro-trace replay day.fctca out.tsh [--workers N] [--since 10 --dst a.b.c.d ...]
+    repro-trace replay day.fctca out.tsh [--since 10 --dst a.b.c.d ...]
     repro-trace stats in.tsh
     repro-trace inspect in.fctc [--addresses]
     repro-trace convert in.tsh out.pcap
@@ -92,24 +92,31 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
+def _workers_removed(args: argparse.Namespace) -> bool:
+    """True, after logging why, when a removed ``--workers N`` was given.
+
+    The hidden flag survives so scripts passing ``--workers 1`` keep
+    working: one process is the only mode, and its bytes never changed.
+    """
+    if args.workers is None or args.workers == 1:
+        return False
+    _log.error(
+        "error: --workers was removed in 1.2.0; compress and replay run "
+        "in one process (--stream bounds memory)"
+    )
+    return True
+
+
 def _cmd_compress(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        _log.error("error: --workers must be >= 1, got %s", args.workers)
+    if _workers_removed(args):
         return 2
     if args.chunk_size is not None and args.chunk_size < 1:
         _log.error("error: --chunk-size must be >= 1, got %s", args.chunk_size)
-        return 2
-    if args.stream and args.workers is not None and args.workers > 1:
-        _log.error(
-            "error: --stream promises byte-identical output, which the "
-            "parallel merge cannot; drop one of --stream/--workers"
-        )
         return 2
     options = api.Options.make(
         backend=args.backend,
         level=args.level,
         stream=args.stream,
-        workers=args.workers,
         chunk_packets=args.chunk_size,
         engine=args.engine,
     )
@@ -163,18 +170,10 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if args.workers is not None and args.workers < 1:
-        _log.error("error: --workers must be >= 1, got %s", args.workers)
+    if _workers_removed(args):
         return 2
     predicate = _build_predicate(args)
     filtered = not isinstance(predicate, api.MatchAll) or args.limit is not None
-    workers = args.workers or 1
-    if filtered and workers > 1:
-        _log.error(
-            "error: --workers parallelizes full-archive replay only; "
-            "drop the flow filters/--limit or --workers"
-        )
-        return 2
     with api.open(args.archive) as store:
         _require_kind(store, args.archive, ("archive",), "replay")
         stats = api.QueryStats() if filtered else None
@@ -182,7 +181,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             args.output,
             predicate if filtered else None,
             limit=args.limit,
-            workers=workers,
             stats=stats,
         )
         print(
@@ -652,11 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(bounded memory, byte-identical output)",
     )
     compress.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="shard flows across N processes and merge (implies streaming "
-        "reads; --workers 1 streams without a process pool)",
+        "--workers", type=int, default=None, help=argparse.SUPPRESS
     )
     compress.add_argument(
         "--chunk-size",
@@ -695,11 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
         "output", help="output .tsh path (.pcap writes pcap-lite instead)"
     )
     replay.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="synthesize segments across N processes (full replay only; "
-        "output is byte-identical to the sequential stream)",
+        "--workers", type=int, default=None, help=argparse.SUPPRESS
     )
     _add_predicate_flags(replay)
     replay.add_argument(

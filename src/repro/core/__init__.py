@@ -9,8 +9,7 @@ classes, destination locality, timing) the paper validates in section 6.
 Like :mod:`repro` and :mod:`repro.api`, this package is PEP 562-lazy:
 ``import repro.core`` resolves nothing until an attribute is touched,
 so light leaf modules (``repro.core.backends``, ``repro.core.errors``)
-can be imported without dragging in the compressor or
-``multiprocessing``.
+can be imported without dragging in the compressor.
 """
 
 from __future__ import annotations
@@ -74,8 +73,6 @@ _LAZY_EXPORTS = {
         "StreamingStats",
         "compress_stream",
         "compress_tsh_file",
-        "compress_tsh_file_parallel",
-        "merge_compressed",
     ),
     "repro.core.pipeline": (
         "CompressionReport",

@@ -574,7 +574,10 @@ def _read_header(stream: BinaryIO) -> tuple[int, str, int, tuple[int, int, int, 
         raise CodecError(f"bad magic: {magic!r}")
     if version not in (VERSION_V1, VERSION_V2):
         raise CodecError(f"unsupported version: {version}")
-    name = _read_exact(stream, name_length, "name").decode("utf-8")
+    try:
+        name = _read_exact(stream, name_length, "name").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CodecError(f"container name is not UTF-8: {exc}") from exc
     return (
         version,
         name,

@@ -1,4 +1,4 @@
-"""Streaming and parallel front-ends for the flow-clustering compressor.
+"""Streaming front-ends for the flow-clustering compressor.
 
 The paper's algorithm is online — packets stream in, flows close on
 FIN/RST or idle timeout, templates grow incrementally — but the original
@@ -17,27 +17,15 @@ materialization:
     Chunked-read a ``.tsh`` file through the streaming compressor —
     peak memory is bounded by the active-flow population and the
     compressed output (a few percent of the trace), not the trace.
-
-:func:`compress_tsh_file_parallel`
-    Shard a trace by flow hash across ``multiprocessing`` workers, each
-    compressing its shard with a common time base, then merge the
-    per-shard datasets with the same equation-4 similarity search the
-    compressor uses — so cross-shard duplicate templates still collapse.
-    Flows are never split (a flow's packets all hash to one shard), so
-    the merged output is a valid compression of the full trace; template
-    *numbering* differs from the batch path, which is why only
-    ``--stream`` promises byte-identical files.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from typing import Iterable
-from zlib import crc32
 
 from repro.core.columnar import (
     ENGINE_COLUMNAR,
@@ -49,26 +37,12 @@ from repro.core.compressor import (
     CompressorConfig,
     CompressorStats,
     FlowClusterCompressor,
-    TemplateMatcher,
 )
-from repro.core.datasets import CompressedTrace, DatasetId, TimeSeqRecord
+from repro.core.datasets import CompressedTrace
 from repro.net.columns import PacketColumns, columns_from_records
-from repro.net.flowkey import flow_shard_columns
 from repro.net.packet import PacketRecord
-from repro.obs import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    current as obs_current,
-    scoped as obs_scoped,
-)
-from repro.trace.reader import (
-    DEFAULT_CHUNK_PACKETS,
-    first_tsh_timestamp,
-    iter_tsh_chunks,
-    iter_tsh_records,
-    read_columns,
-)
-from repro.trace.tsh import decode_record
+from repro.obs import MetricsRegistry, current as obs_current
+from repro.trace.reader import DEFAULT_CHUNK_PACKETS, iter_tsh_chunks, read_columns
 
 _log = logging.getLogger(__name__)
 
@@ -344,175 +318,3 @@ def compress_tsh_file(
                 compressor.feed(chunk)
     compressor.finish()
     return compressor
-
-
-# -- parallel sharding ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """One worker's slice of the input: path + hash residue class."""
-
-    path: str
-    shard: int
-    workers: int
-    config: CompressorConfig | None
-    base_time: float | None
-    chunk_size: int = DEFAULT_CHUNK_PACKETS
-    engine: str = ENGINE_SCALAR
-
-
-def record_shard(record: bytes, workers: int) -> int:
-    """Shard index of a raw 44-byte TSH record, without decoding it.
-
-    Reads the 5-tuple straight out of the record (protocol at byte 17,
-    addresses at 20, ports at 28), orders the two (ip, port) endpoints —
-    the big-endian byte comparison matches
-    :meth:`~repro.net.flowkey.FiveTuple.canonical`'s numeric one — and
-    CRC-hashes at C speed, so both directions of a conversation land in
-    the same shard and the filter stays far cheaper than a decode.
-    Sharding only needs this internal consistency; the value is not
-    meant to match :func:`~repro.net.flowkey.flow_hash`.
-    """
-    forward = record[20:24] + record[28:30]  # src ip + src port
-    backward = record[24:28] + record[30:32]  # dst ip + dst port
-    if forward <= backward:
-        key = forward + backward
-    else:
-        key = backward + forward
-    return crc32(key + record[17:18]) % workers
-
-
-def _compress_shard(task: _ShardTask) -> tuple[CompressedTrace, MetricsSnapshot]:
-    """Worker body: compress the packets whose flow hashes to ``shard``.
-
-    Each worker reads the file itself (no packet pickling between
-    processes), shard-tests the raw record bytes, and decodes only its
-    own residue class — decode cost stays ~1/workers per process.
-    ``base_time`` anchors every shard to the trace start — shard-local
-    first packets would otherwise skew the time-seq clocks.
-
-    Metrics are recorded into a *fresh* scoped registry, never the
-    process default: a forked worker inherits the parent's default
-    registry state, and snapshotting that would ship the parent's
-    pre-fork counts back ``workers`` times over.  The shard's own
-    snapshot rides back with the output for the parent to merge.
-    """
-    workers = task.workers
-    shard = task.shard
-    registry = MetricsRegistry()
-    with obs_scoped(registry):
-        if task.engine == ENGINE_COLUMNAR:
-            engine = ColumnarFlowCompressor(
-                task.config, name=f"shard-{task.shard}", base_time=task.base_time
-            )
-            for columns in read_columns(task.path, task.chunk_size):
-                # flow_shard_columns matches record_shard row for row, so a
-                # columnar worker selects exactly the records a
-                # record-filtering worker would decode.
-                shards = flow_shard_columns(columns, workers)
-                mine = [row for row, value in enumerate(shards) if value == shard]
-                if mine:
-                    engine.feed_columns(columns.select(mine))
-            output = engine.finish()
-        else:
-            engine = FlowClusterCompressor(
-                task.config, name=f"shard-{task.shard}", base_time=task.base_time
-            )
-            for record in iter_tsh_records(task.path, task.chunk_size):
-                if record_shard(record, workers) == shard:
-                    engine.add_packet(decode_record(record))
-            output = engine.finish()
-        _publish_compressor_stats(registry, engine.stats)
-    return output, registry.snapshot()
-
-
-def merge_compressed(
-    shards: Iterable[CompressedTrace],
-    name: str = "merged",
-    config: CompressorConfig | None = None,
-) -> CompressedTrace:
-    """Merge per-shard datasets into one compressed trace.
-
-    Short templates are re-clustered across shards with the same
-    equation-4 search the compressor uses, so templates that would have
-    merged in a single-process run still merge here.  Long templates and
-    addresses are re-indexed; time-seq records are remapped and sorted by
-    timestamp (the dataset's documented order).
-
-    Fidelity caveat: the merge clusters shard-template *centers*, not
-    the original flow vectors, so a flow can end up to 2x the eq-4
-    threshold from its final template (its shard-local distance plus the
-    center-to-center distance).  Single-process compression keeps every
-    flow within 1x.
-    """
-    merged = CompressedTrace(name=name)
-    matcher = TemplateMatcher(merged.short_templates, config or CompressorConfig())
-    for shard in shards:
-        short_map: list[int] = []
-        for template in shard.short_templates:
-            index = matcher.find(template.values)
-            if index is None:
-                index = matcher.add(template.values)
-            short_map.append(index)
-        long_base = len(merged.long_templates)
-        merged.long_templates.extend(shard.long_templates)
-        address_map = [merged.addresses.intern(a) for a in shard.addresses]
-        for record in shard.time_seq:
-            if record.dataset is DatasetId.SHORT:
-                template_index = short_map[record.template_index]
-            else:
-                template_index = long_base + record.template_index
-            merged.time_seq.append(
-                TimeSeqRecord(
-                    timestamp=record.timestamp,
-                    dataset=record.dataset,
-                    template_index=template_index,
-                    address_index=address_map[record.address_index],
-                    rtt=record.rtt,
-                )
-            )
-        merged.original_packet_count += shard.original_packet_count
-    merged.time_seq.sort(key=lambda record: record.timestamp)
-    return merged
-
-
-def compress_tsh_file_parallel(
-    path: str | Path,
-    workers: int,
-    config: CompressorConfig | None = None,
-    *,
-    name: str | None = None,
-    chunk_size: int = DEFAULT_CHUNK_PACKETS,
-    engine: str | None = None,
-) -> CompressedTrace:
-    """Compress a ``.tsh`` file across ``workers`` processes.
-
-    Shards by flow hash so each conversation lands wholly in one worker;
-    merges shard outputs with :func:`merge_compressed`.  ``workers == 1``
-    degenerates to the streaming path (no process pool).
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    trace_name = name or Path(path).stem
-    if workers == 1:
-        compressor = compress_tsh_file(
-            path, config, chunk_size=chunk_size, name=trace_name, engine=engine
-        )
-        return compressor.output
-    resolved = ENGINE_SCALAR if engine is None else resolve_engine(engine)
-    base_time = first_tsh_timestamp(path)
-    tasks = [
-        _ShardTask(
-            str(path), shard, workers, config, base_time, chunk_size, resolved
-        )
-        for shard in range(workers)
-    ]
-    with multiprocessing.Pool(workers) as pool:
-        results = pool.map(_compress_shard, tasks)
-    registry = obs_current()
-    for _, snapshot in results:
-        registry.merge(snapshot)
-    return merge_compressed(
-        (shard for shard, _ in results), name=trace_name, config=config
-    )

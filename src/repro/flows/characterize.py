@@ -134,6 +134,10 @@ def characterize_flow(
     return tuple(values)
 
 
+class PacketValueError(ValueError):
+    """An integer that is no valid ``f(p)`` encoding under the weights."""
+
+
 @lru_cache(maxsize=1024)
 def decode_packet_value(
     value: int, config: CharacterizationConfig = CharacterizationConfig()
@@ -162,5 +166,5 @@ def decode_packet_value(
     g2, rest = divmod(rest, weights.dependence)
     g3 = rest // weights.payload
     if g1 > 3 or g2 > 1 or g3 > 2:
-        raise ValueError(f"value {value} is not a valid f(p) encoding")
+        raise PacketValueError(f"value {value} is not a valid f(p) encoding")
     return g1, g2, g3

@@ -186,84 +186,3 @@ def flow_hash_columns(columns) -> list[int]:
             value ^= (word >> np.uint64(shift)) & byte_mask
             value *= prime  # u64 wraparound == the scalar's & _HASH_MASK
     return value.tolist()
-
-
-_CRC_POLY = 0xEDB88320
-_crc_table_cache: dict[str, object] = {}
-
-
-def _crc32_table():
-    """The standard CRC-32 byte table (zlib polynomial), cached per backend."""
-    from repro.net.columns import numpy_or_none
-
-    np = numpy_or_none()
-    backend = "numpy" if np is not None else "list"
-    table = _crc_table_cache.get(backend)
-    if table is None:
-        values = []
-        for index in range(256):
-            crc = index
-            for _ in range(8):
-                crc = (crc >> 1) ^ _CRC_POLY if crc & 1 else crc >> 1
-            values.append(crc)
-        table = np.array(values, dtype=np.uint32) if np is not None else values
-        _crc_table_cache[backend] = table
-    return table
-
-
-def flow_shard_columns(columns, workers: int) -> list[int]:
-    """Per-row shard assignment of a chunk, matching ``record_shard``.
-
-    The parallel compressor shards raw TSH records with
-    :func:`repro.core.streaming.record_shard` — a CRC-32 over the
-    canonically ordered endpoint bytes plus the protocol byte.  This is
-    the same assignment computed from columns (table-driven CRC, 13
-    vectorized rounds), so a columnar worker selects exactly the rows a
-    record-filtering worker would decode.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1: {workers}")
-    from repro.net.columns import numpy_or_none
-
-    key_lo, key_hi, _forward = canonical_key_columns(columns)
-    np = numpy_or_none()
-    if np is None:
-        from zlib import crc32
-
-        shards = []
-        for lo, hi in zip(key_lo, key_hi):
-            lo_bytes = lo.to_bytes(7, "big")  # ip(4) port(2) proto(1)
-            hi_bytes = hi.to_bytes(6, "big")  # ip(4) port(2)
-            shards.append(
-                crc32(lo_bytes[:6] + hi_bytes + lo_bytes[6:]) % workers
-            )
-        return shards
-    table = _crc32_table()
-    lo = np.asarray(key_lo, dtype=np.uint64)
-    hi = np.asarray(key_hi, dtype=np.uint64)
-    crc = np.full(len(key_lo), 0xFFFFFFFF, dtype=np.uint32)
-    byte_mask = np.uint64(0xFF)
-    eight = np.uint32(8)
-    low_byte = np.uint32(0xFF)
-    # Byte order mirrors record_shard's key: lower endpoint (ip, port),
-    # higher endpoint (ip, port), then the protocol byte.
-    shifts = [
-        (lo, 48),
-        (lo, 40),
-        (lo, 32),
-        (lo, 24),  # lower ip
-        (lo, 16),
-        (lo, 8),  # lower port
-        (hi, 40),
-        (hi, 32),
-        (hi, 24),
-        (hi, 16),  # higher ip
-        (hi, 8),
-        (hi, 0),  # higher port
-        (lo, 0),  # protocol
-    ]
-    for word, shift in shifts:
-        data = ((word >> np.uint64(shift)) & byte_mask).astype(np.uint32)
-        crc = (crc >> eight) ^ table[(crc ^ data) & low_byte]
-    crc ^= np.uint32(0xFFFFFFFF)
-    return (crc % np.uint32(workers)).tolist()

@@ -8,7 +8,7 @@ runtime instead of only in benchmarks.  Three layers:
   :class:`Gauge`, :class:`Histogram`, :class:`Timer` +
   :class:`StageTimer`, collected in a thread-safe
   :class:`MetricsRegistry` whose :meth:`~MetricsRegistry.snapshot` is
-  picklable and mergeable across multiprocessing shards.
+  a picklable point-in-time copy.
 * **Run reports** (:mod:`repro.obs.report`): :class:`RunReport`, a
   structured JSON document of everything one run measured —
   ``store.compress(..., report=True)`` and the CLI's

@@ -10,12 +10,9 @@ Design constraints, in order:
 2. **Thread safety.**  Every mutation takes the metric's lock — at chunk
    granularity the contention is unmeasurable, and counters can never
    lose increments under concurrent feeds.
-3. **Multiprocessing aggregation.**  :meth:`MetricsRegistry.snapshot`
-   returns a plain-data picklable value; :meth:`MetricsRegistry.merge`
-   folds a worker's snapshot into the parent registry (counters add,
-   gauges keep the extremum their mode dictates, histograms add
-   bucket-wise) — the parallel compressor ships one snapshot per shard
-   back through the pool and merges at join.
+3. **Plain-data snapshots.**  :meth:`MetricsRegistry.snapshot`
+   returns a picklable copy of every metric's state, taken under the
+   registry lock, so a reader sees one consistent instant.
 
 The active registry is resolved dynamically (:func:`current`): the
 process-wide default unless a :func:`scoped` registry is installed for
@@ -87,17 +84,12 @@ class Counter:
     def state(self) -> int:
         return self._value
 
-    def restore(self, state: int) -> None:
-        with self._lock:
-            self._value += state
-
 
 class Gauge:
     """A point-in-time value with an optional high-water mode.
 
     ``set`` records the latest value; ``set_max`` only ever raises it —
-    the natural mode for working-set high-water marks, and the mode the
-    snapshot merge assumes (merging keeps the maximum).
+    the natural mode for working-set high-water marks.
     """
 
     kind = "gauge"
@@ -131,9 +123,6 @@ class Gauge:
 
     def state(self) -> float:
         return self._value
-
-    def restore(self, state: float) -> None:
-        self.set_max(state)
 
 
 class Histogram:
@@ -190,19 +179,6 @@ class Histogram:
     def state(self) -> tuple:
         return (self.bounds, tuple(self._counts), self._sum, self._count)
 
-    def restore(self, state: tuple) -> None:
-        bounds, counts, total, count = state
-        if tuple(bounds) != self.bounds:
-            raise ValueError(
-                f"histogram {self.name}: snapshot bounds {bounds} do not "
-                f"match {self.bounds}"
-            )
-        with self._lock:
-            for index, value in enumerate(counts):
-                self._counts[index] += value
-            self._sum += total
-            self._count += count
-
 
 class Timer:
     """Accumulated wall time of a named stage (count/total/min/max)."""
@@ -250,16 +226,6 @@ class Timer:
 
     def state(self) -> tuple:
         return (self._count, self._total, self._min, self._max)
-
-    def restore(self, state: tuple) -> None:
-        count, total, low, high = state
-        with self._lock:
-            self._count += count
-            self._total += total
-            if low < self._min:
-                self._min = low
-            if high > self._max:
-                self._max = high
 
 
 class StageTimer:
@@ -331,8 +297,7 @@ class MetricsSnapshot:
     """A picklable copy of a registry's state at one instant.
 
     ``metrics`` maps name → (kind, state); states are the plain values
-    each metric's ``state()`` returns.  Ship it across a process
-    boundary and fold it back with :meth:`MetricsRegistry.merge`.
+    each metric's ``state()`` returns.
     """
 
     metrics: dict[str, tuple[str, object]] = field(default_factory=dict)
@@ -424,7 +389,7 @@ class MetricsRegistry:
         metric = self._metrics.get(name)
         return default if metric is None else metric.value
 
-    # -- aggregation -------------------------------------------------------
+    # -- snapshots ---------------------------------------------------------
 
     def snapshot(self) -> MetricsSnapshot:
         with self._lock:
@@ -434,24 +399,6 @@ class MetricsRegistry:
                     for name, metric in self._metrics.items()
                 }
             )
-
-    def merge(self, snapshot: MetricsSnapshot) -> None:
-        """Fold a (worker's) snapshot into this registry.
-
-        Counters/histograms/timers accumulate; gauges keep the maximum —
-        every gauge this library exposes is a high-water mark, and a
-        cross-process "latest" has no meaningful order anyway.
-        """
-        if not self.enabled:
-            return
-        for name, (kind, state) in snapshot.metrics.items():
-            if kind == "histogram":
-                # Create-on-merge must adopt the snapshot's bounds; the
-                # restore still validates when the metric already exists.
-                metric = self._get(kind, name, "", bounds=tuple(state[0]))
-            else:
-                metric = self._get(kind, name, "")
-            metric.restore(state)
 
     def reset(self) -> None:
         with self._lock:
@@ -486,8 +433,7 @@ def scoped(registry: MetricsRegistry | None = None):
 
     ``None`` installs a disabled registry — the "metrics off" scope.
     Yields the installed registry.  Scopes nest; threads started inside
-    a scope copy it (``contextvars`` semantics), worker *processes*
-    start fresh on their own defaults and report back via snapshots.
+    a scope copy it (``contextvars`` semantics).
     """
     registry = _DISABLED if registry is None else registry
     token = _ACTIVE.set(registry)

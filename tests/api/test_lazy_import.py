@@ -96,6 +96,15 @@ class TestImportRepro:
         assert out.returncode == 0, out.stderr
 
 
+class TestNoProcessPool:
+    def test_engine_modules_skip_multiprocessing(self):
+        # Compress and replay run in one process; nothing needs a pool.
+        loaded = _added_by(
+            "import repro.core.streaming, repro.archive.reader, repro.api.store"
+        )
+        assert "multiprocessing" not in loaded
+
+
 class TestCliStartup:
     def test_cli_import_skips_the_engine(self):
         loaded = _loaded_after("import repro.cli")

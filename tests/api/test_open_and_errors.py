@@ -12,6 +12,37 @@ import repro
 from repro import api
 from repro.api import errors
 from repro.api.sniff import SourceKind, sniff_kind
+from repro.archive.format import HEADER as ARCHIVE_HEADER
+from repro.core.codec import deserialize_compressed, serialize_compressed
+from repro.core.datasets import ShortFlowTemplate
+
+
+def _flipped(path, offset):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0xFF
+    return bytes(data)
+
+
+def _bad_template_value(path):
+    """The container with 255 — no f(p) encoding — in its first short
+    template.  Loading never checks values; only synthesis decodes them."""
+    compressed = deserialize_compressed(path.read_bytes())
+    first = compressed.short_templates[0]
+    compressed.short_templates[0] = ShortFlowTemplate((255, *first.values[1:]))
+    return serialize_compressed(compressed)
+
+
+# name -> (fixture holding the intact file, mutant suffix, mutation)
+_DAMAGED = {
+    # Segment 0 starts right after the archive header: break its magic.
+    "archive-segment-magic": (
+        "fctca_path", ".fctca", lambda p: _flipped(p, ARCHIVE_HEADER.size)
+    ),
+    "pcap-cut-short": ("pcap_path", ".pcap", lambda p: p.read_bytes()[:-10]),
+    # Byte 7 is the low byte of the container's name length.
+    "container-name-length": ("fctc_path", ".fctc", lambda p: _flipped(p, 7)),
+    "container-template-value": ("fctc_path", ".fctc", _bad_template_value),
+}
 
 
 class TestSniffing:
@@ -93,6 +124,17 @@ class TestTypedErrors:
         truncated.write_bytes(fctca_path.read_bytes()[:-11])
         with pytest.raises(errors.CorruptInputError):
             api.open(truncated)
+
+    @pytest.mark.parametrize("name", _DAMAGED)
+    def test_damaged_input(self, request, workdir, name):
+        """Damage found at open or while the packets drain is typed alike."""
+        source, suffix, mutate = _DAMAGED[name]
+        damaged = workdir / f"damaged-{name}{suffix}"
+        damaged.write_bytes(mutate(request.getfixturevalue(source)))
+        with pytest.raises(errors.CorruptInputError):
+            with api.open(damaged) as store:
+                for _ in store.packets():
+                    pass
 
     def test_wrong_suffix_container(self, workdir):
         bogus = workdir / "bogus.fctc"

@@ -18,7 +18,6 @@ class TestDefaults:
         options = Options()
         assert options.codec.backend is None  # raw, the paper's format
         assert options.streaming.mode == "auto"
-        assert options.streaming.workers == 1
         assert options.archive.segment_packets == 65536
         assert options.archive.segment_span == 60.0
         assert options.compressor.short_flow_max == 50
@@ -49,17 +48,9 @@ class TestValidation:
         with pytest.raises(errors.OptionsError):
             StreamingOptions(mode="turbo")
 
-    def test_bad_workers(self):
-        with pytest.raises(errors.OptionsError):
-            StreamingOptions(workers=0)
-
     def test_bad_chunk(self):
         with pytest.raises(errors.OptionsError):
             StreamingOptions(chunk_packets=0)
-
-    def test_stream_mode_refuses_parallel(self):
-        with pytest.raises(errors.OptionsError):
-            StreamingOptions(mode="stream", workers=2)
 
     def test_bad_segment_bounds(self):
         with pytest.raises(errors.OptionsError):
@@ -69,7 +60,7 @@ class TestValidation:
 
     def test_options_error_is_a_value_error(self):
         with pytest.raises(ValueError):
-            StreamingOptions(workers=-1)
+            StreamingOptions(chunk_packets=-1)
 
 
 class TestMake:
@@ -77,13 +68,13 @@ class TestMake:
         options = Options.make(
             backend="zlib",
             level=6,
-            workers=4,
+            engine="scalar",
             segment_span=5.0,
             name="custom",
         )
         assert options.codec.backend == "zlib"
         assert options.codec.level == 6
-        assert options.streaming.workers == 4
+        assert options.streaming.engine == "scalar"
         assert options.archive.segment_span == 5.0
         assert options.name == "custom"
 
@@ -93,12 +84,14 @@ class TestMake:
     def test_chunk_knob_implies_streaming(self):
         assert Options.make(chunk_packets=64).streaming.mode == "stream"
 
-    def test_single_worker_implies_streaming(self):
-        # Historic CLI semantics: --workers 1 streams without a pool.
-        assert Options.make(workers=1).streaming.mode == "stream"
-
-    def test_multi_worker_keeps_auto(self):
-        assert Options.make(workers=3).streaming.mode == "auto"
+    def test_no_worker_knob(self):
+        # Compression runs in one process; there is no pool to size.
+        fields = [field.name for field in dataclasses.fields(StreamingOptions)]
+        assert fields == [
+            "mode", "chunk_packets", "stream_threshold_packets", "engine"
+        ]
+        with pytest.raises(TypeError):
+            Options.make(workers=2)
 
     def test_stream_contradicting_mode(self):
         with pytest.raises(errors.OptionsError):

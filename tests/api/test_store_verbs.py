@@ -147,15 +147,6 @@ class TestCompress:
         ]
         assert rewritten.read_bytes() == encoded.read_bytes()
 
-    def test_parallel_compress_rejects_archive_dest(self, tmp_path, tsh_path):
-        from repro.api import errors
-
-        with api.open(tsh_path) as store:
-            with pytest.raises(errors.OptionsError):
-                store.compress(
-                    tmp_path / "x.fctca", options=api.Options.make(workers=2)
-                )
-
     def test_container_transcode_preserves_datasets(self, tmp_path, fctc_path):
         out = tmp_path / "re.fctc"
         with api.open(fctc_path) as store:
@@ -228,18 +219,9 @@ class TestCapabilities:
         with pytest.raises(errors.CapabilityError):
             api.open(fctc_path).fidelity()
 
-    def test_parallel_replay_only_on_archives(self, fctc_path):
-        with pytest.raises(errors.CapabilityError):
-            api.open(fctc_path).packets(workers=2)
-
     def test_filtered_replay_not_on_raw_traces(self, tsh_path):
         with pytest.raises(errors.CapabilityError):
             api.open(tsh_path).packets(api.MatchAll())
-
-    def test_archive_rejects_filtered_parallel(self, fctca_path):
-        with api.open(fctca_path) as store:
-            with pytest.raises(errors.OptionsError):
-                store.packets(api.MatchAll(), workers=2)
 
     def test_stats_only_replay_fills_stats(self, fctca_path, fctc_path):
         # Passing stats without a predicate must still account the work,

@@ -1,4 +1,4 @@
-"""Archive-scale streaming replay: seam-ordered, lazy, parallel-safe."""
+"""Archive-scale streaming replay: seam-ordered and lazy."""
 
 import pytest
 
@@ -67,27 +67,6 @@ class TestSequentialReplay:
         ArchiveWriter.create(path).close()
         with ArchiveReader(path) as reader:
             assert list(reader.iter_packets()) == []
-
-
-class TestParallelReplay:
-    def test_byte_identical_to_sequential(self, archive_path):
-        with ArchiveReader(archive_path) as reader:
-            sequential = write_tsh_bytes(reader.iter_packets())
-        with ArchiveReader(archive_path) as reader:
-            parallel = write_tsh_bytes(reader.iter_packets(workers=2))
-        assert parallel == sequential
-
-    def test_parallel_stats_count_work(self, archive_path):
-        with ArchiveReader(archive_path) as reader:
-            stats = ReplayStats()
-            packets = sum(1 for _ in reader.iter_packets(workers=2, stats=stats))
-            assert stats.packets_emitted == packets
-            assert stats.flows_replayed == reader.flow_count()
-
-    def test_rejects_bad_worker_count(self, archive_path):
-        with ArchiveReader(archive_path) as reader:
-            with pytest.raises(ValueError, match="workers"):
-                reader.iter_packets(workers=0)
 
 
 class TestSegmentRuns:
@@ -194,6 +173,3 @@ class TestSegmentRuns:
         timestamps = [p.timestamp for p in streamed]
         assert timestamps == sorted(timestamps)
         assert write_tsh_bytes(streamed) == write_tsh_bytes(reference)
-        with ArchiveReader(path) as reader:
-            parallel = list(reader.iter_packets(workers=2))
-        assert write_tsh_bytes(parallel) == write_tsh_bytes(streamed)

@@ -1,29 +1,16 @@
-"""Tests for the streaming/parallel compression engine."""
+"""Tests for the streaming compression engine."""
 
 import pytest
 
 from repro.core.codec import serialize_compressed
 from repro.core.compressor import CompressorConfig, TemplateMatcher, compress_trace
-from repro.core.datasets import (
-    AddressTable,
-    CompressedTrace,
-    DatasetId,
-    LongFlowTemplate,
-    ShortFlowTemplate,
-    TimeSeqRecord,
-)
-from repro.core.decompressor import decompress_trace
+from repro.core.datasets import ShortFlowTemplate
 from repro.core.errors import CompressionError
 from repro.core.streaming import (
     StreamingCompressor,
     compress_stream,
     compress_tsh_file,
-    compress_tsh_file_parallel,
-    merge_compressed,
-    record_shard,
 )
-from repro.trace.reader import iter_tsh_records
-from repro.trace.tsh import decode_record
 from repro.synth import generate_web_trace
 from repro.trace.trace import Trace
 
@@ -95,122 +82,6 @@ class TestCompressTshFile:
         assert 0 < compressor.streaming_stats.peak_active_flows < len(web_trace)
 
 
-def _single_flow_shard(vector, timestamp=0.0, address=0xC0A80001):
-    """A one-flow shard with a given short-template vector."""
-    addresses = AddressTable([address])
-    return CompressedTrace(
-        short_templates=[ShortFlowTemplate(tuple(vector))],
-        addresses=addresses,
-        time_seq=[
-            TimeSeqRecord(
-                timestamp=timestamp,
-                dataset=DatasetId.SHORT,
-                template_index=0,
-                address_index=0,
-                rtt=0.01,
-            )
-        ],
-        original_packet_count=len(vector),
-    )
-
-
-class TestMergeCompressed:
-    def test_empty(self):
-        merged = merge_compressed([], name="nothing")
-        assert merged.flow_count() == 0
-        assert merged.name == "nothing"
-
-    def test_identical_templates_collapse(self):
-        shards = [
-            _single_flow_shard((4, 16, 32), timestamp=1.0),
-            _single_flow_shard((4, 16, 32), timestamp=0.5, address=0xC0A80002),
-        ]
-        merged = merge_compressed(shards)
-        assert len(merged.short_templates) == 1
-        assert len(merged.addresses) == 2
-        assert [r.timestamp for r in merged.time_seq] == [0.5, 1.0]
-        assert all(r.template_index == 0 for r in merged.time_seq)
-        merged.validate()
-
-    def test_distinct_templates_kept(self):
-        shards = [
-            _single_flow_shard((4, 16, 32)),
-            _single_flow_shard((200, 200, 200, 200)),
-        ]
-        merged = merge_compressed(shards)
-        assert len(merged.short_templates) == 2
-        merged.validate()
-
-    def test_long_templates_reindexed(self):
-        long_template = LongFlowTemplate(
-            values=tuple(range(60)), gaps=tuple(0.001 for _ in range(60))
-        )
-        shard_a = _single_flow_shard((4, 16))
-        shard_b = CompressedTrace(
-            long_templates=[long_template],
-            addresses=AddressTable([0xC0A80003]),
-            time_seq=[
-                TimeSeqRecord(
-                    timestamp=2.0,
-                    dataset=DatasetId.LONG,
-                    template_index=0,
-                    address_index=0,
-                )
-            ],
-            original_packet_count=60,
-        )
-        merged = merge_compressed([shard_a, shard_b])
-        assert len(merged.long_templates) == 1
-        long_records = [
-            r for r in merged.time_seq if r.dataset is DatasetId.LONG
-        ]
-        assert long_records[0].template_index == 0
-        assert merged.original_packet_count == 62
-        merged.validate()
-
-    def test_address_remap(self):
-        shards = [
-            _single_flow_shard((1, 2), address=0xC0A80001),
-            _single_flow_shard((3, 4), address=0xC0A80001),
-        ]
-        merged = merge_compressed(shards)
-        assert len(merged.addresses) == 1
-        assert all(r.address_index == 0 for r in merged.time_seq)
-
-
-class TestParallel:
-    def test_rejects_zero_workers(self, web_tsh):
-        with pytest.raises(ValueError, match="workers"):
-            compress_tsh_file_parallel(web_tsh, 0)
-
-    def test_single_worker_matches_batch(self, web_tsh):
-        loaded = Trace.load_tsh(web_tsh)
-        compressed = compress_tsh_file_parallel(web_tsh, 1, name=loaded.name)
-        batch = serialize_compressed(compress_trace(loaded))
-        assert serialize_compressed(compressed) == batch
-
-    def test_two_workers_cover_every_flow(self, web_trace, web_tsh):
-        compressed = compress_tsh_file_parallel(web_tsh, 2)
-        batch = compress_trace(web_trace)
-        assert compressed.flow_count() == batch.flow_count()
-        assert compressed.original_packet_count == batch.original_packet_count
-        compressed.validate()
-
-    def test_two_workers_roundtrip(self, web_trace, web_tsh):
-        compressed = compress_tsh_file_parallel(web_tsh, 2)
-        restored = decompress_trace(compressed)
-        assert len(restored) == len(web_trace)
-
-    def test_timestamps_anchored_to_trace_start(self, web_tsh):
-        compressed = compress_tsh_file_parallel(web_tsh, 3)
-        batch = compress_trace(Trace.load_tsh(web_tsh))
-        # Shards see different first packets; anchoring must keep the
-        # relative clocks equal to the batch run's.
-        assert sorted(r.timestamp for r in compressed.time_seq) == pytest.approx(
-            sorted(r.timestamp for r in batch.time_seq)
-        )
-
-
 class TestIdleEvictionOrdering:
     def test_out_of_order_open_is_still_evicted(self):
         from repro.net.tcp import TCP_ACK, TCP_SYN
@@ -232,28 +103,6 @@ class TestIdleEvictionOrdering:
         )
         assert compressor.active_flows == 1  # only flow A remains open
         assert compressor.output.flow_count() == 1  # flow B was evicted
-
-
-class TestRecordShard:
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_flows_stay_whole(self, web_tsh, workers):
-        """Every packet of a canonical flow must map to one shard."""
-        shard_by_flow: dict = {}
-        for record in iter_tsh_records(web_tsh, 512):
-            shard = record_shard(record, workers)
-            assert 0 <= shard < workers
-            key = decode_record(record).five_tuple().canonical()
-            assert shard_by_flow.setdefault(key, shard) == shard
-        # The hash must actually spread flows, not collapse them.
-        assert len(set(shard_by_flow.values())) == workers
-
-    def test_both_directions_same_shard(self, web_tsh):
-        from repro.trace.tsh import encode_record
-
-        record = next(iter_tsh_records(web_tsh))
-        reply = encode_record(decode_record(record).reversed())
-        for workers in (2, 3, 7):
-            assert record_shard(record, workers) == record_shard(reply, workers)
 
 
 class TestTemplateMatcher:

@@ -145,6 +145,50 @@ class TestDataErrors:
         assert "error:" in capsys.readouterr().err
 
 
+class TestRemovedWorkersFlag:
+    """``--workers`` is hidden: 1 is accepted and ignored, any other
+    count exits 2 with the one removal line."""
+
+    REMOVED = (
+        "error: --workers was removed in 1.2.0; compress and replay run "
+        "in one process (--stream bounds memory)"
+    )
+
+    @pytest.fixture(scope="class")
+    def archive_file(self, trace_file):
+        path = trace_file.with_name("workers.fctca")
+        assert main(["archive", "build", str(path), str(trace_file)]) == 0
+        return path
+
+    def _source(self, verb, trace_file, archive_file):
+        return str(trace_file if verb == "compress" else archive_file)
+
+    @pytest.mark.parametrize("workers", ["2", "0"])
+    @pytest.mark.parametrize("verb", ["compress", "replay"])
+    def test_other_counts_exit_2(
+        self, verb, workers, trace_file, archive_file, tmp_path, capsys
+    ):
+        capsys.readouterr()
+        out = tmp_path / "out.bin"
+        source = self._source(verb, trace_file, archive_file)
+        assert main([verb, source, str(out), "--workers", workers]) == 2
+        assert capsys.readouterr().err.splitlines() == [self.REMOVED]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["compress", "replay"])
+    def test_one_is_ignored(self, verb, trace_file, archive_file, tmp_path):
+        source = self._source(verb, trace_file, archive_file)
+        plain, flagged = tmp_path / "plain.bin", tmp_path / "flagged.bin"
+        assert main([verb, source, str(plain)]) == 0
+        assert main([verb, source, str(flagged), "--workers", "1"]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    def test_flag_is_hidden(self, capsys):
+        for verb in ("compress", "replay"):
+            assert main([verb, "--help"]) == 0
+            assert "--workers" not in capsys.readouterr().out
+
+
 class TestInternalErrors:
     def test_unexpected_exception_exits_1(self, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -59,16 +59,6 @@ class TestReplay:
         assert len(replayed) > 100
         assert replayed.is_time_ordered()
 
-    def test_parallel_replay_is_byte_identical(self, tmp_path, archive_file):
-        sequential = tmp_path / "seq.tsh"
-        parallel = tmp_path / "par.tsh"
-        assert main(["replay", str(archive_file), str(sequential)]) == 0
-        assert (
-            main(["replay", str(archive_file), str(parallel), "--workers", "2"])
-            == 0
-        )
-        assert sequential.read_bytes() == parallel.read_bytes()
-
     def test_filtered_replay_prints_stats(self, tmp_path, archive_file, capsys):
         out = tmp_path / "window.tsh"
         assert (
@@ -91,19 +81,6 @@ class TestReplay:
         out = tmp_path / "limited.tsh"
         assert main(["replay", str(archive_file), str(out), "--limit", "2"]) == 0
         assert "flows matched    : 2" in capsys.readouterr().out
-
-    def test_workers_with_filters_rejected(self, tmp_path, archive_file, capsys):
-        out = tmp_path / "x.tsh"
-        assert (
-            main(
-                [
-                    "replay", str(archive_file), str(out),
-                    "--since", "1", "--workers", "2",
-                ]
-            )
-            == 2
-        )
-        assert "error" in capsys.readouterr().err
 
     def test_bad_worker_count_rejected(self, tmp_path, archive_file, capsys):
         out = tmp_path / "x.tsh"

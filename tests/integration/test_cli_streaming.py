@@ -1,10 +1,8 @@
-"""Integration: the compress --stream / --workers CLI modes."""
+"""Integration: the compress --stream CLI mode and the hidden --workers flag."""
 
 import pytest
 
 from repro.cli import main
-from repro.core import deserialize_compressed
-from repro.trace.trace import Trace
 
 
 @pytest.fixture
@@ -62,28 +60,8 @@ class TestStreamMode:
 
 
 class TestWorkersMode:
-    def test_parallel_output_decompresses(self, tmp_path, trace_file, capsys):
-        parallel = tmp_path / "par.fctc"
-        assert main(
-            ["compress", str(trace_file), str(parallel), "--workers", "2"]
-        ) == 0
-        assert "ratio" in capsys.readouterr().out
-
-        restored = tmp_path / "restored.tsh"
-        assert main(["decompress", str(parallel), str(restored)]) == 0
-        assert len(Trace.load_tsh(restored)) == len(Trace.load_tsh(trace_file))
-
-    def test_parallel_flow_count_matches_batch(
-        self, tmp_path, trace_file, batch_file
-    ):
-        parallel = tmp_path / "par.fctc"
-        assert main(
-            ["compress", str(trace_file), str(parallel), "--workers", "2"]
-        ) == 0
-        batch = deserialize_compressed(batch_file.read_bytes())
-        merged = deserialize_compressed(parallel.read_bytes())
-        assert merged.flow_count() == batch.flow_count()
-        assert merged.original_packet_count == batch.original_packet_count
+    """``--workers`` is hidden: 1 is accepted and ignored, anything else
+    exits 2 (compression runs in one process)."""
 
     def test_one_worker_is_byte_identical(self, tmp_path, trace_file, batch_file):
         out = tmp_path / "w1.fctc"
@@ -91,14 +69,6 @@ class TestWorkersMode:
             ["compress", str(trace_file), str(out), "--workers", "1", "--stream"]
         ) == 0
         assert out.read_bytes() == batch_file.read_bytes()
-
-    def test_stream_with_pool_rejected(self, tmp_path, trace_file, capsys):
-        out = tmp_path / "conflict.fctc"
-        assert main(
-            ["compress", str(trace_file), str(out), "--stream", "--workers", "2"]
-        ) == 2
-        assert "byte-identical" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_zero_workers_rejected(self, tmp_path, trace_file, capsys):
         out = tmp_path / "bad.fctc"
@@ -115,10 +85,3 @@ class TestWorkersMode:
         ) == 2
         assert "--chunk-size" in capsys.readouterr().err
         assert not out.exists()
-
-    def test_inspect_parallel_output(self, tmp_path, trace_file, capsys):
-        parallel = tmp_path / "par.fctc"
-        main(["compress", str(trace_file), str(parallel), "--workers", "2"])
-        capsys.readouterr()
-        assert main(["inspect", str(parallel)]) == 0
-        assert "time_seq" in capsys.readouterr().out

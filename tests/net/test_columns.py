@@ -21,12 +21,10 @@ from repro.net.flowkey import (
     canonical_key_columns,
     flow_hash,
     flow_hash_columns,
-    flow_shard_columns,
 )
 from repro.net.packet import PacketRecord
-from repro.core.streaming import record_shard
 from repro.synth import generate_web_trace
-from repro.trace.tsh import decode_columns, encode_record, write_tsh_bytes
+from repro.trace.tsh import decode_columns, write_tsh_bytes
 from repro.trace.reader import read_columns
 
 
@@ -91,14 +89,6 @@ def test_flow_hash_columns_matches_flow_hash(packets, backend):
     hashes = flow_hash_columns(cols)
     for packet, value in zip(packets, hashes):
         assert value == flow_hash(packet.five_tuple())
-
-
-@pytest.mark.parametrize("workers", [2, 3, 8])
-def test_flow_shard_columns_matches_record_shard(packets, workers, backend):
-    cols = columns_from_records(packets)
-    shards = flow_shard_columns(cols, workers)
-    for packet, shard in zip(packets, shards):
-        assert shard == record_shard(encode_record(packet), workers)
 
 
 # -- TSH columnar decode ----------------------------------------------------

@@ -2,24 +2,20 @@
 
 The acceptance bar for the observability PR: semantic counters must
 match the trace's ground truth exactly, identically for the scalar and
-columnar engines, and multiprocessing snapshots merged at join must
-equal a single-process run's totals.
+columnar engines.
 """
 
 import pytest
 
 from repro import api
 from repro.core.columnar import ENGINE_COLUMNAR, ENGINE_SCALAR
-from repro.core.streaming import compress_tsh_file, compress_tsh_file_parallel
+from repro.core.streaming import compress_tsh_file
 from repro.obs import RunReport, scoped
 from repro.obs.metrics import MetricsRegistry
 from repro.synth import generate_web_trace
 from repro.trace.tsh import TSH_RECORD_BYTES
 
-# Counters whose totals are engine- and sharding-independent facts about
-# the input.  Template hits/misses are *engine*-independent but not
-# shard-independent (each shard clusters locally), so the parallel test
-# checks a smaller set.
+# Counters whose totals are engine-independent facts about the input.
 SEMANTIC = (
     "trace.read.bytes",
     "trace.read.records",
@@ -31,12 +27,6 @@ SEMANTIC = (
     "compress.template.misses",
     "compress.evictions",
     "stream.chunks",
-)
-SHARDING_INDEPENDENT = (
-    "compress.packets",
-    "compress.flows",
-    "compress.flows.short",
-    "compress.flows.long",
 )
 
 
@@ -94,33 +84,6 @@ class TestEngineParity:
         chunk_histogram = columnar.get("columnar.chunk_packets")
         assert chunk_histogram is not None
         assert chunk_histogram.sum == scalar.value("compress.packets")
-
-
-class TestParallelMerge:
-    def test_merged_snapshots_equal_single_process(self, web_tsh):
-        # The synthetic workload is idle-eviction-free (64 s timeout vs
-        # an 8 s trace), so flow totals are exactly shard-independent.
-        path, _ = web_tsh
-        single, _ = _counters(path, engine=ENGINE_SCALAR)
-        parallel = MetricsRegistry()
-        with scoped(parallel):
-            compress_tsh_file_parallel(path, 2)
-        for name in SHARDING_INDEPENDENT:
-            assert parallel.value(name) == single.value(name), name
-        assert parallel.value("compress.evictions") == 0
-        # Each worker reads the whole file and keeps its residue class,
-        # so read counters scale with the worker count by design.
-        assert parallel.value("trace.read.records") == (
-            2 * single.value("trace.read.records")
-        )
-        # Both shard snapshots arrived: shard hit+miss totals cover every
-        # short flow even though the hit/miss split differs from
-        # single-process (each shard clusters locally).
-        assert (
-            parallel.value("compress.template.hits")
-            + parallel.value("compress.template.misses")
-            == single.value("compress.flows.short")
-        )
 
 
 class TestFacadeExposure:

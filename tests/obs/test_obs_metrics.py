@@ -29,12 +29,6 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("c").inc(-1)
 
-    def test_restore_adds(self):
-        counter = Counter("c")
-        counter.inc(5)
-        counter.restore(7)
-        assert counter.value == 12
-
 
 class TestGauge:
     def test_set_and_arithmetic(self):
@@ -49,14 +43,6 @@ class TestGauge:
         gauge.set_max(10.0)
         gauge.set_max(3.0)
         assert gauge.value == 10.0
-
-    def test_restore_keeps_maximum(self):
-        gauge = Gauge("g")
-        gauge.set(8.0)
-        gauge.restore(5.0)
-        assert gauge.value == 8.0
-        gauge.restore(11.0)
-        assert gauge.value == 11.0
 
 
 class TestHistogram:
@@ -79,12 +65,6 @@ class TestHistogram:
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(ValueError):
             Histogram("h", bounds=(10.0, 1.0))
-
-    def test_restore_requires_matching_bounds(self):
-        histogram = Histogram("h", bounds=(1.0, 2.0))
-        other = Histogram("h", bounds=(5.0, 6.0))
-        with pytest.raises(ValueError):
-            histogram.restore(other.state())
 
     def test_default_buckets(self):
         assert Histogram("h").bounds == DEFAULT_BUCKETS
@@ -181,32 +161,6 @@ class TestSnapshotMerge:
         snapshot = self._populated().snapshot()
         clone = pickle.loads(pickle.dumps(snapshot))
         assert clone.metrics == snapshot.metrics
-
-    def test_merge_accumulates_counters_histograms_timers(self):
-        parent = self._populated()
-        parent.merge(self._populated().snapshot())
-        assert parent.value("c") == 20
-        histogram = parent.get("h")
-        assert histogram.count == 2
-        assert histogram.sum == 10.0
-        timer = parent.get("t")
-        assert timer.count == 2
-        assert timer.total_seconds == 4.0
-
-    def test_merge_keeps_gauge_maximum(self):
-        parent = self._populated()
-        worker = MetricsRegistry()
-        worker.gauge("g").set_max(3.0)
-        parent.merge(worker.snapshot())
-        assert parent.value("g") == 7.0
-        worker.gauge("g").set_max(99.0)
-        parent.merge(worker.snapshot())
-        assert parent.value("g") == 99.0
-
-    def test_merge_creates_missing_metrics(self):
-        parent = MetricsRegistry()
-        parent.merge(self._populated().snapshot())
-        assert parent.value("c") == 10
 
     def test_counters_helper(self):
         snapshot = self._populated().snapshot()

@@ -191,9 +191,9 @@ def _compress_file(tsh_path, dest_dir, engine, **make_kwargs):
     return dest.read_bytes()
 
 
-@pytest.mark.parametrize("mode_kwargs", [{}, {"stream": True}, {"workers": 2}])
+@pytest.mark.parametrize("mode_kwargs", [{}, {"stream": True}])
 def test_fctc_file_identity(tsh_path, tmp_path, mode_kwargs):
-    """Facade batch/stream/parallel paths: one ``.fctc`` per input."""
+    """Facade batch/stream paths: one ``.fctc`` per input."""
     (tmp_path / "s").mkdir()
     (tmp_path / "c").mkdir()
     scalar = _compress_file(tsh_path, tmp_path / "s", "scalar", **mode_kwargs)

@@ -9,8 +9,9 @@ Three passes, pure stdlib, run as the CI ``docs`` job:
    External ``http(s)`` links are skipped (no network in the check, by
    design — it must give the same verdict offline).
 2. **CLI example smoke-run** — every fenced ```` ```sh ```` block in
-   ``docs/CLI.md``, ``docs/SCENARIOS.md`` and ``docs/ANALYTICS.md``
-   is executed, in document
+   ``docs/CLI.md``, ``docs/SCENARIOS.md`` and ``docs/ANALYTICS.md``,
+   and the one under ``README.md``'s ``## Quickstart`` heading (not
+   its install and test blocks), is executed, in document
    order, in one shared temporary directory per document.  The blocks
    are written as a single coherent pipeline (generate → compress → …
    → replay), so later examples consume earlier outputs; a doc edit
@@ -94,17 +95,28 @@ def _shim_dir(tmp: Path) -> Path:
     return bin_dir
 
 
-def run_cli_examples(doc_name: str) -> list[str]:
+def _section(text: str, heading: str) -> str:
+    """The body under the ``## heading`` line, up to the next ``## ``."""
+    start = text.index(f"\n## {heading}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start : end if end >= 0 else len(text)]
+
+
+def run_cli_examples(doc_name: str, section: str | None = None) -> list[str]:
     """Execute every ```sh block of one document, in order.
 
-    One shared working directory per document (later blocks consume
-    earlier outputs) with a ``repro-trace`` shim on PATH, so the doc's
-    pipeline runs exactly as written against the bare source tree.
+    ``doc_name`` is relative to the repository root; ``section`` limits
+    the run to the blocks under that ``##`` heading.  One shared
+    working directory per document (later blocks consume earlier
+    outputs) with a ``repro-trace`` shim on PATH, so the doc's pipeline
+    runs exactly as written against the bare source tree.
     """
-    cli_md = REPO / "docs" / doc_name
-    blocks = _SH_BLOCK.findall(cli_md.read_text("utf-8"))
+    text = (REPO / doc_name).read_text("utf-8")
+    if section is not None:
+        text = _section(text, section)
+    blocks = _SH_BLOCK.findall(text)
     if not blocks:
-        return [f"{cli_md.relative_to(REPO)}: no ```sh blocks found"]
+        return [f"{doc_name}: no ```sh blocks found"]
     errors = []
     with tempfile.TemporaryDirectory(prefix="cli-md-smoke-") as workdir:
         env = dict(os.environ)
@@ -124,12 +136,12 @@ def run_cli_examples(doc_name: str) -> list[str]:
             )
             if proc.returncode != 0:
                 errors.append(
-                    f"docs/{doc_name} example block {index} exited "
+                    f"{doc_name} example block {index} exited "
                     f"{proc.returncode}:\n{block}\n--- stderr ---\n"
                     f"{proc.stderr.strip()}"
                 )
                 break  # later blocks depend on this one's outputs
-            print(f"docs/{doc_name} block {index}: ok")
+            print(f"{doc_name} block {index}: ok")
     return errors
 
 
@@ -176,11 +188,13 @@ def main() -> int:
     errors = check_links()
     print(f"link check: {len(DOC_FILES)} documents, {len(errors)} errors")
     if not errors:
-        errors += run_cli_examples("CLI.md")
+        errors += run_cli_examples("README.md", section="Quickstart")
     if not errors:
-        errors += run_cli_examples("SCENARIOS.md")
+        errors += run_cli_examples("docs/CLI.md")
     if not errors:
-        errors += run_cli_examples("ANALYTICS.md")
+        errors += run_cli_examples("docs/SCENARIOS.md")
+    if not errors:
+        errors += run_cli_examples("docs/ANALYTICS.md")
     if not errors:
         errors += run_python_examples("API.md")
     if not errors:
