@@ -6,8 +6,8 @@ the child's peak RSS (``getrusage`` high-water mark — the real number
 an operator sees, not just Python-heap accounting).  Two guarded paths:
 
 * **Streaming decompression** — compress both traces, then
-  stream-decompress each to ``/dev/null``.  The working set must track
-  the concurrent-flow fan-out, not the packet count.
+  stream-decompress each to ``/dev/null``.  The working set must stay
+  one merge batch plus its carried rows, not track the packet count.
 * **Serve ingest** — run the ``repro serve`` daemon over a ``tail:``
   source of each raw capture until every packet is ingested.  The
   daemon's memory is its bounded per-source queues plus one open
@@ -43,8 +43,9 @@ SEED = 1
 
 # RSS growth must stay under this fraction of the packet-count growth.
 # Linear growth would track the packet ratio (1.0); the streaming
-# engine's heap tracks concurrent flows, so even with the interpreter
-# baseline subtracted out a wide margin below linear is expected.
+# engine holds one merge batch plus its carried rows, so even with the
+# interpreter baseline subtracted out a wide margin below linear is
+# expected.
 GROWTH_FRACTION = 0.6
 
 

@@ -3,12 +3,12 @@
 Two claims are checked, mirroring the replay engine's contract:
 
 * **Flat memory** — the streaming decompressor's peak allocation is
-  bounded by the concurrent-flow fan-out plus the compressed datasets,
-  so it grows sub-linearly in trace length while the batch path (which
-  materializes and sorts every synthetic packet) grows linearly.
-* **Byte identity at speed** — the heap merge must not give back the
-  batch path's throughput: the streamed packet sequence is identical
-  and the wall clock comparable (the benchmark records both).
+  bounded by one merge batch plus its carried rows plus the compressed
+  datasets, so it grows sub-linearly in trace length while the batch
+  path (which materializes every synthetic packet) grows linearly.
+* **Byte identity at speed** — the batch-sort merge must not give back
+  the batch path's throughput: the streamed packet sequence is
+  identical and the wall clock comparable (the benchmark records both).
 """
 
 from __future__ import annotations
@@ -95,8 +95,8 @@ class TestPeakMemory:
 
         # Streaming stays well under the materializing path...
         assert stream_large < batch_large / 2
-        # ...and its peak grows sub-linearly in trace length (the heap
-        # holds concurrent flows, not the trace).
+        # ...and its peak grows sub-linearly in trace length (the merge
+        # holds one batch plus its carried rows, not the trace).
         assert stream_growth < 0.7 * size_growth
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import wraps
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -76,7 +77,8 @@ from repro.core.pipeline import CompressionReport, report_for, report_for_stream
 from repro.core.replay import (
     IteratorSpecFeed,
     StreamingDecompressor,
-    merge_packet_stream,
+    merge_row_batches,
+    packets_from_batches,
 )
 from repro.core.decompressor import flow_specs
 from repro.core.generator import TraceModel
@@ -124,15 +126,32 @@ def _typed_decode_errors(path: Path):
         raise CorruptInputError(f"{path}: {exc}") from exc
 
 
-def _typed_stream(path: Path, stream: Iterator[PacketRecord]) -> Iterator[PacketRecord]:
+def _typed_stream(path: Path, stream: Iterator) -> Iterator:
     """``stream``, re-raising decode failures met while it drains as typed.
 
-    Archive segments decode, and templates synthesize, only as the
-    packet stream is consumed — long after :meth:`TraceStore.packets`
-    returned.
+    Archive segments decode, and templates synthesize, only as a lazy
+    result is consumed — long after the verb that built it returned.
     """
     with _typed_decode_errors(path):
         yield from stream
+
+
+def _typed_verb(verb):
+    """Type a store verb's decode failures, eager and lazy alike.
+
+    Failures raised while the verb runs, and while an iterator it
+    returns drains, surface as :class:`CorruptInputError`.
+    """
+
+    @wraps(verb)
+    def typed(self, *args, **kwargs):
+        with _typed_decode_errors(self.path):
+            result = verb(self, *args, **kwargs)
+        if isinstance(result, Iterator):
+            return _typed_stream(self.path, result)
+        return result
+
+    return typed
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,7 @@ class TraceStore:
     def info(self) -> StoreInfo:
         raise NotImplementedError
 
+    @_typed_verb
     def packets(
         self,
         predicate: Predicate | None = None,
@@ -202,11 +222,10 @@ class TraceStore:
         """The (optionally filtered) packet stream, in time order.
 
         Damaged input raises :class:`CorruptInputError`, whether it is
-        found when the stream is set up or while it is drained.
+        found when the stream is set up or while it is drained — as it
+        does from every verb that reads flows or packets.
         """
-        with _typed_decode_errors(self.path):
-            stream = self._packets(predicate, limit=limit, stats=stats)
-        return _typed_stream(self.path, stream)
+        return self._packets(predicate, limit=limit, stats=stats)
 
     def _packets(
         self,
@@ -215,7 +234,29 @@ class TraceStore:
         limit: int | None,
         stats: QueryStats | None,
     ) -> Iterator[PacketRecord]:
+        return packets_from_batches(
+            self._row_batches(predicate, limit=limit, stats=stats)
+        )
+
+    def _row_batches(
+        self,
+        predicate: Predicate | None,
+        *,
+        limit: int | None,
+        stats: QueryStats | None,
+    ) -> Iterator[list[tuple]]:
+        """The replay as sorted row batches (container and archive)."""
         raise NotImplementedError
+
+    def _export_stream(
+        self,
+        predicate: Predicate | None,
+        *,
+        limit: int | None,
+        stats: QueryStats | None,
+    ) -> Iterator:
+        """What ``export`` writes: replay row batches, or packets."""
+        return self._row_batches(predicate, limit=limit, stats=stats)
 
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
@@ -268,6 +309,7 @@ class TraceStore:
     ) -> CompressionReport | ArchiveBuildReport:
         raise NotImplementedError
 
+    @_typed_verb
     def export(
         self,
         dest: str | Path,
@@ -279,12 +321,13 @@ class TraceStore:
         """Write the (optionally filtered) packet stream to ``dest``.
 
         The output format follows the suffix (``.pcap`` → pcap-lite,
-        anything else → TSH); packets stream straight to disk, so
-        memory never scales with the trace.  One verb covers what used
-        to be three subcommands: decompress, replay, and convert.
+        anything else → TSH); a replay streams to disk one merge batch
+        at a time, TSH packed straight from the replay rows, so memory
+        never scales with the trace.  One verb covers what used to be
+        three subcommands: decompress, replay, and convert.
         """
         return export_packet_stream(
-            self.packets(predicate, limit=limit, stats=stats),
+            self._export_stream(predicate, limit=limit, stats=stats),
             dest,
         )
 
@@ -443,6 +486,9 @@ class TraceFileStore(TraceStore):
             )
         return iter(self.load_trace().packets)
 
+    _export_stream = _packets
+
+    @_typed_verb
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> Iterator[FlowSummary]:
@@ -455,6 +501,7 @@ class TraceFileStore(TraceStore):
             stats,
         )
 
+    @_typed_verb
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
@@ -471,6 +518,7 @@ class TraceFileStore(TraceStore):
         result.flows = list(self._query_over_rows(rows, predicate, limit, stats))
         return result
 
+    @_typed_verb
     def stats(
         self,
         *,
@@ -515,6 +563,7 @@ class TraceFileStore(TraceStore):
             config=self.options.decompressor,
         )
 
+    @_typed_verb
     def matrices(
         self,
         *,
@@ -706,17 +755,17 @@ class ContainerStore(TraceStore):
             self.compressed = deserialize_compressed(self._data)
             self._container_info = container_info(self._data)
 
-    def _packets(
+    def _row_batches(
         self,
         predicate: Predicate | None,
         *,
         limit: int | None,
         stats: QueryStats | None,
-    ) -> Iterator[PacketRecord]:
+    ) -> Iterator[list[tuple]]:
         _check_limit(limit)
         config = self.options.decompressor
         if predicate is None and limit is None and stats is None:
-            return StreamingDecompressor(self.compressed, config).packets()
+            return StreamingDecompressor(self.compressed, config).row_batches()
         if stats is None:
             stats = QueryStats()
         stats.segments_total = stats.segments_matched = 1
@@ -736,8 +785,9 @@ class ContainerStore(TraceStore):
         feed = IteratorSpecFeed(
             flow_specs(self.compressed, config, record_filter=keep)
         )
-        return merge_packet_stream(feed, config)
+        return merge_row_batches(feed, config)
 
+    @_typed_verb
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> Iterator[FlowSummary]:
@@ -746,6 +796,7 @@ class ContainerStore(TraceStore):
             flow_summaries(0, self.compressed), predicate, limit, QueryStats()
         )
 
+    @_typed_verb
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
@@ -815,6 +866,7 @@ class ContainerStore(TraceStore):
     def model(self) -> TraceModel:
         return TraceModel.fit(self.compressed)
 
+    @_typed_verb
     def stats(
         self,
         *,
@@ -842,6 +894,7 @@ class ContainerStore(TraceStore):
             config=self.options.decompressor,
         )
 
+    @_typed_verb
     def matrices(
         self,
         *,
@@ -940,34 +993,37 @@ class ArchiveStore(TraceStore):
     def _engine(self) -> QueryEngine:
         return QueryEngine(self.reader)
 
-    def _packets(
+    def _row_batches(
         self,
         predicate: Predicate | None,
         *,
         limit: int | None,
         stats: QueryStats | None,
-    ) -> Iterator[PacketRecord]:
+    ) -> Iterator[list[tuple]]:
         _check_limit(limit)
         if predicate is None and limit is None and stats is None:
-            return self.reader.iter_packets(self.options.decompressor)
-        return self._engine().stream_packets(
+            return self.reader.iter_row_batches(self.options.decompressor)
+        return self._engine().stream_row_batches(
             predicate,
             limit=limit,
             stats=stats,
             options=self.options,
         )
 
+    @_typed_verb
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> Iterator[FlowSummary]:
         yield from self.query(predicate, limit=limit).flows
 
+    @_typed_verb
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
         _check_limit(limit)
         return self._engine().run(predicate, limit=limit)
 
+    @_typed_verb
     def filter(
         self,
         dest: str | Path,
@@ -1049,6 +1105,7 @@ class ArchiveStore(TraceStore):
             packets=fed,
         )
 
+    @_typed_verb
     def stats(
         self,
         *,
@@ -1084,6 +1141,7 @@ class ArchiveStore(TraceStore):
             stats=query_stats,
         )
 
+    @_typed_verb
     def matrices(
         self,
         *,

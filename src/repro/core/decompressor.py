@@ -20,16 +20,16 @@ packets:
   representative sizes).
 
 Packets from all flows are merged by timestamp, replacing the paper's
-linked-list insertion sort with an equivalent heap merge.
+linked-list insertion sort with batched sorts of replay rows.
 
-This module holds the *shared* re-synthesis primitives — the per-flow
+This module holds the re-synthesis primitives — the per-flow
 :class:`FlowSpec` (everything one flow needs to replay), the stable
 :func:`flow_seed` mix, :func:`flow_specs` (dataset walk in timestamp
-order) and :func:`synthesize_flow` (one flow's packet generator) — plus
-the batch :func:`decompress_trace` entry point.  The bounded-memory
-streaming engine in :mod:`repro.core.replay` drives the same primitives
-through a k-way heap merge instead of a global sort, which is why the
-two paths are byte-identical.
+order) and :func:`synthesize_rows`, the synthesis kernel that turns a
+batch of specs into replay rows (:func:`synthesize_flow` is its
+one-flow, packet-record form) — plus the :func:`decompress_trace`
+entry point, which collects the streaming engine of
+:mod:`repro.core.replay` into a :class:`Trace`.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ import random
 import struct
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import accumulate
 from typing import Callable, Iterable, Iterator
 
 from repro.core.codec import (
@@ -57,9 +58,9 @@ from repro.core.datasets import (
 )
 from repro.core.errors import CodecError
 from repro.flows.characterize import CharacterizationConfig, decode_packet_value
-from repro.net.hostprops import plausible_ttl, plausible_window
+from repro.net.hostprops import host_properties
 from repro.net.ip import random_class_b_or_c
-from repro.net.packet import PacketRecord
+from repro.net.packet import PacketRecord, packets_from_rows
 from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_SYN, FlagClass
 from repro.trace.trace import Trace
 
@@ -220,119 +221,169 @@ def flow_specs(
 def synthesize_flow(
     spec: FlowSpec, config: DecompressorConfig
 ) -> Iterator[PacketRecord]:
-    """Re-synthesize one flow's packets lazily, in global merge order.
+    """Re-synthesize one flow's packets, in global merge order.
 
-    Per-flow timestamps are nondecreasing (every step adds a
-    non-negative gap), which is what lets the streaming merge treat each
-    flow as a sorted run.  Nondecreasing is not strict: a long flow
-    whose stored gap quantizes to zero puts several packets on one
-    timestamp, and a direction flip inside such a tie makes the rest of
-    :func:`merge_sort_key` *decrease* mid-flow.  The batch path's global
-    sort reorders those ties; a bounded-memory heap merge cannot (it
-    holds one packet per flow).  So ties are reconciled here, at the
-    source: packets sharing a timestamp are buffered and yielded in
-    stable :func:`merge_sort_key` order, making every flow a genuinely
-    sorted run.  The batch output is unchanged (its stable sort already
-    ordered ties this way); the streaming merge becomes byte-identical
-    to it for tied flows too.  Memory cost is the largest same-timestamp
-    group, not the flow.
+    :func:`synthesize_rows` for one flow, sorted.  Per-flow timestamps
+    are nondecreasing, but a long flow whose stored gap quantizes to
+    zero puts several packets on one timestamp, and a direction flip
+    inside such a tie makes the rest of :func:`merge_sort_key` decrease
+    mid-flow; the sort puts those ties in the order the whole-trace
+    replay gives them.
     """
-    group: list[PacketRecord] = []
-    for packet in _synthesize_flow_packets(spec, config):
-        if group and packet.timestamp != group[-1].timestamp:
-            if len(group) > 1:
-                group.sort(key=merge_sort_key)
-            yield from group
-            group.clear()
-        group.append(packet)
-    if len(group) > 1:
-        group.sort(key=merge_sort_key)
-    yield from group
+    rows = synthesize_rows((spec,), config)
+    rows.sort()
+    return iter(packets_from_rows(rows))
 
 
-def _synthesize_flow_packets(
-    spec: FlowSpec, config: DecompressorConfig
-) -> Iterator[PacketRecord]:
-    """The raw per-packet synthesis, in template (generation) order."""
-    rng = random.Random(spec.seed)
-    client_ip = random_class_b_or_c(rng)
-    client_port = rng.randint(CLIENT_PORT_MIN, CLIENT_PORT_MAX)
+def _flow_shape(
+    template: ShortFlowTemplate | LongFlowTemplate,
+    is_long: bool,
+    config: DecompressorConfig,
+    values: dict[int, tuple[bool, int, int]],
+    gaps: dict[float, float],
+) -> tuple[list[tuple[bool, int, int, int, int]], list]:
+    """What every flow of one template shares: ``(steps, timing)``.
 
-    template = spec.template
-    rtt = spec.rtt if spec.rtt > 0 else config.default_rtt
-
-    timestamp = spec.start
-    client_to_server = True  # first packet: client opens the flow
-    client_seq = rng.getrandbits(32)
-    server_seq = rng.getrandbits(32)
-
-    # Host properties are functions of the address alone: derive each
-    # endpoint's once per flow, not once per packet.
-    server_ip = spec.server_ip
-    client_ttl, client_window = plausible_ttl(client_ip), plausible_window(client_ip)
-    server_ttl, server_window = plausible_ttl(server_ip), plausible_window(server_ip)
-    characterization = config.characterization
-
+    ``steps[i]`` is packet *i*'s ``(client_to_server, flags, payload,
+    own_offset, other_offset)``: the offsets are how far the sender's
+    and the receiver's sequence numbers advanced before the packet
+    (each packet advances its sender by ``max(payload, 1)``).  Direction
+    starts client → server and flips at every dependent packet (g2 = 0)
+    after the first.  ``timing`` is the long flow's quantized gaps in
+    seconds, or the short flow's per-gap "dependent" flags, which pick
+    one RTT or the back-to-back gap.  ``values`` and ``gaps`` memoize
+    the decoded ``f(p)`` values and quantized gaps across one batch.
+    """
+    steps = []
+    dependent = []
+    client_to_server = True
+    client_advance = server_advance = 0
     for position, value in enumerate(template.values):
-        g1, g2, g3 = decode_packet_value(value, characterization)
+        decoded = values.get(value)
+        if decoded is None:
+            g1, g2, g3 = decode_packet_value(value, config.characterization)
+            decoded = values[value] = (
+                g2 == 0,
+                _FLAGS_FOR_CLASS[g1],
+                config.payload_for_class(g3),
+            )
+        flips, flags, payload = decoded
         if position > 0:
-            if spec.is_long:
-                # Quantize to the codec's resolution so in-memory and
-                # serialized containers decompress identically.
-                timestamp += (
-                    quantize_gap(template.gaps[position - 1])
-                    / GAP_UNITS_PER_SECOND
-                )
-            elif g2 == 0:  # dependent: waited one RTT on the opposite node
-                timestamp += rtt
-            else:  # back-to-back with its predecessor
-                timestamp += config.back_to_back_gap
-            if g2 == 0:
+            dependent.append(flips)
+            if flips:
                 client_to_server = not client_to_server
-
-        payload = config.payload_for_class(g3)
-        flags = _FLAGS_FOR_CLASS[g1]
         if client_to_server:
-            packet = PacketRecord(
-                timestamp=timestamp,
-                src_ip=client_ip,
-                dst_ip=server_ip,
-                src_port=client_port,
-                dst_port=SERVER_PORT,
-                flags=flags,
-                payload_len=payload,
-                seq=client_seq,
-                ack=server_seq,
-                ip_id=rng.getrandbits(16),
-                ttl=client_ttl,
-                window=client_window,
-            )
-            client_seq = (client_seq + max(payload, 1)) & 0xFFFFFFFF
+            steps.append((True, flags, payload, client_advance, server_advance))
+            client_advance += max(payload, 1)
         else:
-            packet = PacketRecord(
-                timestamp=timestamp,
-                src_ip=server_ip,
-                dst_ip=client_ip,
-                src_port=SERVER_PORT,
-                dst_port=client_port,
-                flags=flags,
-                payload_len=payload,
-                seq=server_seq,
-                ack=client_seq,
-                ip_id=rng.getrandbits(16),
-                ttl=server_ttl,
-                window=server_window,
+            steps.append((False, flags, payload, server_advance, client_advance))
+            server_advance += max(payload, 1)
+    if not is_long:
+        return steps, dependent
+    # Quantize to the codec's resolution so in-memory and serialized
+    # containers decompress identically.
+    timing = []
+    stored = template.gaps
+    for position in range(1, len(steps)):
+        gap = stored[position - 1]
+        increment = gaps.get(gap)
+        if increment is None:
+            increment = gaps[gap] = quantize_gap(gap) / GAP_UNITS_PER_SECOND
+        timing.append(increment)
+    return steps, timing
+
+
+def synthesize_rows(
+    specs: Iterable[FlowSpec], config: DecompressorConfig
+) -> list[tuple]:
+    """The synthesis kernel: every packet of ``specs``' flows, as rows.
+
+    Rows use the replay row layout of :mod:`repro.net.packet`, each flow
+    in generation order.  Per flow, randomness is drawn in one fixed
+    order from a generator seeded with ``spec.seed``: the client
+    address, the client port, the client and server initial sequence
+    numbers, then one IP id per packet.  A short flow's dependent packet
+    (g2 = 0) follows its predecessor by one RTT (the stored RTT, or
+    ``config.default_rtt`` when it is zero), a non-dependent one by
+    ``config.back_to_back_gap``; a long flow replays its stored gaps.
+    Timestamps are running sums from ``spec.start``, added in packet
+    order.  Template facts (:func:`_flow_shape`) and server host
+    properties are derived once per call, so the caches never outlive
+    one merge batch.
+    """
+    rows: list[tuple] = []
+    extend = rows.extend
+    shapes: dict[int, tuple] = {}
+    values: dict[int, tuple[bool, int, int]] = {}
+    gaps: dict[float, float] = {}
+    servers: dict[int, tuple[int, int]] = {}
+    rng = random.Random()
+    seed, getrandbits, randint = rng.seed, rng.getrandbits, rng.randint
+    back_to_back = config.back_to_back_gap
+    mask = _MASK32
+    for spec in specs:
+        template = spec.template
+        shape = shapes.get(id(template))
+        if shape is None:
+            # Keyed by identity (a content hash would walk every value);
+            # the entry holds the template, so its id stays unique.
+            shape = shapes[id(template)] = (
+                template,
+                *_flow_shape(template, spec.is_long, config, values, gaps),
             )
-            server_seq = (server_seq + max(payload, 1)) & 0xFFFFFFFF
-        yield packet
+        _, steps, timing = shape
+        if spec.is_long:
+            increments = timing
+        else:
+            rtt = spec.rtt if spec.rtt > 0 else config.default_rtt
+            increments = [rtt if dependent else back_to_back for dependent in timing]
+
+        seed(spec.seed)
+        client_ip = random_class_b_or_c(rng)
+        client_port = randint(CLIENT_PORT_MIN, CLIENT_PORT_MAX)
+        client_seq = getrandbits(32)
+        server_seq = getrandbits(32)
+
+        # Host properties are functions of the address alone.
+        server_ip = spec.server_ip
+        server = servers.get(server_ip)
+        if server is None:
+            server = servers[server_ip] = host_properties(server_ip)
+        server_ttl, server_window = server
+        client_ttl, client_window = host_properties(client_ip)
+
+        order = spec.order
+        extend(
+            [
+                (
+                    timestamp, client_ip, client_port, server_ip,
+                    (client_seq + own) & mask, order, position, SERVER_PORT,
+                    flags, payload, (server_seq + other) & mask,
+                    getrandbits(16), client_ttl, client_window,
+                )
+                if client_to_server
+                else (
+                    timestamp, server_ip, SERVER_PORT, client_ip,
+                    (server_seq + own) & mask, order, position, client_port,
+                    flags, payload, (client_seq + other) & mask,
+                    getrandbits(16), server_ttl, server_window,
+                )
+                for position, (
+                    timestamp,
+                    (client_to_server, flags, payload, own, other),
+                ) in enumerate(zip(accumulate(increments, initial=spec.start), steps))
+            ]
+        )
+    return rows
 
 
 def merge_sort_key(packet: PacketRecord) -> tuple:
     """The global packet order of a decompressed trace.
 
-    Both the batch sort and the streaming heap merge order packets by
-    this key (the merge adds the ``FlowSpec.order`` + packet-position
-    tiebreak, which reproduces the batch path's stable sort exactly).
+    A replay row (:mod:`repro.net.packet`) leads with this key, then the
+    ``FlowSpec.order`` and packet-position tiebreak: a stable sort of
+    packets by this key, over flows in time-seq order, is the replay's
+    order.
     """
     return (packet.timestamp, packet.src_ip, packet.src_port, packet.dst_ip, packet.seq)
 
@@ -353,16 +404,11 @@ def decompress_trace(
     container and its serialized round-trip produce byte-identical
     traces, on any interpreter version or platform.
 
-    This is the batch path: every packet is materialized, then sorted.
-    :class:`repro.core.replay.StreamingDecompressor` emits the identical
-    packet sequence in bounded memory.
+    Every packet is materialized: this is the streaming engine
+    (:class:`repro.core.replay.StreamingDecompressor`) collected into a
+    :class:`Trace`.
     """
-    config = config or DecompressorConfig()
-    compressed.validate()
+    from repro.core.replay import StreamingDecompressor
 
-    merged: list[PacketRecord] = []
-    for spec in flow_specs(compressed, config):
-        merged.extend(synthesize_flow(spec, config))
-
-    merged.sort(key=merge_sort_key)
-    return Trace(merged, name=f"{compressed.name}-decompressed")
+    engine = StreamingDecompressor(compressed, config)
+    return Trace(list(engine.packets()), name=engine.name)

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Callable, Iterator
 
 from repro.core.codec import (
@@ -189,15 +190,15 @@ def _flow_end(
     operation sequence the synthesizer performs — sum-then-add would
     round differently.
     """
-    end = start
     if is_long:
-        for gap in profile.gap_seconds:
-            end += gap
-        return end
+        return reduce(add, profile.gap_seconds, start)
     effective_rtt = rtt if rtt > 0 else config.default_rtt
-    for dependent in profile.dep_steps:
-        end += effective_rtt if dependent else config.back_to_back_gap
-    return end
+    back_to_back = config.back_to_back_gap
+    return reduce(
+        add,
+        [effective_rtt if dependent else back_to_back for dependent in profile.dep_steps],
+        start,
+    )
 
 
 def flow_records(

@@ -37,13 +37,25 @@ def plausible_ttl(address: int) -> int:
 
     An OS-typical initial TTL minus a stable 1..24 hop distance.
     """
+    return _ttl(_host_hash(address))
+
+
+def plausible_window(address: int) -> int:
+    """The advertised TCP window this host uses."""
+    return _window(_host_hash(address))
+
+
+def host_properties(address: int) -> tuple[int, int]:
+    """``(plausible_ttl(address), plausible_window(address))``, hashed once."""
     digest = _host_hash(address)
+    return _ttl(digest), _window(digest)
+
+
+def _ttl(digest: int) -> int:
     initial = INITIAL_TTLS[digest % len(INITIAL_TTLS)]
     hops = 1 + (digest >> 8) % 24
     return initial - hops
 
 
-def plausible_window(address: int) -> int:
-    """The advertised TCP window this host uses."""
-    digest = _host_hash(address)
+def _window(digest: int) -> int:
     return COMMON_WINDOWS[(digest >> 16) % len(COMMON_WINDOWS)]

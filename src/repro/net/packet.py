@@ -119,3 +119,34 @@ def validate_packet(packet: PacketRecord) -> None:
             raise ValueError(f"{label} out of range: {value}")
     if not 0 <= packet.payload_len <= 0xFFFF - HEADER_BYTES:
         raise ValueError(f"payload_len out of range: {packet.payload_len}")
+
+
+# -- replay rows ---------------------------------------------------------------
+#
+# The decompressor synthesizes packets as plain tuples, not records:
+#
+#     (timestamp, src_ip, src_port, dst_ip, seq, order, position,
+#      dst_port, flags, payload_len, ack, ip_id, ttl, window)
+#
+# The first seven fields are the replay's global merge key: the packet
+# order key, then the flow's ``FlowSpec.order`` tuple and the packet's
+# position in its flow, which make every key unique.  A plain
+# ``list.sort()`` of rows is therefore the replay order, and no sort
+# ever compares past the position.  Replayed packets are always TCP.
+
+
+def packet_from_row(row: tuple) -> PacketRecord:
+    """The :class:`PacketRecord` one replay row describes."""
+    (
+        timestamp, src_ip, src_port, dst_ip, seq, _order, _position,
+        dst_port, flags, payload_len, ack, ip_id, ttl, window,
+    ) = row
+    return PacketRecord(
+        timestamp, src_ip, dst_ip, src_port, dst_port, PROTO_TCP, flags,
+        payload_len, seq, ack, ttl, ip_id, window,
+    )
+
+
+def packets_from_rows(rows: list[tuple]) -> list[PacketRecord]:
+    """:func:`packet_from_row` over a batch of rows, in order."""
+    return list(map(packet_from_row, rows))

@@ -56,7 +56,7 @@ from repro.core.flowmeta import (
     flow_records,
     flow_records_by_decode,
 )
-from repro.core.replay import merge_packet_stream
+from repro.core.replay import merge_row_batches, packets_from_batches
 from repro.net.packet import PacketRecord
 from repro.obs import current as obs_current
 from repro.query.predicates import MatchAll, Predicate, TimeRange
@@ -465,14 +465,29 @@ class QueryEngine:
         byte-identical to the corresponding packets of a full archive
         replay (:meth:`~repro.archive.reader.ArchiveReader.iter_packets`)
         — filtering skips flows, it does not perturb the survivors.
-        Memory stays bounded by the concurrent matching flows; segments
-        the index rules out are never decoded.  ``limit`` caps the
-        *flows* replayed (their packets all stream out); pass a
+        Memory stays bounded by one merge batch plus its carried rows;
+        segments the index rules out are never decoded.  ``limit`` caps
+        the *flows* replayed (their packets all stream out); pass a
         :class:`QueryStats` to receive the work accounting, which fills
         in as the stream is consumed; ``limit=0`` decodes nothing.
         """
+        return packets_from_batches(
+            self.stream_row_batches(
+                predicate, limit=limit, config=config, stats=stats, options=options
+            )
+        )
+
+    def stream_row_batches(
+        self,
+        predicate: Predicate | None = None,
+        *,
+        limit: int | None = None,
+        config: DecompressorConfig | None = None,
+        stats: QueryStats | None = None,
+        options=None,
+    ) -> Iterator[list[tuple]]:
+        """:meth:`stream_packets` as sorted batches of replay rows."""
         _check_limit(limit)
-        predicate = predicate or MatchAll()
         if config is None:
             # The façade's layered Options threads through here; an
             # explicit config still wins (duck-typed — no api import).
@@ -480,6 +495,34 @@ class QueryEngine:
         config = config or DecompressorConfig()
         if stats is None:
             stats = QueryStats()
+        feed = self.spec_feed(predicate, limit=limit, config=config, stats=stats)
+
+        def stream() -> Iterator[list[tuple]]:
+            # The stats fill in lazily as the stream is consumed, so they
+            # are published when the stream ends (or is closed early) —
+            # the one point where the accounting is final.
+            try:
+                yield from merge_row_batches(feed, config)
+            finally:
+                stats.publish()
+
+        return stream()
+
+    def spec_feed(
+        self,
+        predicate: Predicate | None,
+        *,
+        limit: int | None,
+        config: DecompressorConfig,
+        stats: QueryStats,
+    ) -> ArchiveSpecFeed:
+        """The spec feed behind :meth:`stream_packets`.
+
+        Segments the index rules out never enter it; the matching flows
+        of the rest are popped in start order, at most ``limit`` of
+        them, and ``stats`` counts the work as the feed is drained.
+        """
+        predicate = predicate or MatchAll()
         stats.segments_total = self.reader.segment_count
         stats.bytes_total = sum(entry.length for entry in self.reader.entries)
         indices = [
@@ -511,23 +554,12 @@ class QueryEngine:
         halt = None
         if limit is not None:
             halt = lambda: stats.flows_matched >= limit  # noqa: E731
-        feed = ArchiveSpecFeed(
+        return ArchiveSpecFeed(
             self.reader,
             segment_runs(self.reader.entries, indices),
             spec_source,
             halt=halt,
         )
-
-        def stream() -> Iterator[PacketRecord]:
-            # The stats fill in lazily as the stream is consumed, so they
-            # are published when the stream ends (or is closed early) —
-            # the one point where the accounting is final.
-            try:
-                yield from merge_packet_stream(feed, config)
-            finally:
-                stats.publish()
-
-        return stream()
 
     def filter_to(
         self,

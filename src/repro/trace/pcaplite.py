@@ -57,6 +57,12 @@ def _packet_bytes(packet: PacketRecord) -> bytes:
 
 def write_pcap(packets: Iterable[PacketRecord], stream: BinaryIO) -> int:
     """Write a pcap file with 40-byte header snapshots; returns count."""
+    write_pcap_header(stream)
+    return write_pcap_records(packets, stream)
+
+
+def write_pcap_header(stream: BinaryIO) -> None:
+    """Write the pcap global header (once, before any record)."""
     stream.write(
         _GLOBAL_HEADER.pack(
             PCAP_MAGIC,
@@ -68,6 +74,10 @@ def write_pcap(packets: Iterable[PacketRecord], stream: BinaryIO) -> int:
             LINKTYPE_RAW,
         )
     )
+
+
+def write_pcap_records(packets: Iterable[PacketRecord], stream: BinaryIO) -> int:
+    """Append pcap records after :func:`write_pcap_header`; returns count."""
     count = 0
     for packet in packets:
         validate_packet(packet)

@@ -28,7 +28,13 @@ import io
 import struct
 from typing import BinaryIO, Iterable, Iterator
 
-from repro.net.packet import HEADER_BYTES, PacketRecord, validate_packet
+from repro.net.packet import (
+    HEADER_BYTES,
+    PROTO_TCP,
+    PacketRecord,
+    packet_from_row,
+    validate_packet,
+)
 
 TSH_RECORD_BYTES = 44
 """On-disk bytes per packet in a TSH trace."""
@@ -41,6 +47,11 @@ _MAX_PAYLOAD = 0xFFFF - HEADER_BYTES
 # iter_unpack/unpack_from forms never slice per-record byte copies.
 _TSH_RECORD = struct.Struct(">IB3sBBHHHBBHIIHHIIBBH")
 assert _TSH_RECORD.size == TSH_RECORD_BYTES
+
+# The same 44 bytes with the interface number and the 24-bit microseconds
+# packed as one u32, for the replay row encoder (no per-row 3-byte slice).
+_TSH_ROW_RECORD = struct.Struct(">IIBBHHHBBHIIHHIIBBH")
+assert _TSH_ROW_RECORD.size == TSH_RECORD_BYTES
 
 _BATCH_RECORDS = 64 * 1024 // TSH_RECORD_BYTES
 """Records per ``write_tsh`` write: batches of at most 64 KiB."""
@@ -317,6 +328,86 @@ def write_tsh(packets: Iterable[PacketRecord], stream: BinaryIO) -> int:
         if batch:
             stream.write(b"".join(batch))
             count += len(batch)
+    return count
+
+
+def write_tsh_rows(batches: Iterable[list[tuple]], stream: BinaryIO) -> int:
+    """Write batches of replay rows (see :mod:`repro.net.packet`) as TSH.
+
+    Each batch is packed into one buffer and written once; no
+    :class:`PacketRecord` is built.  The bytes equal
+    :func:`write_tsh` over the rows' packets, interface 1: a row outside
+    the fast path's checks (negative timestamp, payload or any packed
+    field out of range) is re-encoded through :func:`encode_record`,
+    which raises the same ``ValueError``.  If encoding or the batch
+    iterator raises, the records encoded before it are still written.
+    """
+    count = 0
+    pack_into = _TSH_ROW_RECORD.pack_into
+    for rows in batches:
+        buffer = bytearray(TSH_RECORD_BYTES * len(rows))
+        offset = 0
+        try:
+            for row in rows:
+                (
+                    timestamp, src_ip, src_port, dst_ip, seq, _order, _position,
+                    dst_port, flags, payload_len, ack, ip_id, ttl, window,
+                ) = row
+                if timestamp < 0 or not 0 <= payload_len <= _MAX_PAYLOAD:
+                    buffer[offset : offset + TSH_RECORD_BYTES] = encode_record(
+                        packet_from_row(row)
+                    )
+                    offset += TSH_RECORD_BYTES
+                    continue
+                seconds = int(timestamp)
+                micros = int(round((timestamp - seconds) * _MICROSECOND))
+                if micros >= _MICROSECOND:
+                    seconds += 1
+                    micros -= _MICROSECOND
+                total_length = HEADER_BYTES + payload_len
+                total = (
+                    0x4500
+                    + total_length
+                    + ip_id
+                    + (ttl << 8 | PROTO_TCP)
+                    + (src_ip >> 16)
+                    + (src_ip & 0xFFFF)
+                    + (dst_ip >> 16)
+                    + (dst_ip & 0xFFFF)
+                )
+                total = (total & 0xFFFF) + (total >> 16)
+                total = (total & 0xFFFF) + (total >> 16)
+                try:
+                    pack_into(
+                        buffer,
+                        offset,
+                        seconds,
+                        0x1000000 | micros,  # interface 1, then microseconds
+                        0x45,
+                        0,
+                        total_length,
+                        ip_id,
+                        0,
+                        ttl,
+                        PROTO_TCP,
+                        ~total & 0xFFFF,
+                        src_ip,
+                        dst_ip,
+                        src_port,
+                        dst_port,
+                        seq,
+                        ack,
+                        0x50,
+                        flags,
+                        window,
+                    )
+                except struct.error:
+                    encode_record(packet_from_row(row))  # raises, naming the field
+                    raise
+                offset += TSH_RECORD_BYTES
+        finally:
+            stream.write(memoryview(buffer)[:offset])
+            count += offset // TSH_RECORD_BYTES
     return count
 
 

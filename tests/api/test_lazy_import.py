@@ -9,6 +9,9 @@ poisoned by whatever the rest of the suite already imported.
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 HEAVY_MODULES = [
     "multiprocessing",
@@ -103,6 +106,23 @@ class TestNoProcessPool:
             "import repro.core.streaming, repro.archive.reader, repro.api.store"
         )
         assert "multiprocessing" not in loaded
+
+
+class TestReplayWithoutNumpy:
+    def test_export_and_decompress_never_import_numpy(self, tmp_path):
+        # The replay path is pure stdlib; importing numpy would cost
+        # every replay its start-up time.
+        loaded = _loaded_after(
+            "import repro\n"
+            "from repro.core.codec import deserialize_compressed\n"
+            "from repro.core.decompressor import decompress_trace\n"
+            f"with repro.open({str(FIXTURES / 'v1.fctca')!r}) as store:\n"
+            f"    store.export({str(tmp_path / 'out.tsh')!r})\n"
+            f"data = open({str(FIXTURES / 'v1.fctc')!r}, 'rb').read()\n"
+            "assert len(decompress_trace(deserialize_compressed(data))) == 1297"
+        )
+        assert "repro.core.replay" in loaded
+        assert "numpy" not in loaded
 
 
 class TestCliStartup:

@@ -15,6 +15,9 @@ from repro.api.sniff import SourceKind, sniff_kind
 from repro.archive.format import HEADER as ARCHIVE_HEADER
 from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.core.datasets import ShortFlowTemplate
+from repro.query import MatchAll
+
+from tests.conftest import make_timed_flows
 
 
 def _flipped(path, offset):
@@ -167,3 +170,68 @@ class TestTypedErrors:
             errors.OptionsError,
         ):
             assert issubclass(klass, errors.ReproError)
+
+
+def _drain(result):
+    """Consume a verb's result when it is lazy."""
+    if hasattr(result, "__next__"):
+        for _ in result:
+            pass
+
+
+# verb -> call; every verb that reads flows or packets off the store.
+_READ_VERBS = {
+    "packets": lambda store, out: _drain(store.packets()),
+    "packets-filtered": lambda store, out: _drain(store.packets(MatchAll(), limit=99)),
+    "export": lambda store, out: store.export(out / "x.tsh"),
+    "export-pcap": lambda store, out: store.export(out / "x.pcap"),
+    "query": lambda store, out: store.query(MatchAll()),
+    "flows": lambda store, out: _drain(store.flows()),
+    "stats": lambda store, out: store.stats(),
+    "stats-window": lambda store, out: store.stats(window=1.0),
+    "stats-decode": lambda store, out: store.stats(window=1.0, method="decode"),
+    "matrices": lambda store, out: _drain(store.matrices(window=1.0)),
+}
+
+
+class TestTypedErrorsOnEveryVerb:
+    @pytest.fixture(scope="class")
+    def damaged_archive(self, tmp_path_factory):
+        """A 15-segment archive whose segment 3 has a broken magic."""
+        path = tmp_path_factory.mktemp("damaged") / "fifteen.fctca"
+        api.create_archive(
+            path,
+            iter(make_timed_flows(30, spacing=2.0)),
+            options=api.Options.make(segment_span=4.0),
+        )
+        with api.open(path) as store:
+            assert store.reader.segment_count == 15
+            offset = store.reader.entries[3].offset
+        data = bytearray(path.read_bytes())
+        data[offset : offset + 4] = b"\xff" * 4
+        path.write_bytes(bytes(data))
+        return path
+
+    @pytest.mark.parametrize("verb", sorted(_READ_VERBS))
+    def test_damaged_archive_segment(self, damaged_archive, tmp_path, verb):
+        with api.open(damaged_archive) as store:
+            with pytest.raises(errors.CorruptInputError, match="segment 3"):
+                _READ_VERBS[verb](store, tmp_path)
+
+    def test_damaged_archive_filter(self, damaged_archive, tmp_path):
+        with api.open(damaged_archive) as store:
+            with pytest.raises(errors.CorruptInputError, match="segment 3"):
+                store.filter(tmp_path / "sub.fctca", MatchAll())
+
+    @pytest.mark.parametrize(
+        "verb",
+        ["packets", "packets-filtered", "export", "export-pcap", "stats",
+         "stats-window", "stats-decode", "matrices"],
+    )
+    def test_invalid_template_value(self, workdir, fctc_path, tmp_path, verb):
+        """A value no f(p) encodes surfaces wherever templates decode."""
+        damaged = workdir / "bad-template-verbs.fctc"
+        damaged.write_bytes(_bad_template_value(fctc_path))
+        with api.open(damaged) as store:
+            with pytest.raises(errors.CorruptInputError, match="f\\(p\\)"):
+                _READ_VERBS[verb](store, tmp_path)

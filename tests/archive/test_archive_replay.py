@@ -4,6 +4,7 @@ import pytest
 
 from repro.archive import ArchiveReader, build_archive, segment_runs
 from repro.core.decompressor import decompress_trace, merge_sort_key
+from repro.core import replay
 from repro.core.replay import ReplayStats
 from repro.trace.tsh import write_tsh_bytes
 
@@ -51,7 +52,8 @@ class TestSequentialReplay:
                 next(stream)
             assert reader.segments_decoded < reader.segment_count
 
-    def test_stats_report_bounded_fan_out(self, archive_path):
+    def test_stats_report_bounded_fan_out(self, archive_path, monkeypatch):
+        monkeypatch.setattr(replay, "REPLAY_BATCH_PACKETS", 1)
         with ArchiveReader(archive_path) as reader:
             stats = ReplayStats()
             packets = sum(1 for _ in reader.iter_packets(stats=stats))

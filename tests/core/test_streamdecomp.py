@@ -12,6 +12,7 @@ from repro.core.datasets import (
     TimeSeqRecord,
 )
 from repro.core.decompressor import DecompressorConfig, decompress_trace
+from repro.core import replay
 from repro.core.replay import (
     StreamingDecompressor,
     iter_decompressed,
@@ -90,6 +91,11 @@ class TestByteIdentity:
 
 
 class TestBoundedness:
+    @pytest.fixture(autouse=True)
+    def one_packet_batches(self, monkeypatch):
+        """One-flow batches: the merge admits flows as the frontier needs."""
+        monkeypatch.setattr(replay, "REPLAY_BATCH_PACKETS", 1)
+
     def test_peak_open_flows_tracks_fan_out_not_trace_length(self):
         compressed = staggered_compressed(count=40)
         engine = StreamingDecompressor(compressed)
@@ -109,6 +115,24 @@ class TestBoundedness:
             next(stream)
         # Only the frontier's flows have been replayed so far.
         assert engine.stats.flows_replayed < compressed.flow_count()
+
+    def test_rows_held_stay_within_one_batch_plus_carry(
+        self, small_web_trace, monkeypatch
+    ):
+        compressed = compress_trace(small_web_trace)
+        longest = max(
+            len(template.values)
+            for template in [*compressed.short_templates, *compressed.long_templates]
+        )
+        for batch in (1, 7, 300):
+            monkeypatch.setattr(replay, "REPLAY_BATCH_PACKETS", batch)
+            engine = StreamingDecompressor(compressed)
+            assert sum(1 for _ in engine.packets()) == compressed.packet_count()
+            stats = engine.stats
+            # A batch takes whole flows, so it ends within one flow of
+            # the batch size; everything else held is carried rows.
+            assert stats.peak_rows_held <= batch + longest - 1 + stats.peak_carried_rows
+            assert stats.peak_rows_held < compressed.packet_count()
 
 
 class TestLifecycle:

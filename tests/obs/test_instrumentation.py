@@ -72,6 +72,32 @@ class TestGroundTruth:
             assert timer is not None and timer.count > 0
 
 
+class TestReplayInstrumentation:
+    def test_replay_counts_batches_packets_and_stage_times(
+        self, tmp_path, web_tsh, monkeypatch
+    ):
+        from repro.core import replay
+
+        monkeypatch.setattr(replay, "REPLAY_BATCH_PACKETS", 256)
+        path, _ = web_tsh
+        container = tmp_path / "web.fctc"
+        with api.open(path) as store:
+            store.compress(container)
+        registry = MetricsRegistry()
+        with scoped(registry):
+            with api.open(container) as store:
+                result = store.export(tmp_path / "out.tsh")
+        batches = registry.value("replay.batches")
+        assert registry.value("replay.packets") == result.packets
+        assert batches >= result.packets // 1024
+        # One observation per sorted batch (export: per non-empty one);
+        # the spec timer also times the last look at the drained feed.
+        assert registry.get("stage.replay.specs").count == batches + 1
+        for stage in ("stage.replay.synthesis", "stage.replay.order"):
+            assert registry.get(stage).count == batches
+        assert 0 < registry.get("stage.replay.export").count <= batches
+
+
 class TestEngineParity:
     def test_semantic_counters_identical(self, web_tsh):
         path, _ = web_tsh

@@ -21,9 +21,9 @@ import pytest
 import repro
 import repro.archive.reader as archive_reader
 from repro.api import Options
+from repro.api.errors import CorruptInputError
 from repro.archive import ArchiveReader
 from repro.core.decompressor import DecompressorConfig
-from repro.core.errors import ArchiveError
 from repro.net.ip import format_ipv4
 from repro.obs import MetricsRegistry, scoped
 from repro.query import (
@@ -277,9 +277,9 @@ class TestFailures:
             # Only the segments before the bad one decode and stay cached.
             healthy = sum(entry.flow_count for entry in store.reader.entries[:bad])
             for _ in range(3):
-                with pytest.raises(ArchiveError):
+                with pytest.raises(CorruptInputError):
                     store.query(MatchAll())
-                with pytest.raises(ArchiveError):
+                with pytest.raises(CorruptInputError):
                     store.stats(window=1.0)
                 assert store.reader.cached_flows == healthy
 
