@@ -132,7 +132,6 @@ class TestIngestThroughput:
             epoch=EpochRef(),
             segment_packets=SEGMENT_PACKETS,
             segment_span=None,
-            engine="auto",  # what the daemon runs (ServeOptions default)
         )
         start = time.perf_counter()
         for offset in range(0, len(packets), 1024):

@@ -10,8 +10,7 @@ their ``options=`` keywords, the archive writer and query engine)
 accepts:
 
 * ``options.codec`` — section backend + level (:class:`CodecOptions`)
-* ``options.streaming`` — batch/stream choice, chunking, engine
-  (:class:`StreamingOptions`)
+* ``options.streaming`` — input chunking (:class:`StreamingOptions`)
 * ``options.archive`` — segment rotation bounds + epoch
   (:class:`ArchiveOptions`)
 * ``options.serve`` — ingest-daemon sources, queue bounds, drain policy
@@ -32,7 +31,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.api.errors import OptionsError
 from repro.core.backends import backend_names
-from repro.core.columnar import ENGINE_AUTO, ENGINES
 from repro.core.compressor import CompressorConfig
 from repro.core.decompressor import DecompressorConfig
 
@@ -41,21 +39,6 @@ from repro.core.decompressor import DecompressorConfig
 from repro.trace.framing import DEFAULT_MAX_FRAME_BYTES
 from repro.trace.reader import DEFAULT_CHUNK_PACKETS
 from repro.archive.writer import DEFAULT_SEGMENT_PACKETS, DEFAULT_SEGMENT_SPAN
-
-MODE_AUTO = "auto"
-MODE_BATCH = "batch"
-MODE_STREAM = "stream"
-_MODES = (MODE_AUTO, MODE_BATCH, MODE_STREAM)
-
-DEFAULT_STREAM_THRESHOLD_PACKETS = 1 << 18
-"""``auto`` mode switches to chunked reads at this input size (packets).
-
-256 Ki packets is ~11 MiB of TSH — below it the whole-trace batch path
-is faster and its memory trivial; above it bounded memory wins.  Batch
-and stream produce byte-identical containers, so the switch is purely a
-resource decision.
-"""
-
 
 @dataclass(frozen=True)
 class CodecOptions:
@@ -84,43 +67,29 @@ class CodecOptions:
 
 @dataclass(frozen=True)
 class StreamingOptions:
-    """How compression reads its input: batch or chunked.
+    """How compression reads its input: ``chunk_packets`` per read.
 
-    ``mode="auto"`` (default) batches small inputs and streams large
-    ones (:data:`DEFAULT_STREAM_THRESHOLD_PACKETS`); ``"stream"`` forces
-    chunked reads (byte-identical output, bounded memory);  ``"batch"``
-    forces whole-trace loads.
-
-    ``engine`` selects the compression hot path: ``"auto"`` (default)
-    runs the vectorized columnar engine when numpy is importable and the
-    scalar engine otherwise; ``"columnar"`` / ``"scalar"`` force one.
-    Both engines emit byte-identical containers — the knob trades
-    nothing but throughput.
+    Every TSH input is read in chunks of this many packets (bounded
+    memory); the output bytes do not depend on the chunk size.
     """
 
-    mode: str = MODE_AUTO
     chunk_packets: int = DEFAULT_CHUNK_PACKETS
-    stream_threshold_packets: int = DEFAULT_STREAM_THRESHOLD_PACKETS
-    engine: str = ENGINE_AUTO
 
     def __post_init__(self) -> None:
-        if self.mode not in _MODES:
-            raise OptionsError(
-                f"streaming mode must be one of {'/'.join(_MODES)}: {self.mode!r}"
-            )
-        if self.engine not in ENGINES:
-            raise OptionsError(
-                f"engine must be one of {'/'.join(ENGINES)}: {self.engine!r}"
-            )
         if self.chunk_packets < 1:
             raise OptionsError(
                 f"chunk_packets must be >= 1, got {self.chunk_packets}"
             )
-        if self.stream_threshold_packets < 0:
-            raise OptionsError(
-                "stream_threshold_packets must be >= 0, got "
-                f"{self.stream_threshold_packets}"
-            )
+
+    @property
+    def engine(self) -> str:
+        """Always ``"columnar"``, the one compression engine.
+
+        Read only by ``perf_ledger/workloads.py::_replica_ingest``, which
+        passes it to ``SegmentFeeder(engine=...)``; delete both with the
+        next change to ``perf_ledger/``.
+        """
+        return "columnar"
 
 
 @dataclass(frozen=True)
@@ -233,9 +202,8 @@ class Options:
     """Every knob of the compression system, in one validated value.
 
     The zero-argument ``Options()`` reproduces the library's historic
-    defaults (raw sections, auto batch/stream choice, the paper's
-    algorithm constants) — safe for fixtures and byte-level
-    compatibility.  :meth:`production` is the deployment preset.
+    defaults (raw sections, the paper's algorithm constants) — safe for
+    fixtures and byte-level compatibility.  :meth:`production` is the deployment preset.
     ``name`` overrides the compressed trace's embedded name (default:
     the input file's stem).
     """
@@ -263,10 +231,7 @@ class Options:
         *,
         backend: str | None = None,
         level: int | None = None,
-        mode: str | None = None,
-        stream: bool = False,
         chunk_packets: int | None = None,
-        engine: str | None = None,
         segment_packets: int | None = None,
         segment_span: float | None = None,
         epoch: float | None = None,
@@ -277,28 +242,11 @@ class Options:
         """Build an :class:`Options` from flat, CLI-shaped knobs.
 
         ``None`` means "keep the default" everywhere, which lets a thin
-        caller forward its optional flags verbatim.  ``stream=True`` is
-        shorthand for ``mode="stream"``; an explicit ``chunk_packets``
-        without a mode selects chunked reads — matching the historic CLI
-        flag semantics, where any streaming-family flag streams.
+        caller forward its optional flags verbatim.
         """
-        if stream and mode is not None and mode != MODE_STREAM:
-            raise OptionsError(
-                f"stream=True contradicts mode={mode!r}"
-            )
         streaming_kwargs = {}
-        if stream or mode is not None:
-            streaming_kwargs["mode"] = MODE_STREAM if stream else mode
-        elif chunk_packets is not None:
-            # A chunking knob without a mode is a streaming request:
-            # never silently load the whole trace.
-            streaming_kwargs["mode"] = MODE_STREAM
         if chunk_packets is not None:
             streaming_kwargs["chunk_packets"] = chunk_packets
-        if engine is not None:
-            # Orthogonal to the mode inference: choosing an engine says
-            # nothing about batch-versus-stream.
-            streaming_kwargs["engine"] = engine
         archive_kwargs = {}
         if segment_packets is not None:
             archive_kwargs["segment_packets"] = segment_packets
@@ -317,17 +265,13 @@ class Options:
 
     @classmethod
     def production(cls) -> "Options":
-        """The deployment preset: entropy-coded sections, bounded memory.
+        """The deployment preset: entropy-coded sections.
 
         ``zlib`` sections (the backend sweep's best ratio/throughput
-        trade), forced streaming reads so memory never scales with the
-        capture, and the default archive rotation.  Everything else
-        stays at the paper's constants.
+        trade) and the default archive rotation.  Everything else stays
+        at the paper's constants.
         """
-        return cls(
-            codec=CodecOptions(backend="zlib"),
-            streaming=StreamingOptions(mode=MODE_STREAM),
-        )
+        return cls(codec=CodecOptions(backend="zlib"))
 
     def with_codec(
         self, backend: str | None, level: int | None = None

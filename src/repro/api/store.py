@@ -27,8 +27,8 @@ packet-level :class:`~repro.trace.stats.TraceStatistics`.
 
 A verb a kind cannot honor raises
 :class:`~repro.api.errors.CapabilityError` naming the kinds that can.
-Internally each verb picks the batch, streaming, or archive-segment
-engine path by source kind and input size — callers never choose a
+Internally each verb picks its path (chunked TSH reads, whole pcap
+loads, or archive segments) by source kind — callers never choose a
 module, only an :class:`~repro.api.options.Options` value.
 """
 
@@ -46,11 +46,7 @@ from repro.api.errors import (
     EmptyTraceError,
     OptionsError,
 )
-from repro.api.options import (
-    MODE_BATCH,
-    MODE_STREAM,
-    Options,
-)
+from repro.api.options import Options
 from repro.api.sniff import SourceKind, sniff_kind
 from repro.analysis.matrices import (
     DEFAULT_SCAN_FANOUT,
@@ -637,89 +633,33 @@ class TraceFileStore(TraceStore):
         """Compress into ``dest`` — ``.fctca`` builds a segmented archive,
         anything else a single ``.fctc`` container.
 
-        The engine path is chosen internally: stream mode (or ``auto``
-        above the size threshold) feeds chunked reads to the streaming
-        compressor, and small batch inputs run the paper's one-shot
-        path.  Batch and stream produce byte-identical containers.
+        TSH input is read in ``options.streaming.chunk_packets`` chunks
+        (bounded memory); pcap has no chunked reader and loads whole.
         """
         dest = Path(dest)
         if dest.suffix.lower() == ".fctca":
             return _build_archive(dest, [self._input_feed(options)], options)
         backend, level = options.codec.backend, options.codec.level
-        name = self._name(options)
-        if self._should_stream(options):
-            from repro.core.streaming import compress_tsh_file
-
-            compressed = compress_tsh_file(
-                self.path,
-                options.compressor,
-                chunk_size=options.streaming.chunk_packets,
-                name=name,
-                engine=options.streaming.engine,
-            ).output
-        elif self.kind is SourceKind.TSH and self._columnar(options):
-            # Batch-sized TSH input on the columnar engine: the chunked
-            # vectorized path is strictly faster than materializing the
-            # trace, and produces the same bytes and the same report
-            # numbers (a TSH trace's stored size is 44 * packets either
-            # way).
-            from repro.core.streaming import compress_tsh_file
-
-            compressed = compress_tsh_file(
-                self.path,
-                options.compressor,
-                chunk_size=options.streaming.chunk_packets,
-                name=name,
-                engine="columnar",
-            ).output
-        else:
-            trace = self.load_trace()
-            trace.name = name
-            compressed = compress_trace(trace, options.compressor)
+        if self.kind is SourceKind.TSH:
+            compressed = self._compress_in_memory(options)
             data = serialize_compressed(compressed, backend=backend, level=level)
             dest.write_bytes(data)
-            return report_for(trace, compressed, data)
+            return report_for_stream(compressed, data)
+        trace = self.load_trace()
+        trace.name = self._name(options)
+        compressed = compress_trace(trace, options.compressor)
         data = serialize_compressed(compressed, backend=backend, level=level)
         dest.write_bytes(data)
-        return report_for_stream(compressed, data)
-
-    @staticmethod
-    def _columnar(options: Options) -> bool:
-        """True when this options value resolves to the columnar engine."""
-        from repro.core.columnar import ENGINE_COLUMNAR, resolve_engine
-
-        return resolve_engine(options.streaming.engine) == ENGINE_COLUMNAR
-
-    def _should_stream(self, options: Options) -> bool:
-        streaming = options.streaming
-        if self.kind is not SourceKind.TSH:
-            return False  # pcap has no chunked reader; batch is the path
-        if streaming.mode == MODE_STREAM:
-            return True
-        if streaming.mode == MODE_BATCH:
-            return False
-        return self.packet_count() >= streaming.stream_threshold_packets
-
-    def _input_packets(self, options: Options) -> Iterator[PacketRecord]:
-        """The input stream under a *per-call* options value.
-
-        ``packets()`` chunks by the session's options; compression verbs
-        that take their own ``options=`` must honor that value's
-        streaming layer instead.
-        """
-        if self.kind is SourceKind.TSH:
-            return iter_tsh_packets(self.path, options.streaming.chunk_packets)
-        return iter(self.load_trace().packets)
+        return report_for(trace, compressed, data)
 
     def _input_feed(self, options: Options):
-        """The archive-build feed: columnar chunks where the fast path
-        applies (TSH input, columnar engine), packet records otherwise.
-        :meth:`ArchiveWriter.feed` accepts either shape."""
-        if self.kind is SourceKind.TSH and self._columnar(options):
+        """The archive-build feed: columnar chunks for TSH input, packet
+        records for pcap.  :meth:`ArchiveWriter.feed` accepts either."""
+        if self.kind is SourceKind.TSH:
             from repro.trace.reader import read_columns
 
             return read_columns(self.path, options.streaming.chunk_packets)
-        return self._input_packets(options)
+        return iter(self.load_trace().packets)
 
     def _compress_in_memory(self, options: Options) -> CompressedTrace:
         """The flow scan behind ``flows``/``query``/``model``: compress
@@ -732,7 +672,6 @@ class TraceFileStore(TraceStore):
                 options.compressor,
                 chunk_size=options.streaming.chunk_packets,
                 name=self._name(options),
-                engine=options.streaming.engine,
             ).output
         return compress_trace(self.load_trace(), options.compressor)
 
@@ -1271,8 +1210,8 @@ def _packet_feeds(
                 f"{source}: archive feeds take raw trace files, "
                 f"not {store.kind.value}"
             )
-        # TSH sources ride the columnar fast path when the engine allows
-        # it; the archive writer accepts either feed shape.
+        # TSH sources feed columnar chunks, pcap sources records; the
+        # archive writer accepts either feed shape.
         feeds.append(store._input_feed(options))
     return feeds
 

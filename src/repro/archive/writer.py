@@ -113,9 +113,13 @@ class SegmentFeeder:
         segment_span: float | None = DEFAULT_SEGMENT_SPAN,
         config: CompressorConfig | None = None,
         name: str = "segment",
-        engine: str | None = None,
         segment_name: Callable[[int], str] | None = None,
+        engine: str | None = None,
     ) -> None:
+        # ``engine`` is accepted and ignored: there is one compression
+        # engine.  Its only caller is ``perf_ledger/workloads.py::
+        # _replica_ingest``; delete it with the next change to
+        # ``perf_ledger/``.
         if segment_packets < 1:
             raise ValueError(f"segment_packets must be >= 1: {segment_packets}")
         if segment_span is not None and segment_span <= 0:
@@ -126,7 +130,6 @@ class SegmentFeeder:
         self._segment_span = segment_span
         self._config = config
         self._name = name
-        self._engine = engine
         self._segment_name = segment_name or (
             lambda ordinal: f"{name}/seg-{ordinal:05d}"
         )
@@ -254,7 +257,6 @@ class SegmentFeeder:
                 self._config,
                 name=self._segment_name(0),
                 base_time=self._epoch.anchor(first_timestamp),
-                engine=self._engine,
             )
         self._segment_first_ts = first_timestamp
 
@@ -299,7 +301,6 @@ def _merge_create_kwargs(options, **overrides) -> dict:
             "name": options.name,
             "backend": options.codec.backend,
             "level": options.codec.level,
-            "engine": options.streaming.engine,
         }
     else:
         merged = {
@@ -310,7 +311,6 @@ def _merge_create_kwargs(options, **overrides) -> dict:
             "name": None,
             "backend": None,
             "level": None,
-            "engine": None,
         }
     merged.update(
         {key: value for key, value in overrides.items() if value is not _UNSET}
@@ -333,7 +333,6 @@ class ArchiveWriter:
         name: str = "archive",
         backend: str | None = None,
         level: int | None = None,
-        engine: str | None = None,
     ) -> None:
         if segment_packets < 1:
             raise ValueError(f"segment_packets must be >= 1: {segment_packets}")
@@ -348,7 +347,6 @@ class ArchiveWriter:
         self._name = name
         self._backend = backend
         self._level = level
-        self._engine = engine
         self._feeder: SegmentFeeder | None = None
         self._closed = False
         # Serializes segment landing and sealing: the ingest daemon's
@@ -372,7 +370,6 @@ class ArchiveWriter:
         name: str | None = _UNSET,
         backend: str | None = _UNSET,
         level: int | None = _UNSET,
-        engine: str | None = _UNSET,
     ) -> "ArchiveWriter":
         """Start a new archive at ``path`` (truncating any existing file).
 
@@ -394,7 +391,6 @@ class ArchiveWriter:
             name=name,
             backend=backend,
             level=level,
-            engine=engine,
         )
         validate_backend_request(merged["backend"], merged["level"])
         stream = open(path, "w+b")
@@ -411,7 +407,6 @@ class ArchiveWriter:
             name=merged["name"] or Path(path).stem,
             backend=merged["backend"],
             level=merged["level"],
-            engine=merged["engine"],
         )
 
     @classmethod
@@ -426,7 +421,6 @@ class ArchiveWriter:
         name: str | None = _UNSET,
         backend: str | None = _UNSET,
         level: int | None = _UNSET,
-        engine: str | None = _UNSET,
     ) -> "ArchiveWriter":
         """Extend an existing archive in place.
 
@@ -448,7 +442,6 @@ class ArchiveWriter:
             name=name,
             backend=backend,
             level=level,
-            engine=engine,
         )
         segment_packets = merged["segment_packets"]
         segment_span = merged["segment_span"]
@@ -473,7 +466,6 @@ class ArchiveWriter:
             name=name or Path(path).stem,
             backend=backend,
             level=level,
-            engine=merged["engine"],
         )
 
     # -- feeding ----------------------------------------------------------
@@ -507,7 +499,6 @@ class ArchiveWriter:
                 segment_span=self._segment_span,
                 config=self._config,
                 name=self._name,
-                engine=self._engine,
                 # The archive-global ordinal, not the feeder-local one:
                 # segment names have always counted landed entries, and
                 # they are serialized into the container bytes.

@@ -8,7 +8,7 @@ library behavior cannot diverge.  Subcommands (full reference in
     repro-trace generate out.tsh --duration 100 --rate 40 --seed 1
     repro-trace generate out.tsh --scenario flood     (--list-scenarios for names)
     repro-trace fidelity [--scenario NAME ...] [--duration 10] [--out report.json]
-    repro-trace compress in.tsh out.fctc [--stream] [--backend auto]
+    repro-trace compress in.tsh out.fctc [--chunk-size 8192] [--backend auto]
     repro-trace decompress in.fctc out.tsh
     repro-trace replay day.fctca out.tsh [--since 10 --dst a.b.c.d ...]
     repro-trace stats in.tsh
@@ -116,9 +116,7 @@ def _cmd_compress(args: argparse.Namespace) -> int:
     options = api.Options.make(
         backend=args.backend,
         level=args.level,
-        stream=args.stream,
         chunk_packets=args.chunk_size,
-        engine=args.engine,
     )
     with api.open(args.input, options=options) as store:
         report = store.compress(args.output, options=options)
@@ -365,7 +363,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         api.Options.make(
             backend=args.backend,
             level=args.level,
-            engine=args.engine,
             segment_packets=args.segment_packets,
             segment_span=args.segment_span,
             epoch=args.epoch,
@@ -485,6 +482,14 @@ def _print_query_stats(store, predicate) -> int:
     for line in query_stats.summary_lines():
         print(line)
     return 0
+
+
+def _add_removed_engine_flag(parser: argparse.ArgumentParser) -> None:
+    """The hidden ``--engine``: accepted and ignored, because the engines
+    it chose between always wrote the same bytes.  Removed in 1.2.0."""
+    parser.add_argument(
+        "--engine", choices=("auto", "scalar", "columnar"), help=argparse.SUPPRESS
+    )
 
 
 def _add_backend_flags(
@@ -643,12 +648,9 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument(
         "output", help="output .fctc path (.fctca builds a segmented archive)"
     )
-    compress.add_argument(
-        "--stream",
-        action="store_true",
-        help="read the input in chunks instead of loading it whole "
-        "(bounded memory, byte-identical output)",
-    )
+    # Hidden and ignored until 1.2.0: every TSH input is read in chunks,
+    # so the flag never changed the output bytes.
+    compress.add_argument("--stream", action="store_true", help=argparse.SUPPRESS)
     compress.add_argument(
         "--workers", type=int, default=None, help=argparse.SUPPRESS
     )
@@ -656,17 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--chunk-size",
         type=int,
         default=None,
-        help="packets decoded per read (implies --stream; "
-        f"default {DEFAULT_CHUNK_PACKETS})",
+        help=f"packets decoded per read (default {DEFAULT_CHUNK_PACKETS})",
     )
-    compress.add_argument(
-        "--engine",
-        choices=("auto", "scalar", "columnar"),
-        default=None,
-        help="compression hot path: columnar vectorizes parse/cluster/"
-        "encode (auto picks it when numpy is available); output bytes "
-        "are identical either way",
-    )
+    _add_removed_engine_flag(compress)
     _add_backend_flags(compress, default_note="raw", what="the output container")
     compress.set_defaults(handler=_cmd_compress)
 
@@ -936,13 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="poll interval for tail: sources (default 0.25)",
     )
-    serve.add_argument(
-        "--engine",
-        choices=("auto", "scalar", "columnar"),
-        default=None,
-        help="compression hot path per source (auto picks columnar when "
-        "numpy is available); output bytes are identical either way",
-    )
+    _add_removed_engine_flag(serve)
     _add_backend_flags(serve, default_note="raw", what="every segment")
     serve.set_defaults(handler=_cmd_serve)
 

@@ -27,7 +27,6 @@ _LAZY_EXPORTS = {
     ),
     "repro.core.compressor": (
         "CompressorConfig",
-        "FlowClusterCompressor",
         "TemplateMatcher",
         "compress_trace",
     ),

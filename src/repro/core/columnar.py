@@ -1,34 +1,30 @@
-"""The columnar flow-clustering engine — vectorized, byte-identical.
+"""The flow-clustering engine — columnar, vectorized where it can be.
 
-:class:`ColumnarFlowCompressor` implements exactly the algorithm of
-:class:`~repro.core.compressor.FlowClusterCompressor` (section 3 of the
-paper) over :class:`~repro.net.columns.PacketColumns` chunks.  Per-chunk
-work — flag/payload classes, canonical keys, direction bits, terminator
-tests — is vectorized; only the irreducibly sequential part (one dict
-probe and a couple of list appends per packet) remains a Python loop,
-with no ``PacketRecord``/``FiveTuple``/``PacketEntry`` objects on it.
+:class:`ColumnarFlowCompressor` implements section 3 of the paper over
+:class:`~repro.net.columns.PacketColumns` chunks.  Per-chunk work —
+flag/payload classes, canonical keys, direction bits, terminator tests —
+is vectorized (numpy when importable, the stdlib ``array`` fallback
+otherwise; same bytes either way); only the irreducibly sequential part
+(one dict probe and a couple of list appends per packet) remains a
+Python loop, with no ``PacketRecord``/``FiveTuple`` objects on it.
 
-**Byte identity is a hard contract**, pinned by the differential harness
-in ``tests/property/test_columnar_identity.py``: for any packet sequence
-and any chunking, this engine's output equals the scalar engine's to the
-byte.  The replicated semantics worth naming:
+**Byte identity with the paper's algorithm is a hard contract**, pinned
+by the differential harness in ``tests/property/test_columnar_identity.py``
+against the linked-list reference in ``tests/compress_oracle.py``: for
+any packet sequence and any chunking, this engine's output equals the
+reference's to the byte.  The replicated semantics worth naming:
 
 * insertion-ordered dicts stand in for the active-flow linked list and
-  the ``_last_seen`` map — both receive the same insert/remove sequence,
-  so iteration (idle eviction, end-of-trace flush) visits flows in the
+  its last-seen map — both receive the same insert/remove sequence, so
+  iteration (idle eviction, end-of-trace flush) visits flows in the
   same order;
 * a flow's direction structure collapses to booleans: a packet's
   direction equals the first packet's exactly when their canonical
   ``forward`` bits agree, so g2 dependence and the RTT turnaround are
   tracked with two bits and one lazily-set float per flow;
 * base-time rebase, the idle-eviction freshness gate and its
-  ``exclude`` rule, and the close/dataset logic mirror the scalar code
+  ``exclude`` rule, and the close/dataset logic follow the reference
   line for line (same float arithmetic, same ordering).
-
-Engine selection (:func:`resolve_engine`) is wired through
-``Options(engine=...)``: ``"auto"`` picks columnar when numpy imports
-and scalar otherwise; ``"columnar"`` also runs on the ``array``
-fallback backend — slower, same bytes.
 """
 
 from __future__ import annotations
@@ -57,33 +53,11 @@ from repro.net.tcp import TCP_FIN, TCP_RST, classify_flags
 
 _log = logging.getLogger(__name__)
 
-ENGINE_AUTO = "auto"
-ENGINE_SCALAR = "scalar"
-ENGINE_COLUMNAR = "columnar"
-ENGINES = (ENGINE_AUTO, ENGINE_SCALAR, ENGINE_COLUMNAR)
-
 _TERMINATOR_MASK = TCP_FIN | TCP_RST
 
 # g1 class per raw flag byte — classify_flags tabulated once.
 _FLAG_CLASS = tuple(int(classify_flags(flags)) for flags in range(256))
 _flag_class_np = None
-
-
-def resolve_engine(engine: str | None) -> str:
-    """Normalize an engine request to ``"scalar"`` or ``"columnar"``.
-
-    ``None`` and ``"auto"`` pick columnar exactly when numpy is
-    importable — the fallback backend is correct but not faster than
-    the scalar engine, so auto only opts in where the win is real.
-    Unknown names raise ``ValueError``.
-    """
-    if engine is None or engine == ENGINE_AUTO:
-        return ENGINE_COLUMNAR if numpy_or_none() is not None else ENGINE_SCALAR
-    if engine not in (ENGINE_SCALAR, ENGINE_COLUMNAR):
-        raise ValueError(
-            f"engine must be one of {'/'.join(ENGINES)}: {engine!r}"
-        )
-    return engine
 
 
 # Flow-state list layout (a list, not a dataclass: the hot loop indexes
@@ -99,8 +73,7 @@ _TIMES = 7  # accumulated timestamps (long-flow gaps)
 
 
 class ColumnarFlowCompressor:
-    """Streaming compressor over columnar chunks; same output bytes as
-    :class:`~repro.core.compressor.FlowClusterCompressor`.
+    """Streaming compressor over columnar chunks.
 
     Feed :class:`PacketColumns` chunks with :meth:`feed_columns` (or
     single records with :meth:`add_packet`), then :meth:`finish`.
@@ -176,7 +149,7 @@ class ColumnarFlowCompressor:
                 base = self._base_time = now
             elif not explicit and now < base:
                 # Rebase: shift already-closed flows to the new earlier
-                # base (same arithmetic as the scalar _rebase).
+                # base, relative to the trace's true earliest packet.
                 delta = base - now
                 base = self._base_time = now
                 output_time_seq[:] = [
@@ -227,7 +200,8 @@ class ColumnarFlowCompressor:
         return count
 
     def add_packet(self, packet: PacketRecord) -> None:
-        """Process one packet — the scalar-compatible entry point."""
+        """Process one packet — the record entry point (serve, ingest and
+        :func:`~repro.core.compressor.compress_trace` feed records)."""
         if self._finished:
             raise CompressionError("compressor already finished")
         now = packet.timestamp
@@ -346,7 +320,7 @@ class ColumnarFlowCompressor:
         return timestamps, keys, forwards, base_values, terminators, dst_ips
 
     def _expire_idle(self, now: float, exclude=None) -> None:
-        # Mirrors the scalar engine: the freshness gate on the earliest
+        # Mirrors the reference: the freshness gate on the earliest
         # last-activity bound, the strict exclusion of the flow carrying
         # the clock tick, stale collection in flow-arrival order, and
         # the bound recomputation afterwards.

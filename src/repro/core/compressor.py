@@ -22,26 +22,24 @@ The algorithm, as the paper describes it:
 The template search is accelerated with a by-length bucket index — the
 paper's search is also restricted to same-``n`` templates since distance
 is only defined for equal lengths.
+
+This module holds what every run shares: the tunables
+(:class:`CompressorConfig`), the counters (:class:`CompressorStats`),
+the equation-4 search (:class:`TemplateMatcher`) and the one-call
+:func:`compress_trace`.  The engine itself is
+:class:`~repro.core.columnar.ColumnarFlowCompressor`, driven through
+:class:`~repro.core.streaming.StreamingCompressor`; the paper's linked
+list survives as the readable reference in ``tests/compress_oracle.py``.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
-from repro.core.datasets import (
-    CompressedTrace,
-    DatasetId,
-    LongFlowTemplate,
-    ShortFlowTemplate,
-    TimeSeqRecord,
-)
-from repro.core.errors import CompressionError
-from repro.core.linkedlist import ActiveFlowList, FlowNode
-from repro.flows.characterize import CharacterizationConfig, packet_value
-from repro.flows.model import Direction, FlowPacket
+from repro.core.datasets import CompressedTrace, ShortFlowTemplate
+from repro.flows.characterize import CharacterizationConfig
 from repro.flows.distance import (
     MAX_PACKET_DISTANCE,
     SIMILARITY_PERCENT,
@@ -49,10 +47,7 @@ from repro.flows.distance import (
     similarity_threshold,
 )
 from repro.net.packet import PacketRecord
-from repro.net.tcp import is_flow_terminator
 from repro.trace.trace import Trace
-
-_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,7 @@ class CompressorStats:
     front-end folds them into the :mod:`repro.obs` registry once, at
     ``finish()`` — the counters stay exact and the hot path stays free.
     ``flows_evicted`` counts flows closed by the idle-eviction scan (a
-    subset of ``flows_closed``); both engines maintain it identically,
-    which the engine-parity metrics test pins.
+    subset of ``flows_closed``).
     """
 
     packets: int = 0
@@ -101,10 +95,11 @@ class CompressorStats:
     def publish(self, registry) -> None:
         """Fold these totals into a :class:`~repro.obs.MetricsRegistry`.
 
-        Called exactly once per compression run by whichever front-end
-        owns the run (batch ``compress_trace``, the streaming
-        compressor's ``finish``, or a parallel shard) — never by the
-        engine itself, so wrapped engines cannot double-publish.
+        Called by :class:`~repro.core.streaming.StreamingCompressor`
+        once per engine it retires (at ``finish`` and at each sealed
+        ``flush_segment``) — never by the engine itself, so a run cannot
+        double-publish.  Zero increments still register the counters,
+        so a run's metric set is stable regardless of the trace content.
         """
         registry.counter("compress.packets", "packets compressed").inc(
             self.packets
@@ -135,7 +130,8 @@ class TemplateMatcher:
     Buckets template indices by vector length — distance is only defined
     for equal-length vectors — and scans a bucket in insertion order, so
     search results (and therefore template numbering) are deterministic.
-    Shared by the compressor's close path and the parallel shard merge.
+    One matcher serves one compressed trace (a file or an archive
+    segment): the engine's short-flow close path queries it.
 
     Positive answers are memoized per vector.  Templates are immutable
     and buckets only grow at the end, so the first match a scan finds
@@ -188,206 +184,20 @@ class TemplateMatcher:
         return index
 
 
-class FlowClusterCompressor:
-    """Streaming compressor; feed packets, then :meth:`finish`."""
-
-    def __init__(
-        self,
-        config: CompressorConfig | None = None,
-        name: str = "compressed",
-        base_time: float | None = None,
-    ) -> None:
-        self.config = config or CompressorConfig()
-        self.stats = CompressorStats()
-        self._active = ActiveFlowList()
-        self._last_seen: dict = {}
-        self._output = CompressedTrace(name=name)
-        self._matcher = TemplateMatcher(self._output.short_templates, self.config)
-        self._base_time = base_time
-        # An explicit base is an external clock (archive epoch, shard
-        # anchor) and stays fixed; an auto-derived base must track the
-        # *earliest* timestamp, not the first packet seen — mildly
-        # out-of-order traces would otherwise clamp early flows to 0
-        # and reorder them on decompression.
-        self._explicit_base = base_time is not None
-        self._earliest_seen: float | None = None
-        self._finished = False
-
-    @property
-    def output(self) -> CompressedTrace:
-        """The datasets built so far (complete only after :meth:`finish`)."""
-        return self._output
-
-    @property
-    def active_flows(self) -> int:
-        """Flows currently open — the streaming working-set size."""
-        return len(self._active)
-
-    def add_packet(self, packet: PacketRecord) -> None:
-        """Process one packet of the input trace (timestamp order)."""
-        if self._finished:
-            raise CompressionError("compressor already finished")
-        if self._base_time is None:
-            self._base_time = packet.timestamp
-        elif not self._explicit_base and packet.timestamp < self._base_time:
-            self._rebase(packet.timestamp)
-        key = packet.five_tuple().canonical()
-        self._expire_idle(packet.timestamp, exclude=key)
-        self.stats.packets += 1
-
-        node = self._active.find(key)
-        if node is None:
-            node = self._active.insert(packet.five_tuple(), packet.timestamp)
-
-        direction = (
-            Direction.CLIENT_TO_SERVER
-            if packet.five_tuple() == node.client_tuple
-            else Direction.SERVER_TO_CLIENT
-        )
-        previous = node.entries[-1].direction if node.entries else None
-        value = packet_value(
-            FlowPacket(packet, direction), previous, self.config.characterization
-        )
-        node.append_packet(packet.timestamp, value, direction)
-        self._last_seen[node.key] = packet.timestamp
-        if self._earliest_seen is None or packet.timestamp < self._earliest_seen:
-            self._earliest_seen = packet.timestamp
-
-        if is_flow_terminator(packet.flags):
-            self._active.remove(node)
-            self._last_seen.pop(node.key, None)
-            self._close_flow(node)
-
-    def finish(self) -> CompressedTrace:
-        """Flush open flows and return the completed datasets."""
-        if not self._finished:
-            for node in self._active.pop_all():
-                self._last_seen.pop(node.key, None)
-                self._close_flow(node)
-            self._finished = True
-        return self._output
-
-    # -- internals -------------------------------------------------------
-
-    def _rebase(self, new_base: float) -> None:
-        """Lower the auto-derived base to a newly seen earlier timestamp.
-
-        Flows already closed were recorded against the old (too late)
-        base; shift their time-seq offsets so every record stays
-        relative to the trace's true earliest packet.  Mild reordering
-        only ever lowers the base within the first reorder window, so
-        this rewrite is rare and cheap in practice.
-        """
-        delta = self._base_time - new_base
-        self._base_time = new_base
-        self._output.time_seq[:] = [
-            replace(record, timestamp=record.timestamp + delta)
-            for record in self._output.time_seq
-        ]
-
-    def _expire_idle(self, now: float, exclude=None) -> None:
-        # ``_earliest_seen`` is a lower bound on every live flow's last
-        # activity (updates only raise values), so when even the bound is
-        # fresh no flow can be stale and the O(active-flows) scan is
-        # skipped — the common case on dense traces.
-        #
-        # ``exclude`` is the incoming packet's flow key: that flow is
-        # provably active *at* ``now``, so even when its previous packet
-        # sits just past the idle horizon it must not be evicted and
-        # split in two — eviction applies strictly to flows other than
-        # the one delivering the clock tick.  Trade-off: a flow resuming
-        # after an arbitrarily long quiet spell stays whole, and a long
-        # flow's in-flow gap then saturates at the codec's u16 bound
-        # (6.5535 s) like any other over-limit gap — timing fidelity
-        # for such outliers is bounded by the codec, not by a split.
-        timeout = self.config.idle_timeout
-        if self._earliest_seen is None or now - self._earliest_seen <= timeout:
-            return
-        stale = [
-            key
-            for key, last in self._last_seen.items()
-            if now - last > timeout and key != exclude
-        ]
-        for key in stale:
-            node = self._active.find(key)
-            if node is not None:
-                self._active.remove(node)
-                self.stats.flows_evicted += 1
-                self._close_flow(node)
-            del self._last_seen[key]
-        if stale and _log.isEnabledFor(logging.DEBUG):
-            _log.debug(
-                "idle eviction at t=%.6f: closed %d stale flow(s), %d active",
-                now,
-                len(stale),
-                len(self._active),
-            )
-        self._earliest_seen = min(self._last_seen.values(), default=None)
-
-    def _close_flow(self, node: FlowNode) -> None:
-        """Route a finished flow to the short or long dataset."""
-        if node.packet_count == 0:
-            return
-        self.stats.flows_closed += 1
-        if node.packet_count <= self.config.short_flow_max:
-            self._close_short(node)
-        else:
-            self._close_long(node)
-
-    def _close_short(self, node: FlowNode) -> None:
-        self.stats.short_flows += 1
-        vector = node.vector()
-        index = self._matcher.find(vector)
-        if index is None:
-            index = self._matcher.add(vector)
-            self.stats.template_misses += 1
-        else:
-            self.stats.template_hits += 1
-        self._append_time_seq(node, DatasetId.SHORT, index, rtt=node.estimate_rtt())
-
-    def _close_long(self, node: FlowNode) -> None:
-        self.stats.long_flows += 1
-        template = LongFlowTemplate(
-            values=node.vector(), gaps=tuple(node.inter_packet_gaps())
-        )
-        index = len(self._output.long_templates)
-        self._output.long_templates.append(template)
-        self._append_time_seq(node, DatasetId.LONG, index, rtt=0.0)
-
-    def _append_time_seq(
-        self, node: FlowNode, dataset: DatasetId, template_index: int, rtt: float
-    ) -> None:
-        base = self._base_time if self._base_time is not None else 0.0
-        address_index = self._output.addresses.intern(node.dst_ip)
-        # An auto-derived base tracks the earliest packet seen, so the
-        # offset is never negative; only an explicit base (archive epoch,
-        # shard anchor) can postdate a flow start, and clamping to that
-        # externally chosen epoch is the documented behavior.
-        self._output.time_seq.append(
-            TimeSeqRecord(
-                timestamp=max(0.0, node.first_timestamp - base),
-                dataset=dataset,
-                template_index=template_index,
-                address_index=address_index,
-                rtt=max(0.0, rtt),
-            )
-        )
-        self._output.original_packet_count += node.packet_count
-
-
 def compress_trace(
     trace: Trace | Iterable[PacketRecord], config: CompressorConfig | None = None
 ) -> CompressedTrace:
-    """Compress a whole trace in one call."""
-    from repro.obs import current as obs_current
+    """Compress a whole trace in one call.
+
+    A thin wrapper over the one engine: the streaming compressor fed
+    the whole packet sequence, which also publishes the ``compress.*``
+    counters at ``finish``.
+    """
+    # Imported here: the columnar engine imports this module.
+    from repro.core.streaming import StreamingCompressor
 
     name = trace.name if isinstance(trace, Trace) else "compressed"
-    compressor = FlowClusterCompressor(config, name=name)
     packets = trace.packets if isinstance(trace, Trace) else trace
-    for packet in packets:
-        compressor.add_packet(packet)
-    output = compressor.finish()
-    # This front-end owns the run, so the batch path reports the same
-    # compress.* counters the streaming front-end does.
-    compressor.stats.publish(obs_current())
-    return output
+    compressor = StreamingCompressor(config, name=name)
+    compressor.feed(packets)
+    return compressor.finish()

@@ -107,14 +107,14 @@ def compress_stream_to_bytes(
     """Compress a packet iterable and serialize, without materializing it.
 
     .. deprecated:: 1.1  Use a ``repro.open(path).compress(dest)``
-       session (stream mode) or :func:`repro.core.streaming.compress_stream`.
+       session or :func:`repro.core.streaming.compress_stream`.
 
     Byte-identical to :func:`compress_to_bytes` on the same packet
     sequence, name and backend — both paths run the same compressor and
     the same serializer.
     """
     warn_deprecated(
-        "compress_stream_to_bytes", "repro.open(...).compress(...) stream mode"
+        "compress_stream_to_bytes", "repro.open(...).compress(...)"
     )
     compressed = compress_stream(packets, config, name=name)
     return serialize_compressed(compressed, backend=backend, level=level), compressed

@@ -1,62 +1,37 @@
-"""Streaming front-ends for the flow-clustering compressor.
+"""The streaming front-end: the one way to drive the compressor.
 
 The paper's algorithm is online — packets stream in, flows close on
-FIN/RST or idle timeout, templates grow incrementally — but the original
-entry points (:func:`~repro.core.compressor.compress_trace`,
-:func:`~repro.core.pipeline.compress_to_bytes`) materialize the whole
-trace first.  This module keeps the algorithm and removes the
-materialization:
+FIN/RST or idle timeout, templates grow incrementally — and every
+compress path runs it through this module:
 
 :class:`StreamingCompressor`
-    Accepts packets incrementally (single packets, chunks, or any
-    iterable) and never holds more state than the active-flow list plus
-    the compressed datasets.  Byte-for-byte identical output to the
-    batch path: both run the same :class:`FlowClusterCompressor`.
+    Accepts packets incrementally (single records, record chunks,
+    :class:`~repro.net.columns.PacketColumns` chunks, or any iterable)
+    and never holds more state than the active flows plus the
+    compressed datasets.  Output bytes do not depend on how the feed is
+    chunked or shaped.  :func:`~repro.core.compressor.compress_trace`
+    is a thin wrapper over it.
 
 :func:`compress_tsh_file`
-    Chunked-read a ``.tsh`` file through the streaming compressor —
-    peak memory is bounded by the active-flow population and the
-    compressed output (a few percent of the trace), not the trace.
+    Chunked-read a ``.tsh`` file through the vectorized block decoder
+    into the streaming compressor — peak memory is bounded by the
+    active-flow population and the compressed output (a few percent of
+    the trace), not the trace.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
-from repro.core.columnar import (
-    ENGINE_COLUMNAR,
-    ENGINE_SCALAR,
-    ColumnarFlowCompressor,
-    resolve_engine,
-)
-from repro.core.compressor import (
-    CompressorConfig,
-    CompressorStats,
-    FlowClusterCompressor,
-)
+from repro.core.columnar import ColumnarFlowCompressor
+from repro.core.compressor import CompressorConfig, CompressorStats
 from repro.core.datasets import CompressedTrace
-from repro.net.columns import PacketColumns, columns_from_records
+from repro.net.columns import PacketColumns
 from repro.net.packet import PacketRecord
-from repro.obs import MetricsRegistry, current as obs_current
-from repro.trace.reader import DEFAULT_CHUNK_PACKETS, iter_tsh_chunks, read_columns
-
-_log = logging.getLogger(__name__)
-
-
-def _publish_compressor_stats(registry: MetricsRegistry, stats: CompressorStats) -> None:
-    """Fold a finished engine's per-packet counters into the registry.
-
-    The engines bump plain ints on the hot path (see
-    :class:`~repro.core.compressor.CompressorStats`); this one-shot fold
-    at finish time is what makes them visible to reports and exporters.
-    Zero increments still register the counters, so a run's metric set
-    is stable regardless of the trace content.
-    """
-    stats.publish(registry)
+from repro.obs import current as obs_current
+from repro.trace.reader import DEFAULT_CHUNK_PACKETS, read_columns
 
 
 @dataclass
@@ -69,12 +44,11 @@ class StreamingStats:
 
 
 class StreamingCompressor:
-    """Incremental compression facade over :class:`FlowClusterCompressor`.
+    """Incremental compression over :class:`ColumnarFlowCompressor`.
 
-    Feed packets with :meth:`add_packet` or whole iterables with
-    :meth:`feed`, then call :meth:`finish`.  Output is byte-identical to
-    :func:`~repro.core.compressor.compress_trace` on the same packet
-    sequence regardless of how the feed is chunked.
+    Feed packets with :meth:`add_packet` or whole chunks with
+    :meth:`feed` / :meth:`feed_columns`, then call :meth:`finish`.
+    Output is the same bytes however the feed is chunked or shaped.
     """
 
     def __init__(
@@ -82,27 +56,12 @@ class StreamingCompressor:
         config: CompressorConfig | None = None,
         name: str = "compressed",
         base_time: float | None = None,
-        engine: str | None = None,
     ) -> None:
-        # ``None`` keeps the legacy scalar engine; "auto" resolves to
-        # columnar when numpy is importable.  Both engines produce
-        # byte-identical output (the differential harness pins this), so
-        # the choice is purely a throughput knob.
-        self.engine = ENGINE_SCALAR if engine is None else resolve_engine(engine)
-        self._engine_cls = (
-            ColumnarFlowCompressor
-            if self.engine == ENGINE_COLUMNAR
-            else FlowClusterCompressor
-        )
         self._name = name
-        self._engine = self._engine_cls(config, name=name, base_time=base_time)
+        self._engine = ColumnarFlowCompressor(config, name=name, base_time=base_time)
         self.streaming_stats = StreamingStats()
         self._published = False
         self._segments_flushed = 0
-        obs_current().counter(
-            f"stream.engine.{self.engine}",
-            "streaming compressors built on this engine",
-        ).inc()
 
     @property
     def config(self) -> CompressorConfig:
@@ -136,10 +95,8 @@ class StreamingCompressor:
     def add_packet(self, packet: PacketRecord) -> None:
         """Process one packet (timestamp order across all feeds)."""
         self._engine.add_packet(packet)
-        stats = self.streaming_stats
-        stats.packets_fed += 1
-        if self._engine.active_flows > stats.peak_active_flows:
-            stats.peak_active_flows = self._engine.active_flows
+        self.streaming_stats.packets_fed += 1
+        self._note_peak()
 
     def feed(self, packets: Iterable[PacketRecord] | PacketColumns) -> int:
         """Process one chunk of packets; returns how many were fed.
@@ -150,28 +107,32 @@ class StreamingCompressor:
         """
         if isinstance(packets, PacketColumns):
             return self.feed_columns(packets)
-        before = self.streaming_stats.packets_fed
+        add = self._engine.add_packet
+        count = 0
         for packet in packets:
-            self.add_packet(packet)
-        self.streaming_stats.chunks_fed += 1
-        return self.streaming_stats.packets_fed - before
-
-    def feed_columns(self, columns: PacketColumns) -> int:
-        """Process one columnar chunk; returns how many rows were fed.
-
-        On the columnar engine the chunk is processed vectorized; on the
-        scalar engine it is materialized into records first, so either
-        engine accepts either input shape.
-        """
+            add(packet)
+            count += 1
         stats = self.streaming_stats
-        if self.engine != ENGINE_COLUMNAR:
-            return self.feed(columns.to_records())
-        count = self._engine.feed_columns(columns)
         stats.packets_fed += count
         stats.chunks_fed += 1
-        if self._engine.peak_active_flows > stats.peak_active_flows:
-            stats.peak_active_flows = self._engine.peak_active_flows
+        self._note_peak()
         return count
+
+    def feed_columns(self, columns: PacketColumns) -> int:
+        """Process one columnar chunk; returns how many rows were fed."""
+        count = self._engine.feed_columns(columns)
+        stats = self.streaming_stats
+        stats.packets_fed += count
+        stats.chunks_fed += 1
+        self._note_peak()
+        return count
+
+    def _note_peak(self) -> None:
+        # The engine tracks its own high-water mark; this one spans the
+        # engines that flush_segment swaps in.
+        peak = self._engine.peak_active_flows
+        if peak > self.streaming_stats.peak_active_flows:
+            self.streaming_stats.peak_active_flows = peak
 
     def finish(self) -> CompressedTrace:
         """Flush open flows and return the completed datasets.
@@ -184,7 +145,7 @@ class StreamingCompressor:
         if not self._published:
             self._published = True
             registry = obs_current()
-            _publish_compressor_stats(registry, self._engine.stats)
+            self._engine.stats.publish(registry)
             feed = self.streaming_stats
             registry.counter("stream.chunks", "chunks fed to the compressor").inc(
                 feed.chunks_fed
@@ -216,15 +177,15 @@ class StreamingCompressor:
             if name is not None:
                 output.name = name
             self._segments_flushed += 1
-            _publish_compressor_stats(obs_current(), outgoing.stats)
+            outgoing.stats.publish(obs_current())
         # A fresh engine rather than an in-place reset — even for an
         # empty flush, because ``finish`` is terminal on an engine.
-        # Segment equality with the batch path depends on starting from
-        # pristine matcher/dataset state, and the constructor is the one
-        # place that state is defined.  The carried base_time keeps the
-        # segment clocks comparable — the property the archive time
-        # index relies on.
-        self._engine = self._engine_cls(
+        # Segment equality with a one-compressor-per-segment build
+        # depends on starting from pristine matcher/dataset state, and
+        # the constructor is the one place that state is defined.  The
+        # carried base_time keeps the segment clocks comparable — the
+        # property the archive time index relies on.
+        self._engine = ColumnarFlowCompressor(
             outgoing.config,
             name=f"{self._name}+{self._segments_flushed}",
             base_time=outgoing._base_time,
@@ -250,24 +211,10 @@ def compress_stream(
     packets: Iterable[PacketRecord],
     config: CompressorConfig | None = None,
     name: str = "compressed",
-    engine: str | None = None,
 ) -> CompressedTrace:
-    """Compress any packet iterable without materializing it.
-
-    With the columnar engine the iterable is transposed into
-    :class:`~repro.net.columns.PacketColumns` chunks on the fly — memory
-    stays bounded by one chunk, and output bytes stay identical.
-    """
-    compressor = StreamingCompressor(config, name=name, engine=engine)
-    if compressor.engine == ENGINE_COLUMNAR:
-        iterator = iter(packets)
-        while True:
-            chunk = list(islice(iterator, DEFAULT_CHUNK_PACKETS))
-            if not chunk:
-                break
-            compressor.feed_columns(columns_from_records(chunk))
-    else:
-        compressor.feed(packets)
+    """Compress any packet iterable without materializing it."""
+    compressor = StreamingCompressor(config, name=name)
+    compressor.feed(packets)
     return compressor.finish()
 
 
@@ -277,19 +224,16 @@ def compress_tsh_file(
     *,
     chunk_size: int = DEFAULT_CHUNK_PACKETS,
     name: str | None = None,
-    engine: str | None = None,
 ) -> StreamingCompressor:
     """Stream-compress a ``.tsh`` file in bounded memory.
 
     Returns the finished :class:`StreamingCompressor` so callers can read
-    ``output`` alongside ``stats`` / ``streaming_stats``.  The columnar
-    engine reads the file through the vectorized block decoder
-    (:func:`~repro.trace.reader.read_columns`) — same chunk boundaries,
-    same bytes out, several times the throughput with numpy.
+    ``output`` alongside ``stats`` / ``streaming_stats``.  The file is
+    read through the vectorized block decoder
+    (:func:`~repro.trace.reader.read_columns`), one columnar chunk of
+    ``chunk_size`` packets at a time.
     """
-    compressor = StreamingCompressor(
-        config, name=name or Path(path).stem, engine=engine
-    )
+    compressor = StreamingCompressor(config, name=name or Path(path).stem)
     registry = obs_current()
     # Decode happens lazily inside the chunk generator, so timing the
     # ``next`` call captures read+decode and the feed call captures
@@ -300,21 +244,13 @@ def compress_tsh_file(
     cluster_timer = registry.timer(
         "stage.cluster", "wall time clustering decoded chunks"
     )
-    columnar = compressor.engine == ENGINE_COLUMNAR
-    chunks = (
-        read_columns(path, chunk_size)
-        if columnar
-        else iter_tsh_chunks(path, chunk_size)
-    )
+    chunks = read_columns(path, chunk_size)
     while True:
         with decode_timer.time():
             chunk = next(chunks, None)
         if chunk is None:
             break
         with cluster_timer.time():
-            if columnar:
-                compressor.feed_columns(chunk)
-            else:
-                compressor.feed(chunk)
+            compressor.feed_columns(chunk)
     compressor.finish()
     return compressor

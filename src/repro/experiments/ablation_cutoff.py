@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.core.codec import dataset_sizes, serialize_compressed
-from repro.core.compressor import CompressorConfig, FlowClusterCompressor
+from repro.core.compressor import CompressorConfig
+from repro.core.streaming import StreamingCompressor
 from repro.experiments.common import ExperimentConfig, ExperimentResult, standard_trace
 
 CUTOFFS = [10, 25, 50, 100, 200]
@@ -37,9 +38,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     ratios: dict[int, float] = {}
 
     for cutoff in CUTOFFS:
-        compressor = FlowClusterCompressor(CompressorConfig(short_flow_max=cutoff))
-        for packet in trace.packets:
-            compressor.add_packet(packet)
+        compressor = StreamingCompressor(CompressorConfig(short_flow_max=cutoff))
+        compressor.feed(trace.packets)
         compressed = compressor.finish()
         size = len(serialize_compressed(compressed))
         sizes = dataset_sizes(compressed)

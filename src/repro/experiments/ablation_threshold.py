@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from repro.analysis.report import format_table
 from repro.core.codec import serialize_compressed
-from repro.core.compressor import CompressorConfig, FlowClusterCompressor
+from repro.core.compressor import CompressorConfig
 from repro.core.datasets import DatasetId
+from repro.core.streaming import StreamingCompressor
 from repro.experiments.common import ExperimentConfig, ExperimentResult
 from repro.flows.assembler import assemble_flows
 from repro.flows.characterize import characterize_flow
@@ -91,9 +92,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
 
     for percent in THRESHOLD_PERCENTS:
         compressor_config = CompressorConfig(similarity_percent=percent)
-        compressor = FlowClusterCompressor(compressor_config)
-        for packet in trace.packets:
-            compressor.add_packet(packet)
+        compressor = StreamingCompressor(compressor_config)
+        compressor.feed(trace.packets)
         compressed = compressor.finish()
         size = len(serialize_compressed(compressed))
         mean_distance = _mean_cluster_distance(trace, compressed, compressor_config)

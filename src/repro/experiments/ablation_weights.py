@@ -23,7 +23,8 @@ import itertools
 
 from repro.analysis.report import format_table
 from repro.core.codec import serialize_compressed
-from repro.core.compressor import CompressorConfig, FlowClusterCompressor
+from repro.core.compressor import CompressorConfig
+from repro.core.streaming import StreamingCompressor
 from repro.experiments.common import ExperimentConfig, ExperimentResult, standard_trace
 from repro.flows.characterize import (
     CharacterizationConfig,
@@ -88,13 +89,12 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
         distinct[weights_tuple] = codes
         decodable_map[weights_tuple] = decodable
 
-        compressor = FlowClusterCompressor(
+        compressor = StreamingCompressor(
             CompressorConfig(
                 characterization=CharacterizationConfig(weights=weights)
             )
         )
-        for packet in trace.packets:
-            compressor.add_packet(packet)
+        compressor.feed(trace.packets)
         compressed = compressor.finish()
         size = len(serialize_compressed(compressed))
         rows.append(

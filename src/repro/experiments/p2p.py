@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.analysis.report import format_table
 from repro.baselines import GzipCodec
 from repro.core.codec import serialize_compressed
-from repro.core.compressor import FlowClusterCompressor
+from repro.core.streaming import StreamingCompressor
 from repro.experiments.common import ExperimentConfig, ExperimentResult, standard_trace
 from repro.synth import generate_p2p_trace
 from repro.trace.stats import compute_statistics
@@ -43,9 +43,8 @@ def run(config: ExperimentConfig | None = None) -> ExperimentResult:
     rows: list[list[object]] = []
     ratios: dict[str, float] = {}
     for label, trace in (("web", web), ("p2p", p2p)):
-        compressor = FlowClusterCompressor()
-        for packet in trace.packets:
-            compressor.add_packet(packet)
+        compressor = StreamingCompressor()
+        compressor.feed(trace.packets)
         compressed = compressor.finish()
         size = len(serialize_compressed(compressed))
         original = trace.stored_size_bytes()

@@ -189,7 +189,6 @@ class _Daemon:
                 segment_span=options.archive.segment_span,
                 config=options.compressor,
                 name=label,
-                engine=options.streaming.engine,
             )
             self._sources.append(
                 _Source(spec, label, feeder, self._serve.queue_chunks)
@@ -575,10 +574,9 @@ def serve(archive: str, options: Options | None = None) -> ServeReport:
 
     ``options.serve.sources`` names at least one source
     (``scheme:target[+format]``); rotation bounds come from
-    ``options.archive``, the compression engine from
-    ``options.streaming.engine``, and the section codec from
-    ``options.codec`` — the same knobs, same defaults, and same bytes
-    as the offline ``archive build`` path.  Blocks until shutdown and
+    ``options.archive`` and the section codec from ``options.codec`` —
+    the same knobs, same defaults, and same bytes as the offline
+    ``archive build`` path.  Blocks until shutdown and
     returns the final :class:`ServeReport`; the archive at ``archive``
     is sealed and durable when this returns.
     """

@@ -65,7 +65,7 @@ class TestByteIdentity:
             tsh_path, options=api.Options(name="t")
         ) as store:
             store.compress(
-                facade_out, options=api.Options.make(stream=True, name="t")
+                facade_out, options=api.Options.make(name="t")
             )
         assert facade_out.read_bytes() == shim_bytes
 

@@ -81,35 +81,14 @@ class TestFlowsAndQuery:
 
 
 class TestCompress:
-    def test_auto_equals_forced_stream(self, tmp_path, tsh_path):
-        batch, stream = tmp_path / "b.fctc", tmp_path / "s.fctc"
+    def test_read_chunking_never_changes_bytes(self, tmp_path, tsh_path):
+        default, chunked = tmp_path / "d.fctc", tmp_path / "c.fctc"
         with api.open(tsh_path) as store:
-            store.compress(batch)  # auto → batch at this size
+            store.compress(default)
             store.compress(
-                stream, options=api.Options.make(stream=True)
+                chunked, options=api.Options.make(chunk_packets=7)
             )
-        assert batch.read_bytes() == stream.read_bytes()
-
-    def test_auto_threshold_switches_paths(self, tmp_path, tsh_path):
-        import dataclasses
-
-        from repro.api.options import Options, StreamingOptions
-
-        # A threshold of 0 makes auto stream even a tiny input.
-        options = Options(
-            streaming=StreamingOptions(stream_threshold_packets=0)
-        )
-        out = tmp_path / "forced-auto-stream.fctc"
-        with api.open(tsh_path, options=options) as store:
-            assert store._should_stream(options)
-            store.compress(out, options=options)
-        with api.open(tsh_path) as store:
-            assert not store._should_stream(store.options)
-        ref = tmp_path / "ref.fctc"
-        with api.open(tsh_path) as store:
-            store.compress(ref)
-        assert out.read_bytes() == ref.read_bytes()
-        assert dataclasses.replace(options)  # options stay copyable
+        assert default.read_bytes() == chunked.read_bytes()
 
     def test_backend_roundtrip(self, tmp_path, tsh_path):
         out = tmp_path / "z.fctc"

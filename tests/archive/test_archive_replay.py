@@ -128,7 +128,7 @@ class TestSegmentRuns:
         """Segments written out of time order (overlapping bounds) must
         still produce a globally sorted, reference-identical stream."""
         from repro.archive import ArchiveWriter
-        from repro.core.compressor import FlowClusterCompressor
+        from tests.compress_oracle import FlowClusterCompressor
 
         def compress_with_base(packets):
             engine = FlowClusterCompressor(base_time=0.0)
@@ -153,7 +153,7 @@ class TestSegmentRuns:
         segment overlaps the *first* run; both replay paths must still
         match the batch reference and stay time-sorted."""
         from repro.archive import ArchiveWriter
-        from repro.core.compressor import FlowClusterCompressor
+        from tests.compress_oracle import FlowClusterCompressor
 
         def compress_with_base(packets):
             engine = FlowClusterCompressor(base_time=0.0)

@@ -171,3 +171,23 @@ class TestWriterEquivalence:
         writer.close()
 
         assert direct.read_bytes() == via_feeder.read_bytes()
+
+
+class TestLedgerCompat:
+    """``engine=`` survives, ignored, for one outside caller
+    (``perf_ledger/workloads.py::_replica_ingest``)."""
+
+    def test_engine_keyword_is_ignored(self, packets):
+        from repro.core.codec import serialize_compressed
+
+        outputs = []
+        for extra in ({}, {"engine": "auto"}):
+            sealed = []
+            feeder = SegmentFeeder(
+                sealed.append, epoch=EpochRef(), segment_span=2.0, **extra
+            )
+            feeder.feed(packets)
+            feeder.close()
+            outputs.append([serialize_compressed(trace) for trace in sealed])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]) > 1

@@ -1,12 +1,13 @@
-"""Tests for the online flow-clustering compressor (section 3)."""
+"""Tests for the online flow-clustering compressor (section 3).
+
+These run the production engine; its byte identity with the readable
+reference in ``tests/compress_oracle.py`` is the differential suites' job.
+"""
 
 import pytest
 
-from repro.core.compressor import (
-    CompressorConfig,
-    FlowClusterCompressor,
-    compress_trace,
-)
+from repro.core.columnar import ColumnarFlowCompressor
+from repro.core.compressor import CompressorConfig, compress_trace
 from repro.core.datasets import DatasetId
 from repro.core.errors import CompressionError
 from repro.net.packet import PacketRecord
@@ -17,7 +18,7 @@ from tests.conftest import CLIENT_IP, SERVER_IP, make_web_flow
 
 
 def compress_packets(packets, config=None):
-    compressor = FlowClusterCompressor(config)
+    compressor = ColumnarFlowCompressor(config)
     for packet in sorted(packets, key=lambda p: p.timestamp):
         compressor.add_packet(packet)
     return compressor, compressor.finish()
@@ -166,7 +167,7 @@ class TestLifecycle:
 
     def test_idle_timeout_closes_flow(self):
         config = CompressorConfig(idle_timeout=5.0)
-        compressor = FlowClusterCompressor(config)
+        compressor = ColumnarFlowCompressor(config)
         compressor.add_packet(
             PacketRecord(0.0, CLIENT_IP, SERVER_IP, 2000, 80, flags=TCP_SYN)
         )
@@ -211,7 +212,7 @@ class TestBaseTimeAnchor:
         return packets
 
     def test_offsets_anchor_on_earliest_timestamp(self):
-        compressor = FlowClusterCompressor()
+        compressor = ColumnarFlowCompressor()
         for packet in self._jittered_packets():
             compressor.add_packet(packet)
         compressed = compressor.finish()
@@ -221,7 +222,7 @@ class TestBaseTimeAnchor:
     def test_no_negative_clamp_collapse(self):
         """Distinct start times must stay distinct (the old clamp merged
         them at 0.0 and the decompressor reordered the flows)."""
-        compressor = FlowClusterCompressor()
+        compressor = ColumnarFlowCompressor()
         for packet in self._jittered_packets():
             compressor.add_packet(packet)
         compressed = compressor.finish()
@@ -230,7 +231,7 @@ class TestBaseTimeAnchor:
 
     def test_explicit_base_still_authoritative(self):
         """An externally supplied base (archive epoch) must not move."""
-        compressor = FlowClusterCompressor(base_time=1.0)
+        compressor = ColumnarFlowCompressor(base_time=1.0)
         for packet in self._jittered_packets():
             compressor.add_packet(packet)
         compressed = compressor.finish()
@@ -254,7 +255,7 @@ class TestBaseTimeAnchor:
         """A flow closed *before* the earlier timestamp shows up must be
         shifted retroactively."""
         config = CompressorConfig()
-        compressor = FlowClusterCompressor(config)
+        compressor = ColumnarFlowCompressor(config)
         for packet in make_web_flow(start=5.0, client_port=2000):
             compressor.add_packet(packet)  # closes via FIN at base 5.0
         assert compressor.output.time_seq[0].timestamp == 0.0
@@ -282,7 +283,7 @@ class TestIdleEvictionBoundary:
 
     def test_own_packet_does_not_split_flow(self):
         config = CompressorConfig(idle_timeout=10.0)
-        compressor = FlowClusterCompressor(config)
+        compressor = ColumnarFlowCompressor(config)
         for packet in self._boundary_packets(10.5):
             compressor.add_packet(packet)
         compressed = compressor.finish()
@@ -291,7 +292,7 @@ class TestIdleEvictionBoundary:
 
     def test_other_flows_still_evicted_at_boundary(self):
         config = CompressorConfig(idle_timeout=10.0)
-        compressor = FlowClusterCompressor(config)
+        compressor = ColumnarFlowCompressor(config)
         compressor.add_packet(
             PacketRecord(0.0, CLIENT_IP, SERVER_IP, 2001, 80, flags=TCP_SYN)
         )
@@ -324,7 +325,7 @@ class TestIdleEvictionBoundary:
 
 def compress_packets_in_order(packets, config=None):
     """Like :func:`compress_packets` but preserving arrival order."""
-    compressor = FlowClusterCompressor(config)
+    compressor = ColumnarFlowCompressor(config)
     for packet in packets:
         compressor.add_packet(packet)
     return compressor, compressor.finish()

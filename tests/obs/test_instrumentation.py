@@ -1,21 +1,23 @@
 """End-to-end instrumentation accuracy.
 
-The acceptance bar for the observability PR: semantic counters must
-match the trace's ground truth exactly, identically for the scalar and
-columnar engines.
+The acceptance bar for observability: semantic counters must match the
+trace's ground truth exactly, and the engine's compression counters must
+equal the reference compressor's (``tests/compress_oracle.py``).
 """
 
 import pytest
 
 from repro import api
-from repro.core.columnar import ENGINE_COLUMNAR, ENGINE_SCALAR
 from repro.core.streaming import compress_tsh_file
 from repro.obs import RunReport, scoped
 from repro.obs.metrics import MetricsRegistry
 from repro.synth import generate_web_trace
+from repro.trace.trace import Trace
 from repro.trace.tsh import TSH_RECORD_BYTES
 
-# Counters whose totals are engine-independent facts about the input.
+from tests.compress_oracle import run_oracle
+
+# Counters whose totals are facts about the input, not about the engine.
 SEMANTIC = (
     "trace.read.bytes",
     "trace.read.records",
@@ -38,17 +40,17 @@ def web_tsh(tmp_path_factory):
     return path, trace
 
 
-def _counters(path, *, engine, chunk_size=256):
+def _counters(path, *, chunk_size=256):
     registry = MetricsRegistry()
     with scoped(registry):
-        compressor = compress_tsh_file(path, chunk_size=chunk_size, engine=engine)
+        compressor = compress_tsh_file(path, chunk_size=chunk_size)
     return registry, compressor
 
 
 class TestGroundTruth:
     def test_counters_match_trace_exactly(self, web_tsh):
         path, trace = web_tsh
-        registry, compressor = _counters(path, engine=ENGINE_SCALAR)
+        registry, compressor = _counters(path)
         stats = compressor.stats
         assert registry.value("trace.read.records") == len(trace)
         assert registry.value("trace.read.bytes") == len(trace) * TSH_RECORD_BYTES
@@ -59,14 +61,13 @@ class TestGroundTruth:
             + registry.value("compress.flows.long")
             == stats.flows_closed
         )
-        assert registry.value("stream.engine.scalar") == 1
         assert registry.value("stream.active_flows.peak") == (
             compressor.streaming_stats.peak_active_flows
         )
 
     def test_stage_timers_recorded(self, web_tsh):
         path, _ = web_tsh
-        registry, _ = _counters(path, engine=ENGINE_SCALAR, chunk_size=128)
+        registry, _ = _counters(path, chunk_size=128)
         for stage in ("stage.decode", "stage.cluster"):
             timer = registry.get(stage)
             assert timer is not None and timer.count > 0
@@ -101,15 +102,18 @@ class TestReplayInstrumentation:
 class TestEngineParity:
     def test_semantic_counters_identical(self, web_tsh):
         path, _ = web_tsh
-        scalar, _ = _counters(path, engine=ENGINE_SCALAR)
-        columnar, _ = _counters(path, engine=ENGINE_COLUMNAR)
+        registry, _ = _counters(path)
+        reference = run_oracle(Trace.load_tsh(path).packets)
+        # The reference has compress.* counters only: it reads no file
+        # and feeds no chunks.
+        oracle = MetricsRegistry()
+        reference.stats.publish(oracle)
         for name in SEMANTIC:
-            assert scalar.value(name) == columnar.value(name), name
-        assert scalar.value("stream.engine.scalar") == 1
-        assert columnar.value("stream.engine.columnar") == 1
-        chunk_histogram = columnar.get("columnar.chunk_packets")
+            if name.startswith("compress."):
+                assert registry.value(name) == oracle.value(name), name
+        chunk_histogram = registry.get("columnar.chunk_packets")
         assert chunk_histogram is not None
-        assert chunk_histogram.sum == scalar.value("compress.packets")
+        assert chunk_histogram.sum == registry.value("compress.packets")
 
 
 class TestFacadeExposure:

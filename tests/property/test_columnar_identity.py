@@ -1,14 +1,14 @@
-"""The differential harness pinning columnar/scalar byte identity.
+"""The differential harness pinning the engine to the paper's algorithm.
 
-The columnar engine's only contract is *the same bytes, faster*: for any
-packet sequence, any chunking of the feed, and either storage backend,
-``engine="columnar"`` must produce the exact ``.fctc`` / ``.fctca``
-files the scalar engine does.  This file is the gate — hypothesis-driven
-packet sequences (including out-of-order timestamps that exercise the
-auto-base rebase, unterminated flows closed by idle eviction, and
-degenerate self-loop tuples), generated traffic models, and the on-disk
-fixture corpus all run through both engines and are compared byte for
-byte.
+The columnar engine's contract is *the paper's bytes*: for any packet
+sequence, any chunking of the feed, and either array backend, it must
+produce the exact ``.fctc`` / ``.fctca`` files the readable linked-list
+compressor in ``tests/compress_oracle.py`` (``scalar_bytes`` here) does.
+This file is the gate — hypothesis-driven packet sequences (including
+out-of-order timestamps that exercise the auto-base rebase, unterminated
+flows closed by idle eviction, and degenerate self-loop tuples),
+generated traffic models, and the on-disk fixture corpus all run through
+both and are compared byte for byte.
 """
 
 import random
@@ -19,14 +19,16 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.core.columnar import ColumnarFlowCompressor
-from repro.core.compressor import CompressorConfig, FlowClusterCompressor
+from repro.core.compressor import CompressorConfig
 from repro.core.decompressor import decompress_trace
 from repro.core.streaming import StreamingCompressor
 from repro.net.columns import columns_from_records
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 from repro.synth import generate_p2p_trace, generate_web_trace
+from repro.trace.trace import Trace
 
+from tests.compress_oracle import FlowClusterCompressor, run_oracle
 from tests.property.test_property_streaming import _unterminated_flow
 
 
@@ -148,21 +150,16 @@ def test_fixture_corpus_identity(fixture):
     assert columnar_bytes(packets) == scalar_bytes(packets)
 
 
-# -- the full streaming facade over both engines ---------------------------
+# -- the full streaming facade and the file paths ---------------------------
 
 
 def test_streaming_facade_feed_shapes_identical():
-    """records-to-scalar, records-to-columnar, columns-to-either: one output."""
+    """Record feeds and column feeds: the reference's one output."""
     trace = generate_web_trace(duration=3.0, flow_rate=30.0, seed=21)
     packets = list(trace.packets)
-    outputs = []
-    for engine, columnar_feed in (
-        ("scalar", False),
-        ("scalar", True),
-        ("columnar", False),
-        ("columnar", True),
-    ):
-        compressor = StreamingCompressor(name="t", engine=engine)
+    outputs = [scalar_bytes(packets)]
+    for columnar_feed in (False, True):
+        compressor = StreamingCompressor(name="t")
         for start in range(0, len(packets), 333):
             chunk = packets[start : start + 333]
             if columnar_feed:
@@ -181,41 +178,62 @@ def tsh_path(tmp_path_factory):
     return path
 
 
-def _compress_file(tsh_path, dest_dir, engine, **make_kwargs):
-    """Same dest *filename* per engine: the trace name is serialized."""
+def _tsh_packets(tsh_path):
+    """The file's packets at TSH's µs resolution, as the facade reads them."""
+    return Trace.load_tsh(tsh_path).packets
+
+
+def test_fctc_file_identity(tsh_path, tmp_path):
+    """Facade ``.fctc`` at any read chunking: the reference's bytes."""
     from repro import api
 
-    dest = dest_dir / "out.fctc"
-    with api.open(tsh_path) as store:
-        store.compress(dest, options=api.Options.make(engine=engine, **make_kwargs))
+    expected = scalar_bytes(_tsh_packets(tsh_path), name=tsh_path.stem)
+    for chunk_packets in (None, 97):
+        dest = tmp_path / "out.fctc"
+        with api.open(tsh_path) as store:
+            store.compress(
+                dest, options=api.Options.make(chunk_packets=chunk_packets)
+            )
+        assert dest.read_bytes() == expected
+
+
+def _oracle_archive(packets, dest, segment_span):
+    """The reference ``.fctca``: the rotation rule of ``SegmentFeeder``
+    (a segment seals before the first packet ``segment_span`` seconds
+    past its first packet) over reference-compressed segments."""
+    from repro.archive import ArchiveWriter
+
+    epoch = packets[0].timestamp
+    runs, run = [], []
+    for packet in packets:
+        if run and packet.timestamp - run[0].timestamp >= segment_span:
+            runs.append(run)
+            run = []
+        run.append(packet)
+    runs.append(run)
+    with ArchiveWriter.create(dest, epoch=epoch) as writer:
+        for ordinal, run in enumerate(runs):
+            name = f"{dest.stem}/seg-{ordinal:05d}"
+            writer.write_segment(
+                run_oracle(run, name=name, base_time=epoch).output
+            )
     return dest.read_bytes()
 
 
-@pytest.mark.parametrize("mode_kwargs", [{}, {"stream": True}])
-def test_fctc_file_identity(tsh_path, tmp_path, mode_kwargs):
-    """Facade batch/stream paths: one ``.fctc`` per input."""
-    (tmp_path / "s").mkdir()
-    (tmp_path / "c").mkdir()
-    scalar = _compress_file(tsh_path, tmp_path / "s", "scalar", **mode_kwargs)
-    columnar = _compress_file(tsh_path, tmp_path / "c", "columnar", **mode_kwargs)
-    assert columnar == scalar
-
-
 def test_fctca_archive_identity(tsh_path, tmp_path):
-    """Segment rotation splits chunks at the same rows on both engines."""
+    """Segment rotation splits column chunks at the reference's rows."""
     from repro import api
 
-    paths = {}
-    for engine in ("scalar", "columnar"):
-        dest = tmp_path / engine / "out.fctca"
-        dest.parent.mkdir()
-        api.create_archive(
-            dest,
-            [tsh_path],
-            options=api.Options.make(engine=engine, segment_span=1.0),
-        )
-        paths[engine] = dest.read_bytes()
-    assert paths["columnar"] == paths["scalar"]
+    (tmp_path / "oracle").mkdir()
+    (tmp_path / "engine").mkdir()
+    expected = _oracle_archive(
+        _tsh_packets(tsh_path), tmp_path / "oracle" / "out.fctca", 1.0
+    )
+    dest = tmp_path / "engine" / "out.fctca"
+    api.create_archive(
+        dest, [tsh_path], options=api.Options.make(segment_span=1.0)
+    )
+    assert dest.read_bytes() == expected
 
 
 def test_fallback_backend_identity(monkeypatch):

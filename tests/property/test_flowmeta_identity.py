@@ -3,8 +3,8 @@
 ``iter_flow_records`` claims to produce, without synthesizing a single
 packet, exactly what a full replay would aggregate: the same flows, the
 same per-flow packet/byte splits, the same time bounds.  This suite
-pins that identity across every registered traffic scenario and both
-compression engines — the record stream is compared against aggregates
+pins that identity across every registered traffic scenario — the
+record stream is compared against aggregates
 computed from ``iter_packets``, the archive's packet-synthesis path.
 """
 
@@ -18,30 +18,24 @@ import repro
 from repro.archive.reader import ArchiveReader
 from repro.core.decompressor import SERVER_PORT
 from repro.core.flowmeta import flow_records, flow_records_by_decode
-from repro.net.columns import numpy_or_none
 from repro.synth.scenarios import get_scenario, scenario_names
 
-ENGINES = ["scalar", "columnar"]
 
-
-def _archive_for(tmp_path, scenario_name: str, engine: str):
-    if engine == "columnar" and numpy_or_none() is None:
-        pytest.skip("columnar engine needs numpy")
+def _archive_for(tmp_path, scenario_name: str):
     scenario = get_scenario(scenario_name)
     trace = scenario.build(duration=3.0, flow_rate=20.0)
-    path = tmp_path / f"{scenario_name}-{engine}.fctca"
+    path = tmp_path / f"{scenario_name}.fctca"
     repro.api.create_archive(
         path,
         iter(trace.packets),
-        options=repro.api.Options.make(engine=engine, segment_span=1.0),
+        options=repro.api.Options.make(segment_span=1.0),
     )
     return path
 
 
-@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_fast_path_matches_full_decode(tmp_path, scenario_name, engine):
-    path = _archive_for(tmp_path, scenario_name, engine)
+def test_fast_path_matches_full_decode(tmp_path, scenario_name):
+    path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
         records = list(reader.iter_flow_records())
         flow_count = reader.flow_count()
@@ -79,7 +73,7 @@ def test_fast_path_matches_full_decode(tmp_path, scenario_name, engine):
 @pytest.mark.parametrize("scenario_name", scenario_names())
 def test_record_twins_are_identical(tmp_path, scenario_name):
     """Per-record identity, including bit-exact float end timestamps."""
-    path = _archive_for(tmp_path, scenario_name, "scalar")
+    path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
         for segment in range(reader.segment_count):
             compressed = reader.load_segment(segment)
@@ -91,7 +85,7 @@ def test_record_twins_are_identical(tmp_path, scenario_name):
 @pytest.mark.parametrize("scenario_name", scenario_names())
 def test_fast_path_starts_are_nondecreasing(tmp_path, scenario_name):
     """The aggregator's precondition, guaranteed by the reader merge."""
-    path = _archive_for(tmp_path, scenario_name, "scalar")
+    path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
         starts = [record.start for record in reader.iter_flow_records()]
     assert starts == sorted(starts)

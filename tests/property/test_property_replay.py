@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.archive import ArchiveReader, ArchiveWriter, build_archive
 from repro.core import replay
 from repro.core.codec import deserialize_compressed, serialize_compressed
-from repro.core.compressor import FlowClusterCompressor, compress_trace
+from repro.core.compressor import compress_trace
 from repro.core.datasets import (
     CompressedTrace,
     DatasetId,
@@ -44,6 +44,7 @@ from repro.synth import generate_p2p_trace, generate_web_trace
 from repro.synth.scenarios import get_scenario, scenario_names
 from repro.trace.tsh import write_tsh_bytes
 
+from tests.compress_oracle import FlowClusterCompressor
 from tests.conftest import make_timed_flows
 from tests.replay_oracle import (
     oracle_archive_packets,

@@ -6,10 +6,11 @@ protocol mixes with UDP and one-way streams (``mixed-protocol``),
 handshake-free half-open floods (``flood``), and correlated multipath
 subflows (``mptcp``).  For each registered scenario this file pins
 
-* **engine identity** — the columnar engine emits byte-for-byte the
-  scalar engine's container, under arbitrary feed chunking;
+* **engine identity** — the production engine emits byte-for-byte the
+  reference compressor's container (``tests/compress_oracle.py``),
+  under arbitrary feed chunking;
 * **mode identity** — the streaming facade (record feeds and column
-  feeds, both engines) emits the batch compressor's exact bytes;
+  feeds) emits the reference's exact bytes;
 * **decompression identity** — the bounded-memory
   :class:`StreamingDecompressor` replays exactly the packet sequence
   the batch decompressor materializes.
@@ -22,13 +23,13 @@ from functools import lru_cache
 import pytest
 
 from repro.core.codec import serialize_compressed
-from repro.core.compressor import FlowClusterCompressor
 from repro.core.decompressor import decompress_trace
 from repro.core.replay import StreamingDecompressor
 from repro.core.streaming import StreamingCompressor
 from repro.net.columns import columns_from_records
 from repro.synth.scenarios import get_scenario, scenario_names
 
+from tests.compress_oracle import FlowClusterCompressor
 from tests.property.test_columnar_identity import columnar_bytes, scalar_bytes
 
 DURATION = 1.2
@@ -63,15 +64,12 @@ def test_engine_identity_randomized_chunks(name):
 
 
 @pytest.mark.parametrize("name", scenario_names())
-@pytest.mark.parametrize(
-    "engine,columnar_feed",
-    [("scalar", False), ("scalar", True), ("columnar", False), ("columnar", True)],
-)
-def test_batch_stream_identity(name, engine, columnar_feed):
+@pytest.mark.parametrize("columnar_feed", [False, True])
+def test_batch_stream_identity(name, columnar_feed):
     """The streaming facade matches the batch compressor byte for byte."""
     packets = list(scenario_packets(name))
     expected = scalar_bytes(packets)
-    compressor = StreamingCompressor(name="t", engine=engine)
+    compressor = StreamingCompressor(name="t")
     for start in range(0, len(packets), 211):
         chunk = packets[start : start + 211]
         if columnar_feed:
