@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.matrices import matrix_report_for_archive, scipy_or_none
+from repro.analysis.matrices import matrix_report_for_archive
 from repro.api import ArchiveOptions, Options, create_archive
 from repro.archive import ArchiveReader
 from repro.synth.scenarios import get_scenario
@@ -71,7 +71,6 @@ def _best_of(worker, rounds: int = 3) -> float:
 
 class TestIndexPathSavesWork:
     def test_identical_windows_for_a_fraction_of_the_time(self, archive_path):
-        scipy_or_none()  # keep the import out of the first timed round
         by_index = _report(archive_path, "index")
         by_decode = _report(archive_path, "decode")
         # Identity first: the speedup only counts if the answer matches.

@@ -14,11 +14,9 @@ Three layers:
 
 * :class:`TrafficMatrix` — one window's matrix, accumulated as a
   dict-of-dicts (the hypersparse representation: storage is O(links)).
-  When :mod:`scipy.sparse` is importable (and neither ``REPRO_NO_SCIPY``
-  nor ``REPRO_NO_NUMPY`` forbids it), :meth:`TrafficMatrix.to_csr`
-  materializes CSR matrices and the derived statistics vectorize;
-  otherwise a pure-python engine computes the *same integers* — the
-  fallback suite pins the two result-identical.
+  :meth:`TrafficMatrix.stats` derives the window's statistics in one
+  walk over the rows plus two heap top-k selections over the cells;
+  it is pure stdlib, so a stats run loads no array library.
 * :class:`StreamingWindowAggregator` — assigns records (which arrive
   with nondecreasing start times, the archive merge's invariant) to
   fixed windows and holds exactly one window's matrix at a time.
@@ -38,8 +36,8 @@ Work accounting publishes to :mod:`repro.obs` under
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
@@ -61,10 +59,6 @@ SCHEMA = "repro.analysis/matrix-report/v1"
 DEFAULT_WINDOW = 60.0
 DEFAULT_TOP_K = 10
 DEFAULT_SCAN_FANOUT = 16
-# Below this many links a window's dict walk beats CSR materialization
-# (measured crossover ~1-2k links); at 64k links the CSR engine is ~3x
-# faster. Dispatch is purely speed — the engines are pinned identical.
-SCIPY_MIN_LINKS = 2048
 """Sources contacting at least this many distinct destinations inside
 one window are reported as scan candidates."""
 
@@ -72,7 +66,6 @@ METHODS = ("index", "decode")
 
 __all__ = [
     "SCHEMA",
-    "SCIPY_MIN_LINKS",
     "DEFAULT_SCAN_FANOUT",
     "DEFAULT_TOP_K",
     "DEFAULT_WINDOW",
@@ -86,36 +79,8 @@ __all__ = [
     "matrix_report_for_archive",
     "matrix_report_for_compressed",
     "publish_window_gauges",
-    "scipy_or_none",
     "window_stats_for_compressed",
 ]
-
-
-_sparse = None
-_sparse_checked = False
-
-
-def scipy_or_none():
-    """The :mod:`scipy.sparse` module, or ``None``.
-
-    ``None`` when scipy is absent or ``REPRO_NO_SCIPY=1`` — and also
-    under ``REPRO_NO_NUMPY=1``, since a numpy-less deployment cannot
-    have a working scipy and the no-numpy CI job must exercise pure
-    fallbacks end to end.  Resolved lazily on first call (mirroring
-    :func:`repro.net.columns.numpy_or_none`), then cached.
-    """
-    global _sparse, _sparse_checked
-    if not _sparse_checked:
-        _sparse_checked = True
-        if not (
-            os.environ.get("REPRO_NO_SCIPY") or os.environ.get("REPRO_NO_NUMPY")
-        ):
-            try:
-                from scipy import sparse
-            except ImportError:
-                sparse = None
-            _sparse = sparse
-    return _sparse
 
 
 class AddressAnonymizer:
@@ -245,52 +210,6 @@ class TrafficMatrix:
             for dst, (packets, byte_count) in row.items():
                 yield src, dst, packets, byte_count
 
-    def to_csr(self):
-        """(packets_csr, bytes_csr, row_addresses, col_addresses), or ``None``.
-
-        The scipy.sparse CSR materialization over compacted (sorted)
-        address axes; ``None`` when scipy is unavailable or gated off.
-        Cell values are exact integers, so everything derived from the
-        CSR matches the pure-python engine bit for bit.
-        """
-        sparse = scipy_or_none()
-        if sparse is None:
-            return None
-        import numpy as np
-
-        count = self.links
-        # Four C-driven extraction passes beat one Python loop doing
-        # per-cell dict lookups; np.unique then compacts each axis and
-        # hands back the cell coordinates in one shot.
-        srcs = np.fromiter(
-            (src for src, row in self._rows.items() for _ in row),
-            dtype=np.int64,
-            count=count,
-        )
-        dsts = np.fromiter(
-            (dst for row in self._rows.values() for dst in row),
-            dtype=np.int64,
-            count=count,
-        )
-        packets = np.fromiter(
-            (cell[0] for row in self._rows.values() for cell in row.values()),
-            dtype=np.int64,
-            count=count,
-        )
-        byte_counts = np.fromiter(
-            (cell[1] for row in self._rows.values() for cell in row.values()),
-            dtype=np.int64,
-            count=count,
-        )
-        row_axis, rows = np.unique(srcs, return_inverse=True)
-        col_axis, cols = np.unique(dsts, return_inverse=True)
-        row_addresses = row_axis.tolist()
-        col_addresses = col_axis.tolist()
-        shape = (len(row_addresses), len(col_addresses))
-        packets_csr = sparse.csr_matrix((packets, (rows, cols)), shape=shape)
-        bytes_csr = sparse.csr_matrix((byte_counts, (rows, cols)), shape=shape)
-        return packets_csr, bytes_csr, row_addresses, col_addresses
-
     def stats(
         self,
         *,
@@ -299,25 +218,63 @@ class TrafficMatrix:
     ) -> "WindowStats":
         """Derive this window's :class:`WindowStats`.
 
-        Dispatches to the scipy/CSR engine when available **and** the
-        window is dense enough to amortize CSR materialization
-        (:data:`SCIPY_MIN_LINKS`); the pure-python engine otherwise.
-        Both produce identical values (ties in every top-k list break
-        on (src, dst) addresses, fully deterministically), so dispatch
-        is purely a speed decision.
+        One walk over the rows gathers the degree histograms and scan
+        candidates; every top-k list is a heap selection whose ranking
+        key is unique per entry (ties break on addresses), so the
+        result is fully deterministic.  ``top_k=0`` yields empty lists.
         """
-        engine = (
-            "scipy"
-            if self.links >= SCIPY_MIN_LINKS and scipy_or_none() is not None
-            else "python"
+        _check_top_k(top_k)
+        fanout_hist: dict[int, int] = {}
+        fanin_degree: dict[int, int] = {}
+        scan_pool: list[tuple[int, int, int]] = []
+        max_fanout = 0
+        for src, row in self._rows.items():
+            fanout = len(row)
+            fanout_hist[fanout] = fanout_hist.get(fanout, 0) + 1
+            if fanout > max_fanout:
+                max_fanout = fanout
+            for dst in row:
+                fanin_degree[dst] = fanin_degree.get(dst, 0) + 1
+            if fanout >= scan_fanout:
+                scan_pool.append(
+                    (src, fanout, sum(cell[0] for cell in row.values()))
+                )
+        fanin_hist: dict[int, int] = {}
+        max_fanin = 0
+        for degree in fanin_degree.values():
+            fanin_hist[degree] = fanin_hist.get(degree, 0) + 1
+            if degree > max_fanin:
+                max_fanin = degree
+        cells = list(self.iter_cells())
+        scanners = heapq.nsmallest(
+            top_k, scan_pool, key=lambda entry: (-entry[1], entry[0])
         )
-        obs_current().counter(
-            f"analysis.matrices.engine.{engine}",
-            "windows whose statistics this engine derived",
-        ).inc()
-        if engine == "scipy":
-            return _stats_scipy(self, top_k, scan_fanout)
-        return _stats_python(self, top_k, scan_fanout)
+        return WindowStats(
+            index=self.index,
+            start=self.start,
+            end=self.end,
+            flows=self.flows,
+            packets=self.packets,
+            bytes=self.bytes,
+            sources=self.sources,
+            destinations=len(fanin_degree),
+            links=len(cells),
+            max_fanout=max_fanout,
+            max_fanin=max_fanin,
+            fanout_hist=fanout_hist,
+            fanin_hist=fanin_hist,
+            top_links_packets=_top_links(cells, False, top_k),
+            top_links_bytes=_top_links(cells, True, top_k),
+            scan_candidates=tuple(
+                ScanCandidate(src=src, fanout=fanout, packets=packets)
+                for src, fanout, packets in scanners
+            ),
+        )
+
+
+def _check_top_k(top_k: int) -> None:
+    if top_k < 0:
+        raise ValueError(f"top_k must be non-negative: {top_k}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +284,7 @@ class WindowStats:
     ``fanout_hist`` maps fan-out degree (distinct destinations a source
     contacted) to the number of such sources; ``fanin_hist`` is the
     destination-side mirror.  Top links rank by packets (resp. bytes),
-    ties broken by (src, dst) address so both stats engines agree.
+    ties broken by (src, dst) address, so the lists are deterministic.
     """
 
     index: int
@@ -431,133 +388,12 @@ def _top_links(
 ) -> tuple[LinkStat, ...]:
     """Deterministic top-k: rank value descending, then (src, dst)."""
     value = 3 if by_bytes else 2
-    ranked = sorted(cells, key=lambda cell: (-cell[value], cell[0], cell[1]))
+    ranked = heapq.nsmallest(
+        top_k, cells, key=lambda cell: (-cell[value], cell[0], cell[1])
+    )
     return tuple(
         LinkStat(src=src, dst=dst, packets=packets, bytes=byte_count)
-        for src, dst, packets, byte_count in ranked[:top_k]
-    )
-
-
-def _stats_python(
-    matrix: TrafficMatrix, top_k: int, scan_fanout: int
-) -> WindowStats:
-    """The dict-walking statistics engine (always correct, always there)."""
-    fanout_hist: dict[int, int] = {}
-    fanin_degree: dict[int, int] = {}
-    scan_pool: list[tuple[int, int, int]] = []
-    max_fanout = 0
-    for src, row in matrix._rows.items():
-        fanout = len(row)
-        fanout_hist[fanout] = fanout_hist.get(fanout, 0) + 1
-        if fanout > max_fanout:
-            max_fanout = fanout
-        for dst in row:
-            fanin_degree[dst] = fanin_degree.get(dst, 0) + 1
-        if fanout >= scan_fanout:
-            scan_pool.append(
-                (src, fanout, sum(cell[0] for cell in row.values()))
-            )
-    fanin_hist: dict[int, int] = {}
-    max_fanin = 0
-    for degree in fanin_degree.values():
-        fanin_hist[degree] = fanin_hist.get(degree, 0) + 1
-        if degree > max_fanin:
-            max_fanin = degree
-    cells = list(matrix.iter_cells())
-    scan_pool.sort(key=lambda entry: (-entry[1], entry[0]))
-    return WindowStats(
-        index=matrix.index,
-        start=matrix.start,
-        end=matrix.end,
-        flows=matrix.flows,
-        packets=matrix.packets,
-        bytes=matrix.bytes,
-        sources=matrix.sources,
-        destinations=len(fanin_degree),
-        links=len(cells),
-        max_fanout=max_fanout,
-        max_fanin=max_fanin,
-        fanout_hist=fanout_hist,
-        fanin_hist=fanin_hist,
-        top_links_packets=_top_links(cells, False, top_k),
-        top_links_bytes=_top_links(cells, True, top_k),
-        scan_candidates=tuple(
-            ScanCandidate(src=src, fanout=fanout, packets=packets)
-            for src, fanout, packets in scan_pool[:top_k]
-        ),
-    )
-
-
-def _stats_scipy(
-    matrix: TrafficMatrix, top_k: int, scan_fanout: int
-) -> WindowStats:
-    """The CSR statistics engine: degree and ranking work vectorized.
-
-    All quantities are integer aggregates of the same cells, so the
-    result equals :func:`_stats_python` exactly — including top-k tie
-    order, which both engines break on (src, dst) addresses.
-    """
-    import numpy as np
-
-    materialized = matrix.to_csr()
-    assert materialized is not None  # caller dispatched on availability
-    packets_csr, bytes_csr, row_addresses, col_addresses = materialized
-    if not row_addresses:
-        return _stats_python(matrix, top_k, scan_fanout)
-    fanout = np.diff(packets_csr.indptr)
-    fanin = np.bincount(packets_csr.indices, minlength=len(col_addresses))
-    degrees, counts = np.unique(fanout, return_counts=True)
-    fanout_hist = {int(d): int(c) for d, c in zip(degrees, counts)}
-    degrees, counts = np.unique(fanin, return_counts=True)
-    fanin_hist = {int(d): int(c) for d, c in zip(degrees, counts)}
-
-    coo = packets_csr.tocoo()
-    src_addr = np.asarray(row_addresses, dtype=np.int64)[coo.row]
-    dst_addr = np.asarray(col_addresses, dtype=np.int64)[coo.col]
-    packet_data = coo.data
-    byte_data = bytes_csr.tocoo().data
-
-    def top(data: np.ndarray) -> tuple[LinkStat, ...]:
-        order = np.lexsort((dst_addr, src_addr, -data))[:top_k]
-        return tuple(
-            LinkStat(
-                src=int(src_addr[i]),
-                dst=int(dst_addr[i]),
-                packets=int(packet_data[i]),
-                bytes=int(byte_data[i]),
-            )
-            for i in order
-        )
-
-    row_packets = np.asarray(packets_csr.sum(axis=1)).ravel()
-    scanners = np.nonzero(fanout >= scan_fanout)[0]
-    scan_order = np.lexsort(
-        (np.asarray(row_addresses, dtype=np.int64)[scanners], -fanout[scanners])
-    )[:top_k]
-    return WindowStats(
-        index=matrix.index,
-        start=matrix.start,
-        end=matrix.end,
-        flows=matrix.flows,
-        packets=matrix.packets,
-        bytes=matrix.bytes,
-        sources=len(row_addresses),
-        destinations=len(col_addresses),
-        links=packets_csr.nnz,
-        max_fanout=int(fanout.max()),
-        max_fanin=int(fanin.max()),
-        fanout_hist=fanout_hist,
-        fanin_hist=fanin_hist,
-        top_links_packets=top(packet_data),
-        top_links_bytes=top(byte_data),
-        scan_candidates=tuple(
-            ScanCandidate(
-                src=int(row_addresses[scanners[i]]),
-                fanout=int(fanout[scanners[i]]),
-                packets=int(row_packets[scanners[i]]),
-            )
-            for i in scan_order
-        ),
+        for src, dst, packets, byte_count in ranked
     )
 
 
@@ -636,12 +472,11 @@ class MatrixReport:
     """One windowed matrix-statistics run, ready to serialize.
 
     ``method`` records how the records were derived (``index`` fast path
-    vs ``decode`` full synthesis), ``engine`` which statistics stack
-    served the run (``scipy`` when the CSR engine was available for
-    dispatch — windows below :data:`SCIPY_MIN_LINKS` still take the
-    dict walk — ``python`` on the pure fallback); neither changes the
-    numbers — the differential tests pin that — so comparing two
-    reports means comparing their ``windows``.
+    vs ``decode`` full synthesis); it does not change the numbers — the
+    differential tests pin that — so comparing two reports means
+    comparing their ``windows``.  ``engine`` is always ``python``; the
+    field stays in the v1 document, and :meth:`from_dict` keeps loading
+    1.1 documents that name the retired sparse-matrix engine there.
     """
 
     source: str
@@ -801,6 +636,7 @@ def _assemble(
     decoded: Callable[[], int],
 ) -> MatrixReport:
     """Drive records through the aggregator and assemble the report."""
+    _check_top_k(top_k)
     anonymizer = (
         AddressAnonymizer(anonymize_key) if anonymize_key is not None else None
     )
@@ -841,7 +677,7 @@ def _assemble(
     return MatrixReport(
         source=source,
         method=method,
-        engine="scipy" if scipy_or_none() is not None else "python",
+        engine="python",
         window=window,
         origin=origin,
         since=since,

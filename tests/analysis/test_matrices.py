@@ -1,7 +1,8 @@
-"""The traffic-matrix analytics subsystem: matrices, engines, reports."""
+"""The traffic-matrix analytics subsystem: matrices, statistics, reports."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -13,12 +14,9 @@ from repro.analysis.matrices import (
     StreamingWindowAggregator,
     TrafficMatrix,
     WindowStats,
-    _stats_python,
-    _stats_scipy,
     matrix_report_for_archive,
     matrix_report_for_compressed,
     publish_window_gauges,
-    scipy_or_none,
     window_stats_for_compressed,
 )
 from repro.archive.reader import ArchiveReader
@@ -27,6 +25,7 @@ from repro.core.flowmeta import FlowRecord, flow_records
 from repro.obs import MetricsRegistry, render_prometheus
 from repro.query.engine import QueryStats
 from repro.synth import generate_web_trace
+from repro.synth.scenarios import get_scenario
 
 
 @pytest.fixture(scope="module")
@@ -92,8 +91,38 @@ class TestTrafficMatrix:
         assert 10 not in sources and 20 not in sources
 
 
+def _folded(compressed_trace) -> TrafficMatrix:
+    matrix = TrafficMatrix(0, 0.0, 100.0)
+    for record in flow_records(compressed_trace):
+        matrix.add_flow(record)
+    return matrix
+
+
+def _stats_digest(matrix, top_k, scan_fanout) -> str:
+    document = matrix.stats(top_k=top_k, scan_fanout=scan_fanout).to_dict()
+    return hashlib.blake2b(
+        json.dumps(document, sort_keys=True).encode(), digest_size=16
+    ).hexdigest()
+
+
+# Digests of ``matrix.stats(top_k, scan_fanout).to_dict()`` recorded
+# before the sparse-matrix engine was retired: the web matrix (450
+# links) was served by the dict walk, the flood matrix (3,385 links)
+# by the CSR kernels.  The one engine must reproduce both.
+WEB_DIGESTS = {
+    (10, 16): "d69c77ba5889de46961c69b15f13e86c",
+    (3, 4): "eb0fa9f8a6a959ea34aefb29db43b5ea",
+    (100, 1): "522aec3e690aa462ba29e3804b0f5b8a",
+}
+FLOOD_DIGESTS = {
+    (10, 16): "995ce5c5774245d7273950b3ce374d8c",
+    (3, 4): "18607f4433f4afa0986ce12681db237b",
+    (100, 1): "928dd400a59174101fdc6bf5bd1018af",
+}
+
+
 class TestStatsEngines:
-    """The scipy/CSR and pure-python engines must agree exactly."""
+    """The one statistics engine: golden digests, ranking, edge cases."""
 
     def _dense_matrix(self):
         matrix = TrafficMatrix(2, 10.0, 20.0)
@@ -106,25 +135,21 @@ class TestStatsEngines:
         matrix.add_flow(_record(13.0, src=5, dst=4))
         return matrix
 
-    def test_engines_identical_on_handmade_matrix(self):
-        if scipy_or_none() is None:
-            pytest.skip("scipy unavailable or gated off")
-        matrix = self._dense_matrix()
-        assert _stats_scipy(matrix, 10, 16) == _stats_python(matrix, 10, 16)
+    @pytest.mark.parametrize("top_k,scan", sorted(WEB_DIGESTS))
+    def test_golden_digests_on_web_traffic(self, compressed, top_k, scan):
+        matrix = _folded(compressed)
+        assert matrix.links == 450
+        assert _stats_digest(matrix, top_k, scan) == WEB_DIGESTS[top_k, scan]
 
-    def test_engines_identical_on_real_traffic(self, compressed):
-        if scipy_or_none() is None:
-            pytest.skip("scipy unavailable or gated off")
-        matrix = TrafficMatrix(0, 0.0, 100.0)
-        for record in flow_records(compressed):
-            matrix.add_flow(record)
-        for top_k, scan in ((10, 16), (3, 4), (100, 1)):
-            assert _stats_scipy(matrix, top_k, scan) == _stats_python(
-                matrix, top_k, scan
-            )
+    @pytest.mark.parametrize("top_k,scan", sorted(FLOOD_DIGESTS))
+    def test_golden_digests_on_a_large_flood_window(self, top_k, scan):
+        trace = get_scenario("flood").build(4.0, 40.0, 1)
+        matrix = _folded(compress_trace(trace))
+        assert matrix.links == 3385
+        assert _stats_digest(matrix, top_k, scan) == FLOOD_DIGESTS[top_k, scan]
 
     def test_scan_candidates_cross_threshold_only(self):
-        stats = _stats_python(self._dense_matrix(), 10, 16)
+        stats = self._dense_matrix().stats(top_k=10, scan_fanout=16)
         assert [c.src for c in stats.scan_candidates] == [1]
         assert stats.scan_candidates[0].fanout == 20
         assert stats.max_fanout == 20
@@ -135,9 +160,19 @@ class TestStatsEngines:
         matrix.add(3, 7, 5, 50)
         matrix.add(3, 2, 5, 50)
         matrix.add(1, 1, 9, 10)
-        stats = _stats_python(matrix, 10, 100)
+        stats = matrix.stats(top_k=10, scan_fanout=100)
         ranked = [(link.src, link.dst) for link in stats.top_links_packets]
         assert ranked == [(1, 1), (3, 2), (3, 7), (9, 1)]
+
+    def test_top_k_zero_yields_empty_lists(self):
+        stats = self._dense_matrix().stats(top_k=0, scan_fanout=16)
+        assert stats.top_links_packets == stats.top_links_bytes == ()
+        assert stats.scan_candidates == ()
+        assert stats.max_fanout == 20
+
+    def test_negative_top_k_rejected(self):
+        with pytest.raises(ValueError, match="top_k"):
+            self._dense_matrix().stats(top_k=-1)
 
 
 class TestAddressAnonymizer:
@@ -226,6 +261,20 @@ class TestMatrixReport:
         document = json.loads(report.to_json())
         assert document["schema"] == "repro.analysis/matrix-report/v1"
         assert MatrixReport.from_dict(document) == report
+
+    def test_from_dict_loads_a_document_naming_the_retired_engine(
+        self, archive_path
+    ):
+        # 1.1 wrote "scipy" here whenever the CSR engine was importable;
+        # the label never changed the numbers, so such documents load.
+        with ArchiveReader(archive_path) as reader:
+            report = matrix_report_for_archive(reader, window=3.0)
+        document = json.loads(report.to_json())
+        assert document["engine"] == "python"
+        document["engine"] = "scipy"
+        reloaded = MatrixReport.from_dict(document)
+        assert reloaded.engine == "scipy"
+        assert reloaded.windows == report.windows
 
     def test_from_dict_rejects_wrong_schema(self):
         with pytest.raises(ValueError, match="schema"):

@@ -125,6 +125,20 @@ class TestReplayWithoutNumpy:
         assert "numpy" not in loaded
 
 
+class TestStatsWithoutScipy:
+    def test_archive_stats_import_no_array_library(self):
+        # Window statistics are one pure-python engine; loading scipy
+        # (or numpy under it) was most of a cold stats call's cost.
+        loaded = _loaded_after(
+            "import repro\n"
+            f"with repro.open({str(FIXTURES / 'v1.fctca')!r}) as store:\n"
+            "    assert store.stats(window=1.0).windows\n"
+        )
+        assert "repro.analysis.matrices" in loaded
+        assert "scipy" not in loaded
+        assert "numpy" not in loaded
+
+
 class TestCliStartup:
     def test_cli_import_skips_the_engine(self):
         loaded = _loaded_after("import repro.cli")

@@ -77,6 +77,19 @@ class TestContainerStats:
             from_container = store.stats(window=2.0)
         assert from_container.windows == from_trace.windows
 
+    def test_negative_top_k_rejected(self, container_path):
+        with repro.open(container_path) as store:
+            with pytest.raises(ValueError, match="top_k"):
+                store.stats(window=2.0, top_k=-1)
+
+    def test_top_k_zero_returns_empty_lists(self, container_path):
+        with repro.open(container_path) as store:
+            report = store.stats(window=2.0, top_k=0)
+        assert report.flows > 0
+        for window in report.windows:
+            assert window.top_links_packets == window.top_links_bytes == ()
+            assert window.scan_candidates == ()
+
 
 class TestArchiveStats:
     def test_index_and_decode_methods_agree(self, archive_path):
@@ -113,6 +126,12 @@ class TestArchiveStats:
         assert all(
             0 <= probe.segments_overlapping <= total_segments for probe in probes
         )
+
+    def test_negative_top_k_rejected_before_any_decode(self, archive_path):
+        with repro.open(archive_path) as store:
+            with pytest.raises(ValueError, match="top_k"):
+                store.stats(window=2.0, top_k=-1)
+            assert store.reader.segments_decoded == 0
 
     def test_window_probe_rejects_bad_count(self, archive_path):
         with repro.open(archive_path) as store:

@@ -5,6 +5,8 @@ data, bad flags) plus ``--version`` and the internal-error funnel, so a
 regression in any one handler's error handling fails here by name.
 """
 
+from pathlib import Path
+
 import pytest
 
 import repro
@@ -12,6 +14,7 @@ from repro import api
 from repro.cli import main
 
 MISSING = "/nonexistent/input-that-cannot-exist.tsh"
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 # Every subcommand, invoked with a missing input file: all must exit 2.
 _MISSING_INPUT_INVOCATIONS = {
@@ -46,7 +49,6 @@ class TestVersion:
     def test_version_matches_package_metadata(self):
         # Plain-text scan, not tomllib — the CI floor is Python 3.10.
         import re
-        from pathlib import Path
 
         pyproject = Path(__file__).resolve().parents[2] / "pyproject.toml"
         match = re.search(
@@ -132,6 +134,14 @@ class TestDataErrors:
         capsys.readouterr()
         assert main(["replay", str(compressed), str(tmp_path / "o.tsh")]) == 2
         assert "archive" in capsys.readouterr().err
+
+    def test_stats_negative_top_exits_2(self, capsys):
+        # A negative depth once sliced as "all but the last" links.
+        argv = ["stats", str(FIXTURES / "v1.fctca"), "--top", "-1", "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "top_k" in captured.err
 
     def test_inspect_addresses_on_archive_exits_2(
         self, trace_file, tmp_path, capsys
