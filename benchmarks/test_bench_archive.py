@@ -17,7 +17,8 @@ import time
 
 import pytest
 
-from repro.archive import ArchiveReader, build_archive
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader
 from repro.query import (
     DestinationPrefix,
     MatchAll,
@@ -39,9 +40,13 @@ def archive_path(tmp_path_factory):
     trace = generate_web_trace(
         duration=BENCH_DURATION, flow_rate=BENCH_RATE, seed=BENCH_SEED
     )
-    entries = build_archive(
-        path, trace.packets, segment_span=SEGMENT_SPAN, segment_packets=10**9
+    create_archive(
+        path,
+        trace.packets,
+        options=Options.make(segment_span=SEGMENT_SPAN, segment_packets=10**9),
     )
+    with ArchiveReader(path) as reader:
+        entries = reader.entries
     assert len(entries) >= 8, "benchmark needs a multi-segment archive"
     return path
 

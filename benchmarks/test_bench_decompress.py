@@ -17,7 +17,8 @@ import tracemalloc
 
 import pytest
 
-from repro.archive import ArchiveReader, build_archive
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader
 from repro.core.compressor import compress_trace
 from repro.core.decompressor import decompress_trace
 from repro.core.replay import StreamingDecompressor
@@ -52,7 +53,9 @@ def large_archive(tmp_path_factory):
     trace = generate_web_trace(
         duration=LARGE_DURATION, flow_rate=BENCH_RATE, seed=BENCH_SEED
     )
-    build_archive(path, iter(trace.packets), segment_span=4.0)
+    create_archive(
+        path, iter(trace.packets), options=Options.make(segment_span=4.0)
+    )
     return path
 
 

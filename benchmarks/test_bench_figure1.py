@@ -7,7 +7,7 @@ compressor on the same trace and regenerates the Figure 1 table rows.
 import pytest
 
 from repro.baselines import GzipCodec, PeuhkuriCodec, VanJacobsonCodec
-from repro.core import compress_to_bytes
+from repro.core import compress_trace, serialize_compressed
 from repro.experiments import figure1
 
 
@@ -34,7 +34,7 @@ class TestCompressorThroughput:
 
     def test_proposed(self, benchmark, bench_trace):
         size = benchmark.pedantic(
-            lambda: len(compress_to_bytes(bench_trace)[0]),
+            lambda: len(serialize_compressed(compress_trace(bench_trace))),
             rounds=3,
             iterations=1,
         )

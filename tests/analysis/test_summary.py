@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.summary import compare_traces
-from repro.core import roundtrip
+from repro.api import roundtrip
 from repro.synth import randomize_destinations
 from repro.trace.trace import Trace
 

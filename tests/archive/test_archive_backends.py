@@ -8,8 +8,9 @@ serialization of each decoded segment.
 
 import pytest
 
-from repro.archive import ArchiveReader, ArchiveWriter, build_archive
-from repro.core import compress_stream_to_bytes, deserialize_compressed
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader, ArchiveWriter
+from repro.core import compress_stream, deserialize_compressed, serialize_compressed
 from repro.core.backends import get_backend
 from repro.core.codec import serialize_compressed_v1
 from repro.core.streaming import StreamingCompressor
@@ -17,6 +18,11 @@ from repro.query import MatchAll, QueryEngine, TimeRange
 from repro.synth import generate_web_trace
 
 BACKENDS = ("raw", "zlib", "bz2", "lzma", "auto")
+
+
+def _build(path, packets, **knobs):
+    """Archive ``packets`` at ``path`` in 2 s segments."""
+    create_archive(path, packets, options=Options.make(segment_span=2.0, **knobs))
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +33,7 @@ def trace():
 @pytest.fixture(scope="module")
 def raw_archive(tmp_path_factory, trace):
     path = tmp_path_factory.mktemp("backend-archives") / "raw.fctca"
-    build_archive(path, trace.packets, segment_span=2.0, name="arch")
+    _build(path, trace.packets, name="arch")
     return path
 
 
@@ -45,14 +51,12 @@ class TestArchiveBackends:
         self, tmp_path, trace, raw_archive, backend
     ):
         path = tmp_path / f"{backend}.fctca"
-        build_archive(
-            path, trace.packets, segment_span=2.0, backend=backend, name="arch"
-        )
+        _build(path, trace.packets, backend=backend, name="arch")
         assert _segment_canon(path) == _segment_canon(raw_archive)
 
     def test_entropy_backend_shrinks_segments(self, tmp_path, trace, raw_archive):
         path = tmp_path / "small.fctca"
-        build_archive(path, trace.packets, segment_span=2.0, backend="zlib")
+        _build(path, trace.packets, backend="zlib")
         with ArchiveReader(raw_archive) as raw, ArchiveReader(path) as zl:
             raw_bytes = sum(e.length for e in raw.entries)
             zlib_bytes = sum(e.length for e in zl.entries)
@@ -60,7 +64,7 @@ class TestArchiveBackends:
 
     def test_index_records_the_tags(self, tmp_path, trace):
         path = tmp_path / "tagged.fctca"
-        build_archive(path, trace.packets, segment_span=2.0, backend="lzma")
+        _build(path, trace.packets, backend="lzma")
         tag = get_backend("lzma").tag
         with ArchiveReader(path) as reader:
             assert reader.entries
@@ -69,13 +73,13 @@ class TestArchiveBackends:
 
     def test_replay_identical_across_backends(self, tmp_path, trace, raw_archive):
         path = tmp_path / "replay.fctca"
-        build_archive(path, trace.packets, segment_span=2.0, backend="bz2")
+        _build(path, trace.packets, backend="bz2")
         with ArchiveReader(raw_archive) as a, ArchiveReader(path) as b:
             assert list(a.iter_packets()) == list(b.iter_packets())
 
     def test_append_mixes_backends(self, tmp_path, trace):
         path = tmp_path / "mixed.fctca"
-        build_archive(path, trace.packets, segment_span=2.0, backend="zlib")
+        _build(path, trace.packets, backend="zlib")
         extra = generate_web_trace(duration=2.0, flow_rate=25.0, seed=17)
         with ArchiveWriter.append(path, segment_span=2.0, backend="lzma") as writer:
             writer.feed(extra.packets)
@@ -93,7 +97,7 @@ class TestWriterValidation:
         from repro.core.errors import CodecError
 
         path = tmp_path / "precious.fctca"
-        build_archive(path, trace.packets, segment_span=2.0)
+        _build(path, trace.packets)
         before = path.read_bytes()
         with pytest.raises(CodecError, match="outside"):
             ArchiveWriter.create(path, backend="zlib", level=42)
@@ -116,7 +120,7 @@ class TestQueryOverBackends:
         self, tmp_path, trace, raw_archive
     ):
         path = tmp_path / "query.fctca"
-        build_archive(path, trace.packets, segment_span=2.0, backend="auto")
+        _build(path, trace.packets, backend="auto")
         predicate = TimeRange(1.0, 4.0)
         with ArchiveReader(raw_archive) as a, ArchiveReader(path) as b:
             assert (
@@ -126,7 +130,7 @@ class TestQueryOverBackends:
 
     def test_filter_preserves_source_backends(self, tmp_path, trace):
         source = tmp_path / "src.fctca"
-        build_archive(source, trace.packets, segment_span=2.0, backend="zlib")
+        _build(source, trace.packets, backend="zlib")
         out = tmp_path / "out.fctca"
         with ArchiveReader(source) as reader:
             QueryEngine(reader).filter_to(out, MatchAll())
@@ -142,7 +146,7 @@ class TestQueryOverBackends:
         from repro.core.errors import CodecError
 
         source = tmp_path / "src.fctca"
-        build_archive(source, trace.packets, segment_span=2.0)
+        _build(source, trace.packets)
         out = tmp_path / "out.fctca"
         out.write_bytes(b"previous contents the user cares about")
         with ArchiveReader(source) as reader:
@@ -155,7 +159,7 @@ class TestQueryOverBackends:
 
     def test_filter_can_recompress(self, tmp_path, trace):
         source = tmp_path / "src.fctca"
-        build_archive(source, trace.packets, segment_span=2.0)
+        _build(source, trace.packets)
         out = tmp_path / "out.fctca"
         with ArchiveReader(source) as reader:
             QueryEngine(reader).filter_to(out, MatchAll(), backend="bz2")
@@ -169,8 +173,8 @@ class TestQueryOverBackends:
 class TestStreamingBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stream_and_batch_serialize_identically(self, trace, backend):
-        streamed, _ = compress_stream_to_bytes(
-            iter(trace.packets), name="t", backend=backend
+        streamed = serialize_compressed(
+            compress_stream(iter(trace.packets), name="t"), backend=backend
         )
         compressor = StreamingCompressor(name="t")
         compressor.feed(trace.packets)

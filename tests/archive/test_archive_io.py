@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.archive import ArchiveReader, ArchiveWriter, build_archive
+from repro.archive import ArchiveReader, ArchiveWriter
 from repro.core.compressor import compress_trace
 from repro.core.errors import ArchiveError
 from tests.conftest import make_timed_flows, make_web_flow
@@ -15,10 +15,17 @@ def archive_path(tmp_path):
     return tmp_path / "trace.fctca"
 
 
+def build(path, packets, **knobs):
+    """Write ``packets`` to a new archive; returns the sealed index."""
+    with ArchiveWriter.create(path, **knobs) as writer:
+        writer.feed(packets)
+        return writer.close()
+
+
 class TestRotation:
     def test_rotates_by_time_span(self, archive_path):
         packets = make_timed_flows(12, spacing=10.0)
-        entries = build_archive(
+        entries = build(
             archive_path, packets, segment_span=30.0, segment_packets=10**9
         )
         # 12 flows spaced 10 s apart with 30 s segments -> 4 segments.
@@ -28,7 +35,7 @@ class TestRotation:
     def test_rotates_by_packet_count(self, archive_path):
         flow = make_web_flow()
         packets = make_timed_flows(10, spacing=1.0)
-        entries = build_archive(
+        entries = build(
             archive_path, packets, segment_span=None,
             segment_packets=2 * len(flow),
         )
@@ -36,7 +43,7 @@ class TestRotation:
 
     def test_segments_are_time_disjoint_and_ordered(self, archive_path):
         packets = make_timed_flows(20, spacing=5.0)
-        entries = build_archive(
+        entries = build(
             archive_path, packets, segment_span=20.0, segment_packets=10**9
         )
         for before, after in zip(entries, entries[1:]):
@@ -44,7 +51,7 @@ class TestRotation:
             assert before.offset + before.length == after.offset
 
     def test_empty_input_builds_empty_archive(self, archive_path):
-        assert build_archive(archive_path, []) == []
+        assert build(archive_path, []) == []
         with ArchiveReader(archive_path) as reader:
             assert reader.segment_count == 0
             assert reader.time_bounds() is None
@@ -59,7 +66,7 @@ class TestRotation:
 class TestReader:
     def test_segment_contents_match_per_window_compression(self, archive_path):
         packets = make_timed_flows(9, spacing=10.0, destinations=DESTINATIONS)
-        build_archive(
+        build(
             archive_path, packets, segment_span=30.0, segment_packets=10**9
         )
         with ArchiveReader(archive_path) as reader:
@@ -74,7 +81,7 @@ class TestReader:
 
     def test_index_counts_match_decoded_segments(self, archive_path):
         packets = make_timed_flows(15, spacing=4.0, destinations=DESTINATIONS)
-        build_archive(
+        build(
             archive_path, packets, segment_span=12.0, segment_packets=10**9
         )
         with ArchiveReader(archive_path) as reader:
@@ -90,7 +97,7 @@ class TestReader:
                     assert entry.summary.may_contain(address)
 
     def test_mmap_and_plain_reads_agree(self, archive_path):
-        build_archive(archive_path, make_timed_flows(6), segment_span=20.0)
+        build(archive_path, make_timed_flows(6), segment_span=20.0)
         with ArchiveReader(archive_path, use_mmap=True) as mapped, \
                 ArchiveReader(archive_path, use_mmap=False) as plain:
             assert mapped.segment_count == plain.segment_count
@@ -100,7 +107,7 @@ class TestReader:
                 )
 
     def test_decode_statistics_count_only_loaded_segments(self, archive_path):
-        build_archive(archive_path, make_timed_flows(8), segment_span=20.0)
+        build(archive_path, make_timed_flows(8), segment_span=20.0)
         with ArchiveReader(archive_path) as reader:
             assert reader.segments_decoded == 0
             reader.load_segment(1)
@@ -108,7 +115,7 @@ class TestReader:
             assert reader.bytes_decoded == reader.entries[1].length
 
     def test_segment_index_out_of_range(self, archive_path):
-        build_archive(archive_path, make_timed_flows(2), segment_span=20.0)
+        build(archive_path, make_timed_flows(2), segment_span=20.0)
         with ArchiveReader(archive_path) as reader:
             with pytest.raises(ArchiveError, match="out of range"):
                 reader.load_segment(99)
@@ -120,7 +127,7 @@ class TestReader:
             ArchiveReader(bogus)
 
     def test_rejects_truncated_archive(self, archive_path):
-        build_archive(archive_path, make_timed_flows(4), segment_span=20.0)
+        build(archive_path, make_timed_flows(4), segment_span=20.0)
         data = archive_path.read_bytes()
         archive_path.write_bytes(data[:-7])
         with pytest.raises(ArchiveError):
@@ -129,7 +136,7 @@ class TestReader:
 
 class TestAppend:
     def test_append_extends_in_place(self, archive_path):
-        build_archive(
+        build(
             archive_path,
             make_timed_flows(6, spacing=10.0),
             segment_span=30.0,
@@ -149,7 +156,7 @@ class TestAppend:
             assert total == 9
 
     def test_append_preserves_existing_segment_bytes(self, archive_path):
-        build_archive(archive_path, make_timed_flows(4), segment_span=20.0)
+        build(archive_path, make_timed_flows(4), segment_span=20.0)
         with ArchiveReader(archive_path) as reader:
             before = [
                 reader.read_segment_bytes(i) for i in range(reader.segment_count)
@@ -168,7 +175,7 @@ class TestAppend:
 
     def test_failed_append_preserves_existing_segments(self, archive_path):
         """A feed that blows up mid-append must not corrupt the archive."""
-        build_archive(archive_path, make_timed_flows(6), segment_span=20.0)
+        build(archive_path, make_timed_flows(6), segment_span=20.0)
         with ArchiveReader(archive_path) as reader:
             flows_before = reader.flow_count()
 

@@ -19,7 +19,7 @@ from repro.core.decompressor import (
     decompress_trace,
 )
 from repro.flows.assembler import assemble_flows
-from repro.core.replay import iter_decompressed
+from repro.core.replay import StreamingDecompressor
 from repro.flows.characterize import characterize_flow
 from repro.net.hostprops import plausible_ttl, plausible_window
 from repro.net.ip import address_class
@@ -165,7 +165,7 @@ class TestConfig:
             with pytest.raises(ValueError, match="not a valid"):
                 decompress_trace(compressed)
             with pytest.raises(ValueError, match="not a valid"):
-                list(iter_decompressed(compressed))
+                list(StreamingDecompressor(compressed).packets())
 
     def test_empty_compressed_gives_empty_trace(self):
         compressed = CompressedTrace(name="empty", addresses=AddressTable())

@@ -13,10 +13,7 @@ from repro.core.datasets import (
 )
 from repro.core.decompressor import DecompressorConfig, decompress_trace
 from repro.core import replay
-from repro.core.replay import (
-    StreamingDecompressor,
-    iter_decompressed,
-)
+from repro.core.replay import StreamingDecompressor
 from repro.trace.tsh import write_tsh_bytes
 
 from tests.conftest import make_timed_flows
@@ -37,14 +34,14 @@ class TestByteIdentity:
     def test_matches_batch_on_generated_trace(self, small_web_trace):
         compressed = compress_trace(small_web_trace)
         batch = decompress_trace(compressed)
-        streamed = list(iter_decompressed(compressed))
+        streamed = list(StreamingDecompressor(compressed).packets())
         assert write_tsh_bytes(streamed) == write_tsh_bytes(batch.packets)
 
     def test_config_passes_through(self, multi_flow_trace):
         compressed = compress_trace(multi_flow_trace)
         config = DecompressorConfig(seed=99, default_rtt=0.2)
         batch = decompress_trace(compressed, config)
-        streamed = list(iter_decompressed(compressed, config))
+        streamed = list(StreamingDecompressor(compressed, config).packets())
         assert write_tsh_bytes(streamed) == write_tsh_bytes(batch.packets)
 
     def test_long_flow_interleaving(self):
@@ -61,7 +58,7 @@ class TestByteIdentity:
                 TimeSeqRecord(float(start), DatasetId.SHORT, 0, 0, rtt=0.01)
             )
         batch = decompress_trace(compressed)
-        streamed = list(iter_decompressed(compressed))
+        streamed = list(StreamingDecompressor(compressed).packets())
         assert write_tsh_bytes(streamed) == write_tsh_bytes(batch.packets)
 
     def test_same_timestamp_direction_flips_match_batch(self):
@@ -152,7 +149,7 @@ class TestLifecycle:
 
     def test_empty_container_yields_nothing(self):
         compressed = CompressedTrace(name="empty", addresses=AddressTable())
-        assert list(iter_decompressed(compressed)) == []
+        assert list(StreamingDecompressor(compressed).packets()) == []
 
     def test_name_mirrors_batch(self, multi_flow_trace):
         compressed = compress_trace(multi_flow_trace)

@@ -50,8 +50,8 @@ class TestCompressBackend:
                 ["compress", str(trace_file), str(batch), "--backend", backend]
             ) == 0
             assert main(
-                ["compress", str(trace_file), str(stream), "--stream",
-                 "--backend", backend]
+                ["compress", str(trace_file), str(stream), "--chunk-size",
+                 "97", "--backend", backend]
             ) == 0
             assert batch.read_bytes() == stream.read_bytes()
 

@@ -25,7 +25,8 @@ class TestMissingFiles:
 
     def test_compress_stream_missing_input(self, tmp_path, missing, capsys):
         code = main(
-            ["compress", str(missing), str(tmp_path / "o.fctc"), "--stream"]
+            ["compress", str(missing), str(tmp_path / "o.fctc"), "--chunk-size",
+             "64"]
         )
         assert code == 2
         assert "no such file" in _stderr_line(capsys)

@@ -26,7 +26,7 @@ class TestStreamMode:
     def test_byte_identical_to_batch(self, tmp_path, trace_file, batch_file):
         streamed = tmp_path / "stream.fctc"
         assert main(
-            ["compress", str(trace_file), str(streamed), "--stream"]
+            ["compress", str(trace_file), str(streamed), "--chunk-size", "100"]
         ) == 0
         assert streamed.read_bytes() == batch_file.read_bytes()
 
@@ -39,7 +39,6 @@ class TestStreamMode:
                 "compress",
                 str(trace_file),
                 str(streamed),
-                "--stream",
                 "--chunk-size",
                 "17",
             ]
@@ -60,7 +59,7 @@ class TestStreamMode:
         main(["compress", str(trace_file), str(batch_out)])
         batch_report = capsys.readouterr().out
         stream_out = tmp_path / "s.fctc"
-        main(["compress", str(trace_file), str(stream_out), "--stream"])
+        main(["compress", str(trace_file), str(stream_out), "--chunk-size", "100"])
         assert capsys.readouterr().out == batch_report
 
 
@@ -71,7 +70,7 @@ class TestWorkersMode:
     def test_one_worker_is_byte_identical(self, tmp_path, trace_file, batch_file):
         out = tmp_path / "w1.fctc"
         assert main(
-            ["compress", str(trace_file), str(out), "--workers", "1", "--stream"]
+            ["compress", str(trace_file), str(out), "--workers", "1"]
         ) == 0
         assert out.read_bytes() == batch_file.read_bytes()
 
@@ -86,7 +85,7 @@ class TestWorkersMode:
     def test_zero_chunk_size_rejected(self, tmp_path, trace_file, capsys):
         out = tmp_path / "bad.fctc"
         assert main(
-            ["compress", str(trace_file), str(out), "--stream", "--chunk-size", "0"]
+            ["compress", str(trace_file), str(out), "--chunk-size", "0"]
         ) == 2
         assert "--chunk-size" in capsys.readouterr().err
         assert not out.exists()

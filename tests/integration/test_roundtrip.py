@@ -7,7 +7,8 @@ composes through the on-disk formats.
 
 import pytest
 
-from repro.core import compress_trace, decompress_trace, roundtrip
+from repro.api import roundtrip
+from repro.core import compress_trace, decompress_trace
 from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.flows.assembler import assemble_flows
 from repro.flows.characterize import characterize_flow

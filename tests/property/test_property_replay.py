@@ -15,7 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.archive import ArchiveReader, ArchiveWriter, build_archive
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader, ArchiveWriter
 from repro.core import replay
 from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.core.compressor import compress_trace
@@ -31,7 +32,7 @@ from repro.core.decompressor import (
     decompress_trace,
     merge_sort_key,
 )
-from repro.core.replay import StreamingDecompressor, iter_decompressed
+from repro.core.replay import StreamingDecompressor
 from repro.query import (
     DestinationPrefix,
     FlowKind,
@@ -95,8 +96,10 @@ def test_serialized_roundtrip_replays_identically(seed):
     trace = generate_web_trace(duration=1.5, flow_rate=25.0, seed=seed)
     compressed = compress_trace(trace)
     roundtripped = deserialize_compressed(serialize_compressed(compressed))
-    direct = write_tsh_bytes(iter_decompressed(compressed))
-    assert write_tsh_bytes(iter_decompressed(roundtripped)) == direct
+    direct = write_tsh_bytes(StreamingDecompressor(compressed).packets())
+    assert (
+        write_tsh_bytes(StreamingDecompressor(roundtripped).packets()) == direct
+    )
 
 
 @settings(max_examples=4, deadline=None)
@@ -110,9 +113,10 @@ def test_archive_replay_matches_per_segment_batch(tmp_path_factory, seed, segmen
         tmp_path_factory.mktemp("prop-replay")
         / f"t-{seed}-{segment_span:.2f}.fctca"
     )
-    build_archive(
-        path, iter(trace.packets), segment_span=segment_span,
-        segment_packets=10_000,
+    create_archive(
+        path,
+        iter(trace.packets),
+        options=Options.make(segment_span=segment_span, segment_packets=10_000),
     )
     reference = []
     with ArchiveReader(path) as reader:
@@ -142,7 +146,7 @@ def batch_size(packets):
 
 def _assert_matches_oracle(compressed, config=None):
     expected = oracle_decompress(compressed, config)
-    assert list(iter_decompressed(compressed, config)) == expected
+    assert list(StreamingDecompressor(compressed, config).packets()) == expected
     assert decompress_trace(compressed, config).packets == expected
     return expected
 
@@ -194,8 +198,10 @@ def _write_segments(path, starts, spacing):
 
 def _rolling_archive(path):
     trace = generate_web_trace(duration=4.0, flow_rate=20.0, seed=8)
-    build_archive(
-        path, iter(trace.packets), segment_span=0.7, segment_packets=10_000
+    create_archive(
+        path,
+        iter(trace.packets),
+        options=Options.make(segment_span=0.7, segment_packets=10_000),
     )
 
 

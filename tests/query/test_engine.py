@@ -8,7 +8,9 @@ entries match.
 
 import pytest
 
-from repro.archive import ArchiveReader, build_archive
+import repro
+from repro.api import Options, create_archive
+from repro.archive import ArchiveReader
 from repro.core.datasets import DatasetId
 from repro.query import (
     DestinationAddress,
@@ -17,9 +19,7 @@ from repro.query import (
     PacketCountRange,
     QueryEngine,
     TimeRange,
-    filter_archive,
     flow_summaries,
-    query_archive,
 )
 from tests.conftest import make_timed_flows
 
@@ -31,9 +31,13 @@ def archive_path(tmp_path_factory):
     """Ten segments: 30 flows spaced 10 s, rotated every 30 s."""
     path = tmp_path_factory.mktemp("query") / "trace.fctca"
     packets = make_timed_flows(30, spacing=10.0, destinations=DESTINATIONS)
-    entries = build_archive(
-        path, packets, segment_span=30.0, segment_packets=10**9
+    create_archive(
+        path,
+        packets,
+        options=Options.make(segment_span=30.0, segment_packets=10**9),
     )
+    with ArchiveReader(path) as reader:
+        entries = reader.entries
     assert len(entries) == 10
     return path
 
@@ -83,35 +87,41 @@ class TestAcceptance:
             ~DestinationAddress(0xC0A80001),
         ]
         for predicate in predicates:
-            result = query_archive(archive_path, predicate)
+            with repro.open(archive_path) as store:
+                result = store.query(predicate)
             assert result.flows == brute_force(archive_path, predicate), predicate
 
 
 class TestEngine:
     def test_time_pruning_skips_segments(self, archive_path):
-        result = query_archive(archive_path, TimeRange(0.0, 25.0))
+        with repro.open(archive_path) as store:
+            result = store.query(TimeRange(0.0, 25.0))
         assert result.stats.segments_decoded == 1
         assert result.stats.segments_total == 10
         assert len(result.flows) == 3
 
     def test_impossible_query_decodes_nothing(self, archive_path):
-        result = query_archive(archive_path, DestinationAddress("10.9.9.9"))
+        with repro.open(archive_path) as store:
+            result = store.query(DestinationAddress("10.9.9.9"))
         assert result.flows == []
         assert result.stats.segments_decoded == 0
         assert result.stats.bytes_decoded == 0
 
     def test_limit_stops_early(self, archive_path):
-        result = query_archive(archive_path, MatchAll(), limit=4)
+        with repro.open(archive_path) as store:
+            result = store.query(MatchAll(), limit=4)
         assert len(result.flows) == 4
         assert result.stats.segments_decoded <= 2
 
     def test_stats_lines_render(self, archive_path):
-        result = query_archive(archive_path, MatchAll())
+        with repro.open(archive_path) as store:
+            result = store.query(MatchAll())
         text = "\n".join(result.stats.summary_lines())
         assert "segments decoded" in text and "flows matched" in text
 
     def test_summary_fields_resolve_datasets(self, archive_path):
-        result = query_archive(archive_path, MatchAll())
+        with repro.open(archive_path) as store:
+            result = store.query(MatchAll())
         assert result.stats.flows_matched == 30
         for flow in result.flows:
             assert flow.kind in (DatasetId.SHORT, DatasetId.LONG)
@@ -126,11 +136,13 @@ class TestFilterArchive:
         predicate = TimeRange(60.0, 240.0) & DestinationAddress(0xC0A80003)
         expected = brute_force(archive_path, predicate)
         out = tmp_path / "filtered.fctca"
-        written, stats = filter_archive(archive_path, out, predicate)
+        with repro.open(archive_path) as store:
+            written, stats = store.filter(out, predicate)
         assert stats.flows_matched == len(expected)
         assert written > 0
 
-        refiltered = query_archive(out, MatchAll())
+        with repro.open(out) as store:
+            refiltered = store.query(MatchAll())
         assert [
             (f.timestamp, f.kind, f.packet_count, f.destination, f.rtt)
             for f in refiltered.flows
@@ -141,26 +153,26 @@ class TestFilterArchive:
 
     def test_filtered_archive_preserves_epoch(self, archive_path, tmp_path):
         out = tmp_path / "filtered.fctca"
-        filter_archive(archive_path, out, TimeRange(100.0, 150.0))
+        with repro.open(archive_path) as store:
+            store.filter(out, TimeRange(100.0, 150.0))
         with ArchiveReader(archive_path) as source, ArchiveReader(out) as sub:
             assert sub.epoch == source.epoch
 
     def test_filter_respects_limit(self, archive_path, tmp_path):
         out = tmp_path / "limited.fctca"
-        written, stats = filter_archive(
-            archive_path, out, MatchAll(), limit=4
-        )
+        with repro.open(archive_path) as store:
+            written, stats = store.filter(out, MatchAll(), limit=4)
         assert stats.flows_matched == 4
-        result = query_archive(out, MatchAll())
+        with repro.open(out) as store:
+            result = store.query(MatchAll())
         assert len(result.flows) == 4
 
     def test_filter_with_no_matches_writes_empty_archive(
         self, archive_path, tmp_path
     ):
         out = tmp_path / "empty.fctca"
-        written, stats = filter_archive(
-            archive_path, out, DestinationAddress("10.9.9.9")
-        )
+        with repro.open(archive_path) as store:
+            written, stats = store.filter(out, DestinationAddress("10.9.9.9"))
         assert written == 0 and stats.flows_matched == 0
         with ArchiveReader(out) as reader:
             assert reader.segment_count == 0

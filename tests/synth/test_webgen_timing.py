@@ -81,7 +81,7 @@ class TestFlowDurationModel:
     def test_decompression_timing_within_factor(self, small_web_trace):
         """The paper's RTT model stretches flows; the stretch must stay
         bounded (the slow-start generator keeps it ~2x)."""
-        from repro.core import roundtrip
+        from repro.api import roundtrip
         from repro.flows.assembler import assemble_flows as assemble
 
         decompressed, _ = roundtrip(small_web_trace)

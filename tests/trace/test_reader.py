@@ -83,7 +83,11 @@ class TestIterChunks:
 class TestReadColumns:
     @pytest.mark.parametrize("chunk_size", [1, 97, 8192])
     def test_matches_scalar_chunks(self, tsh_file, chunk_size):
-        scalar = list(iter_tsh_chunks(tsh_file, chunk_size))
+        packets = list(iter_tsh_packets(tsh_file, chunk_size))
+        scalar = [
+            packets[start : start + chunk_size]
+            for start in range(0, len(packets), chunk_size)
+        ]
         columnar = list(read_columns(tsh_file, chunk_size))
         assert [len(chunk) for chunk in columnar] == [
             len(chunk) for chunk in scalar
