@@ -4,8 +4,6 @@ import random
 
 import pytest
 
-from repro.baselines.deflate import deflate_compress
-from repro.baselines.lz77 import lz77_compress
 from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.core.compressor import compress_trace
 from repro.core.decompressor import decompress_trace
@@ -101,19 +99,3 @@ def test_cache_access_rate(benchmark):
     misses = benchmark.pedantic(replay, rounds=3, iterations=1)
     assert misses > 0
 
-
-@pytest.mark.benchmark(group="micro-deflate")
-class TestDeflatePipeline:
-    def test_lz77_throughput(self, benchmark, bench_trace):
-        data = write_tsh_bytes(bench_trace.packets[:2000])
-        tokens = benchmark.pedantic(
-            lambda: lz77_compress(data), rounds=2, iterations=1
-        )
-        assert tokens
-
-    def test_deflate_throughput(self, benchmark, bench_trace):
-        data = write_tsh_bytes(bench_trace.packets[:2000])
-        compressed = benchmark.pedantic(
-            lambda: deflate_compress(data), rounds=2, iterations=1
-        )
-        assert len(compressed) < len(data)

@@ -2,21 +2,12 @@
 
 Figure 1 compares the proposed method against GZIP, the (modified) Van
 Jacobson RFC 1144 header compressor and Peuhkuri's flow-based lossy
-method.  All three baselines are implemented here as working codecs, plus
-a from-scratch LZ77 + canonical-Huffman pipeline (cross-checked against
-stdlib ``zlib``, which implements the same DEFLATE family the paper's
-GZIP uses) and the closed-form ratio models of equations 5–8.
+method.  All three baselines are implemented here as working codecs —
+GZIP as stdlib ``zlib``, the DEFLATE codebase the gzip tool links — plus
+the closed-form ratio models of equations 5–8.
 """
 
 from repro.baselines.gzip_like import GzipCodec, gzip_compressed_size
-from repro.baselines.lz77 import LZ77_MAX_MATCH, LZ77_MIN_MATCH, Token, lz77_compress, lz77_decompress
-from repro.baselines.huffman import (
-    HuffmanCode,
-    build_huffman_code,
-    huffman_decode,
-    huffman_encode,
-)
-from repro.baselines.deflate import deflate_compress, deflate_decompress
 from repro.baselines.vanjacobson import VanJacobsonCodec, VJConfig
 from repro.baselines.peuhkuri import PeuhkuriCodec, PeuhkuriConfig
 from repro.baselines.models import (
@@ -33,17 +24,6 @@ from repro.baselines.models import (
 __all__ = [
     "GzipCodec",
     "gzip_compressed_size",
-    "LZ77_MAX_MATCH",
-    "LZ77_MIN_MATCH",
-    "Token",
-    "lz77_compress",
-    "lz77_decompress",
-    "HuffmanCode",
-    "build_huffman_code",
-    "huffman_decode",
-    "huffman_encode",
-    "deflate_compress",
-    "deflate_decompress",
     "VanJacobsonCodec",
     "VJConfig",
     "PeuhkuriCodec",

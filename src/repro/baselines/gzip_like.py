@@ -3,8 +3,7 @@
 The paper measures "the compressed file size obtained using the GZIP
 application is 50% of the original TSH file size".  GZIP's payload is the
 DEFLATE algorithm; Python's stdlib ``zlib`` is the very same codebase the
-gzip tool links, so this wrapper *is* the paper's baseline (and the
-from-scratch :mod:`repro.baselines.deflate` is cross-checked against it).
+gzip tool links, so this wrapper *is* the paper's baseline.
 """
 
 from __future__ import annotations

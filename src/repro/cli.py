@@ -92,24 +92,7 @@ def _cmd_fidelity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _workers_removed(args: argparse.Namespace) -> bool:
-    """True, after logging why, when a removed ``--workers N`` was given.
-
-    The hidden flag survives so scripts passing ``--workers 1`` keep
-    working: one process is the only mode, and its bytes never changed.
-    """
-    if args.workers is None or args.workers == 1:
-        return False
-    _log.error(
-        "error: --workers was removed in 1.2.0; compress and replay run "
-        "in one process (--stream bounds memory)"
-    )
-    return True
-
-
 def _cmd_compress(args: argparse.Namespace) -> int:
-    if _workers_removed(args):
-        return 2
     if args.chunk_size is not None and args.chunk_size < 1:
         _log.error("error: --chunk-size must be >= 1, got %s", args.chunk_size)
         return 2
@@ -168,8 +151,6 @@ def _cmd_decompress(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    if _workers_removed(args):
-        return 2
     predicate = _build_predicate(args)
     filtered = not isinstance(predicate, api.MatchAll) or args.limit is not None
     with api.open(args.archive) as store:
@@ -484,14 +465,6 @@ def _print_query_stats(store, predicate) -> int:
     return 0
 
 
-def _add_removed_engine_flag(parser: argparse.ArgumentParser) -> None:
-    """The hidden ``--engine``: accepted and ignored, because the engines
-    it chose between always wrote the same bytes.  Removed in 1.2.0."""
-    parser.add_argument(
-        "--engine", choices=("auto", "scalar", "columnar"), help=argparse.SUPPRESS
-    )
-
-
 def _add_backend_flags(
     sub: argparse.ArgumentParser, *, default_note: str, what: str
 ) -> None:
@@ -648,19 +621,12 @@ def build_parser() -> argparse.ArgumentParser:
     compress.add_argument(
         "output", help="output .fctc path (.fctca builds a segmented archive)"
     )
-    # Hidden and ignored until 1.2.0: every TSH input is read in chunks,
-    # so the flag never changed the output bytes.
-    compress.add_argument("--stream", action="store_true", help=argparse.SUPPRESS)
-    compress.add_argument(
-        "--workers", type=int, default=None, help=argparse.SUPPRESS
-    )
     compress.add_argument(
         "--chunk-size",
         type=int,
         default=None,
         help=f"packets decoded per read (default {DEFAULT_CHUNK_PACKETS})",
     )
-    _add_removed_engine_flag(compress)
     _add_backend_flags(compress, default_note="raw", what="the output container")
     compress.set_defaults(handler=_cmd_compress)
 
@@ -681,9 +647,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("archive", help=".fctca path")
     replay.add_argument(
         "output", help="output .tsh path (.pcap writes pcap-lite instead)"
-    )
-    replay.add_argument(
-        "--workers", type=int, default=None, help=argparse.SUPPRESS
     )
     _add_predicate_flags(replay)
     replay.add_argument(
@@ -930,7 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="poll interval for tail: sources (default 0.25)",
     )
-    _add_removed_engine_flag(serve)
     _add_backend_flags(serve, default_note="raw", what="every segment")
     serve.set_defaults(handler=_cmd_serve)
 

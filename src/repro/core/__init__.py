@@ -41,7 +41,6 @@ _LAZY_EXPORTS = {
     "repro.core.replay": (
         "ReplayStats",
         "StreamingDecompressor",
-        "iter_decompressed",
         "merge_packet_stream",
     ),
     "repro.core.codec": (
@@ -75,11 +74,7 @@ _LAZY_EXPORTS = {
     ),
     "repro.core.pipeline": (
         "CompressionReport",
-        "compress_stream_to_bytes",
-        "compress_to_bytes",
-        "decompress_from_bytes",
         "report_for_stream",
-        "roundtrip",
     ),
     "repro.core.generator": ("TraceModel",),
     "repro.core.errors": ("ArchiveError", "CodecError", "CompressionError"),

@@ -1,22 +1,4 @@
-"""Exception types of the core compressor, plus the deprecation helper."""
-
-import warnings
-
-
-def warn_deprecated(old: str, new: str, *, stacklevel: int = 3) -> None:
-    """Emit the standard 1.1-shim :class:`DeprecationWarning`.
-
-    One helper for every shim so the message shape (and the 1.2 removal
-    edit) stays in one place.  ``stacklevel`` must land on the *shim's
-    caller* — 3 when called from inside the shim body (helper → shim →
-    caller), which is the normal case.
-    """
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead "
-        "(shim kept for one release, see repro.api)",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
+"""Exception types of the core compressor."""
 
 
 class CompressionError(Exception):

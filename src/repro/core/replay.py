@@ -241,10 +241,3 @@ class StreamingDecompressor:
 
     def __iter__(self) -> Iterator[PacketRecord]:
         return self.packets()
-
-
-def iter_decompressed(
-    compressed: CompressedTrace, config: DecompressorConfig | None = None
-) -> Iterator[PacketRecord]:
-    """One-shot convenience: stream-decompress a container's packets."""
-    return StreamingDecompressor(compressed, config).packets()

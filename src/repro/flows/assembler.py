@@ -11,7 +11,7 @@ teardowns still terminate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from repro.net.flowkey import FiveTuple
 from repro.net.packet import PacketRecord
@@ -126,17 +126,3 @@ def assemble_flows(
     flows.extend(assembler.flush())
     flows.sort(key=lambda flow: flow.start_time())
     return flows
-
-
-def iter_flows(
-    packets: Iterable[PacketRecord], config: AssemblerConfig | None = None
-) -> Iterator[Flow]:
-    """Streaming variant of :func:`assemble_flows`.
-
-    Flows are yielded in *completion* order (not start order) so the
-    pipeline never holds the whole trace in memory.
-    """
-    assembler = FlowAssembler(config)
-    for packet in packets:
-        yield from assembler.add(packet)
-    yield from assembler.flush()

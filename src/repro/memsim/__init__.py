@@ -18,7 +18,6 @@ the equivalent simulation substrate:
 from repro.memsim.memory import SimulatedHeap
 from repro.memsim.access import AccessRecorder, PacketAccessTrace
 from repro.memsim.cache import CacheConfig, CacheStatistics, SetAssociativeCache
-from repro.memsim.hierarchy import CacheHierarchy, HierarchyConfig, HierarchyStatistics
 from repro.memsim.metrics import (
     MISS_RATE_BUCKETS,
     PacketMemoryMetrics,
@@ -34,9 +33,6 @@ __all__ = [
     "CacheConfig",
     "CacheStatistics",
     "SetAssociativeCache",
-    "CacheHierarchy",
-    "HierarchyConfig",
-    "HierarchyStatistics",
     "MISS_RATE_BUCKETS",
     "PacketMemoryMetrics",
     "TraceMemoryProfile",

@@ -148,41 +148,3 @@ def canonical_key_columns(columns) -> tuple[list[int], list[int], list[bool]]:
         key_hi.append(high)
         forward_flags.append(is_forward)
     return key_lo, key_hi, forward_flags
-
-
-def flow_hash_columns(columns) -> list[int]:
-    """:func:`flow_hash` of every row's direction-sensitive 5-tuple.
-
-    Vectorized over the chunk (u64 wraparound multiplies are exactly the
-    masked Python arithmetic); the fallback delegates to the scalar hash
-    row by row.  ``flow_hash_columns(cols)[i] ==
-    flow_hash(records[i].five_tuple())`` always.
-    """
-    from repro.net.columns import numpy_or_none, tolist
-
-    np = numpy_or_none()
-    if np is None:
-        return [
-            flow_hash(FiveTuple(sip, dip, proto, sport, dport))
-            for sip, dip, proto, sport, dport in zip(
-                tolist(columns.src_ip),
-                tolist(columns.dst_ip),
-                tolist(columns.protocol),
-                tolist(columns.src_port),
-                tolist(columns.dst_port),
-            )
-        ]
-    value = np.full(len(columns), _HASH_BASIS, dtype=np.uint64)
-    prime = np.uint64(_HASH_PRIME)
-    byte_mask = np.uint64(0xFF)
-    for word in (
-        np.asarray(columns.src_ip, dtype=np.uint64),
-        np.asarray(columns.dst_ip, dtype=np.uint64),
-        np.asarray(columns.protocol, dtype=np.uint64),
-        np.asarray(columns.src_port, dtype=np.uint64),
-        np.asarray(columns.dst_port, dtype=np.uint64),
-    ):
-        for shift in (0, 8, 16, 24):
-            value ^= (word >> np.uint64(shift)) & byte_mask
-            value *= prime  # u64 wraparound == the scalar's & _HASH_MASK
-    return value.tolist()

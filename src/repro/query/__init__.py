@@ -5,9 +5,7 @@ from repro.query.engine import (
     QueryEngine,
     QueryResult,
     QueryStats,
-    filter_archive,
     flow_summaries,
-    query_archive,
 )
 from repro.query.predicates import (
     And,
@@ -28,9 +26,7 @@ __all__ = [
     "QueryEngine",
     "QueryResult",
     "QueryStats",
-    "filter_archive",
     "flow_summaries",
-    "query_archive",
     "And",
     "DestinationAddress",
     "DestinationPrefix",

@@ -18,7 +18,7 @@ verbs that need templates or packets — :meth:`QueryEngine.filter_to`,
 :meth:`QueryEngine.stream_packets` and ``method="decode"`` — decode
 their segments every time.
 
-:func:`filter_archive` reuses the same plan to materialize a filtered
+:meth:`QueryEngine.filter_to` reuses the same plan to materialize a filtered
 sub-archive: each matching segment's selected records are re-packed
 (templates and addresses re-indexed) and written through the ordinary
 :class:`~repro.archive.writer.ArchiveWriter` machinery, preserving the
@@ -50,7 +50,6 @@ from repro.core.backends import backend_for_tag
 from repro.core.codec import SECTION_NAMES, validate_backend_request
 from repro.core.datasets import CompressedTrace, DatasetId, TimeSeqRecord
 from repro.core.decompressor import DecompressorConfig, FlowSpec, flow_specs
-from repro.core.errors import warn_deprecated
 from repro.core.flowmeta import (
     FlowRecord,
     flow_records,
@@ -633,40 +632,3 @@ class QueryEngine:
             writer.close()
         stats.publish()
         return written, stats
-
-
-def query_archive(
-    path: str | Path,
-    predicate: Predicate | None = None,
-    *,
-    limit: int | None = None,
-) -> QueryResult:
-    """Open ``path``, run one query, close — the one-shot convenience.
-
-    .. deprecated:: 1.1  Use ``repro.open(path).query(predicate)``.
-    """
-    warn_deprecated("query_archive", "repro.open(...).query(...)")
-    with ArchiveReader(path) as reader:
-        return QueryEngine(reader).run(predicate, limit=limit)
-
-
-def filter_archive(
-    path: str | Path,
-    out_path: str | Path,
-    predicate: Predicate | None = None,
-    *,
-    limit: int | None = None,
-    name: str | None = None,
-    backend: str | None = None,
-    level: int | None = None,
-) -> tuple[int, QueryStats]:
-    """Open ``path``, write the matching sub-archive to ``out_path``.
-
-    .. deprecated:: 1.1  Use ``repro.open(path).filter(out_path, ...)``.
-    """
-    warn_deprecated("filter_archive", "repro.open(...).filter(...)")
-    with ArchiveReader(path) as reader:
-        return QueryEngine(reader).filter_to(
-            out_path, predicate, limit=limit, name=name,
-            backend=backend, level=level,
-        )

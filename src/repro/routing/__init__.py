@@ -13,7 +13,6 @@ from repro.routing.base import BenchmarkApp, BenchmarkResult
 from repro.routing.route import RouteApp
 from repro.routing.nat import NatApp, NatConfig
 from repro.routing.rtr import RtrApp, RtrConfig
-from repro.routing.classifier import ClassifierApp, ClassifierConfig
 
 __all__ = [
     "RadixNodeLayout",
@@ -29,6 +28,4 @@ __all__ = [
     "NatConfig",
     "RtrApp",
     "RtrConfig",
-    "ClassifierApp",
-    "ClassifierConfig",
 ]

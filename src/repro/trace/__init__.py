@@ -19,10 +19,7 @@ from repro.trace.tsh import (
 from repro.trace.reader import (
     DEFAULT_CHUNK_PACKETS,
     count_tsh_packets,
-    first_tsh_timestamp,
-    iter_tsh_chunks,
     iter_tsh_packets,
-    iter_tsh_records,
     read_columns,
 )
 from repro.trace.pcaplite import read_pcap, write_pcap
@@ -32,7 +29,6 @@ from repro.trace.export import (
     export_packet_stream,
 )
 from repro.trace.stats import FlowLengthDistribution, TraceStatistics, compute_statistics
-from repro.trace.filters import select_time_window, select_web_traffic, split_by_seconds
 from repro.trace.anonymize import PrefixPreservingAnonymizer, anonymize_prefix_preserving
 
 __all__ = [
@@ -44,10 +40,7 @@ __all__ = [
     "write_tsh_bytes",
     "DEFAULT_CHUNK_PACKETS",
     "count_tsh_packets",
-    "first_tsh_timestamp",
-    "iter_tsh_chunks",
     "iter_tsh_packets",
-    "iter_tsh_records",
     "read_columns",
     "read_pcap",
     "write_pcap",
@@ -57,9 +50,6 @@ __all__ = [
     "FlowLengthDistribution",
     "TraceStatistics",
     "compute_statistics",
-    "select_time_window",
-    "select_web_traffic",
-    "split_by_seconds",
     "PrefixPreservingAnonymizer",
     "anonymize_prefix_preserving",
 ]

@@ -21,20 +21,6 @@ def is_web_packet(packet: PacketRecord, ports: frozenset[int] = WEB_PORTS) -> bo
     return packet.src_port in ports or packet.dst_port in ports
 
 
-def select_web_traffic(trace: Trace, ports: frozenset[int] = WEB_PORTS) -> Trace:
-    """The Web-only subset of a trace (the paper's 'Original trace')."""
-    subset = trace.filter(lambda p: is_web_packet(p, ports))
-    return subset.renamed(f"{trace.name}-web")
-
-
-def select_time_window(trace: Trace, start: float, end: float) -> Trace:
-    """Packets with ``start <= timestamp < end`` (absolute times)."""
-    if end < start:
-        raise ValueError(f"window end {end} before start {start}")
-    subset = trace.filter(lambda p: start <= p.timestamp < end)
-    return subset.renamed(f"{trace.name}[{start:.0f},{end:.0f})")
-
-
 def select_elapsed(trace: Trace, elapsed_seconds: float) -> Trace:
     """The prefix of a trace covering its first ``elapsed_seconds``.
 
@@ -47,25 +33,3 @@ def select_elapsed(trace: Trace, elapsed_seconds: float) -> Trace:
     cutoff = start + elapsed_seconds
     subset = trace.filter(lambda p: p.timestamp <= cutoff)
     return subset.renamed(f"{trace.name}@{elapsed_seconds:.0f}s")
-
-
-def split_by_seconds(trace: Trace, bucket_seconds: float) -> list[Trace]:
-    """Split a time-ordered trace into consecutive fixed-width slices."""
-    if bucket_seconds <= 0:
-        raise ValueError("bucket width must be positive")
-    if not trace.packets:
-        return []
-    slices: list[Trace] = []
-    start = trace.start_time()
-    current: list[PacketRecord] = []
-    boundary = start + bucket_seconds
-    index = 0
-    for packet in trace.packets:
-        while packet.timestamp >= boundary:
-            slices.append(Trace(current, name=f"{trace.name}#{index}"))
-            current = []
-            index += 1
-            boundary += bucket_seconds
-        current.append(packet)
-    slices.append(Trace(current, name=f"{trace.name}#{index}"))
-    return slices

@@ -69,38 +69,6 @@ def _iter_record_blocks(path: str | Path, chunk_size: int) -> Iterator[bytes]:
                 yield block
 
 
-def iter_tsh_records(
-    path: str | Path, chunk_size: int = DEFAULT_CHUNK_PACKETS
-) -> Iterator[bytes]:
-    """Yield raw 44-byte records with chunked reads, without decoding.
-
-    Lets callers filter records cheaply (the parallel compressor's shard
-    test needs only the 5-tuple bytes) and decode just the survivors.
-    """
-    for block in _iter_record_blocks(path, chunk_size):
-        for offset in range(0, len(block), TSH_RECORD_BYTES):
-            yield block[offset : offset + TSH_RECORD_BYTES]
-
-
-def iter_tsh_chunks(
-    path: str | Path, chunk_size: int = DEFAULT_CHUNK_PACKETS
-) -> Iterator[list[PacketRecord]]:
-    """Yield lists of up to ``chunk_size`` packets from a ``.tsh`` file.
-
-    Memory use is bounded by one chunk regardless of file size.  Raises
-    ``ValueError`` for a non-positive ``chunk_size`` or a file whose size
-    is not a multiple of the 44-byte record length.
-    """
-    for block in _iter_record_blocks(path, chunk_size):
-        # One memoryview per block, decoded in place with unpack_from —
-        # not one sliced byte copy per record.
-        view = memoryview(block)
-        yield [
-            decode_record_from(view, offset)
-            for offset in range(0, len(block), TSH_RECORD_BYTES)
-        ]
-
-
 def read_columns(path: str | Path, chunk_size: int = DEFAULT_CHUNK_PACKETS):
     """Yield :class:`~repro.net.columns.PacketColumns` chunks of a file.
 
@@ -108,8 +76,8 @@ def read_columns(path: str | Path, chunk_size: int = DEFAULT_CHUNK_PACKETS):
     records is decoded in one vectorized pass
     (:func:`~repro.trace.tsh.decode_columns`).  Chunk boundaries come
     from the shared block reader, so they are identical across storage
-    backends and identical to :func:`iter_tsh_chunks`; truncated
-    trailing records raise the same ``ValueError``.
+    backends; truncated trailing records raise the same ``ValueError``
+    as :func:`iter_tsh_packets`.
     """
     for block in _iter_record_blocks(path, chunk_size):
         yield decode_columns(block)
@@ -120,11 +88,17 @@ def iter_tsh_packets(
 ) -> Iterator[PacketRecord]:
     """Yield packets from a ``.tsh`` file without loading it whole.
 
-    The streaming counterpart of :meth:`Trace.load_tsh`: decodes
+    The streaming counterpart of :meth:`Trace.load_tsh`: reads
     ``chunk_size`` records per file read and yields them one at a time.
+    Raises ``ValueError`` for a non-positive ``chunk_size`` or a file
+    whose size is not a multiple of the 44-byte record length.
     """
-    for chunk in iter_tsh_chunks(path, chunk_size):
-        yield from chunk
+    for block in _iter_record_blocks(path, chunk_size):
+        # One memoryview per block, decoded in place with unpack_from —
+        # not one sliced byte copy per record.
+        view = memoryview(block)
+        for offset in range(0, len(block), TSH_RECORD_BYTES):
+            yield decode_record_from(view, offset)
 
 
 def count_tsh_packets(path: str | Path) -> int:
@@ -135,21 +109,3 @@ def count_tsh_packets(path: str | Path) -> int:
             f"{path}: size {size} is not a multiple of {TSH_RECORD_BYTES}"
         )
     return size // TSH_RECORD_BYTES
-
-
-def first_tsh_timestamp(path: str | Path) -> float | None:
-    """Timestamp of the first packet, or None for an empty file.
-
-    The parallel compressor anchors every shard's relative clock to the
-    trace start; reading one record is enough to find it.
-    """
-    with open(path, "rb") as stream:
-        record = stream.read(TSH_RECORD_BYTES)
-    if not record:
-        return None
-    if len(record) != TSH_RECORD_BYTES:
-        raise ValueError(
-            f"truncated TSH record: expected {TSH_RECORD_BYTES} bytes, "
-            f"got {len(record)}"
-        )
-    return decode_record_from(record).timestamp

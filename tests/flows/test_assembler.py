@@ -6,7 +6,6 @@ from repro.flows.assembler import (
     AssemblerConfig,
     FlowAssembler,
     assemble_flows,
-    iter_flows,
 )
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
@@ -117,10 +116,3 @@ class TestConfig:
         for packet in web_flow_packets:
             assembler.add(packet)
         assert assembler.completed_count == 1
-
-
-class TestStreaming:
-    def test_iter_flows_matches_batch(self, multi_flow_trace):
-        streamed = list(iter_flows(multi_flow_trace.packets))
-        batch = assemble_flows(multi_flow_trace.packets)
-        assert len(streamed) == len(batch) == 50

@@ -155,87 +155,47 @@ class TestDataErrors:
         assert "error:" in capsys.readouterr().err
 
 
-class TestRemovedWorkersFlag:
-    """``--workers`` is hidden: 1 is accepted and ignored, any other
-    count exits 2 with the one removal line."""
-
-    REMOVED = (
-        "error: --workers was removed in 1.2.0; compress and replay run "
-        "in one process (--stream bounds memory)"
-    )
+class TestRemovedFlags:
+    """The hidden flags deleted in 1.2.0 are unknown arguments now:
+    argparse rejects them with exit 2 before any output is written."""
 
     @pytest.fixture(scope="class")
     def archive_file(self, trace_file):
-        path = trace_file.with_name("workers.fctca")
+        path = trace_file.with_name("removed-flags.fctca")
         assert main(["archive", "build", str(path), str(trace_file)]) == 0
         return path
 
-    def _source(self, verb, trace_file, archive_file):
-        return str(trace_file if verb == "compress" else archive_file)
-
-    @pytest.mark.parametrize("workers", ["2", "0"])
-    @pytest.mark.parametrize("verb", ["compress", "replay"])
-    def test_other_counts_exit_2(
-        self, verb, workers, trace_file, archive_file, tmp_path, capsys
-    ):
-        capsys.readouterr()
-        out = tmp_path / "out.bin"
-        source = self._source(verb, trace_file, archive_file)
-        assert main([verb, source, str(out), "--workers", workers]) == 2
-        assert capsys.readouterr().err.splitlines() == [self.REMOVED]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("verb", ["compress", "replay"])
-    def test_one_is_ignored(self, verb, trace_file, archive_file, tmp_path):
-        source = self._source(verb, trace_file, archive_file)
-        plain, flagged = tmp_path / "plain.bin", tmp_path / "flagged.bin"
-        assert main([verb, source, str(plain)]) == 0
-        assert main([verb, source, str(flagged), "--workers", "1"]) == 0
-        assert flagged.read_bytes() == plain.read_bytes()
-
-    def test_flag_is_hidden(self, capsys):
-        for verb in ("compress", "replay"):
-            assert main([verb, "--help"]) == 0
-            assert "--workers" not in capsys.readouterr().out
-
-
-class TestRemovedEngineAndStreamFlags:
-    """``--engine`` (compress, serve) and ``--stream`` (compress) are
-    hidden: accepted and ignored, since there is one engine and every
-    TSH input is read in chunks."""
-
     @pytest.mark.parametrize(
-        "flags",
-        [["--engine", "auto"], ["--engine", "scalar"], ["--engine", "columnar"],
-         ["--stream"]],
+        "verb, flags",
+        [
+            ("compress", ["--workers", "1"]),
+            ("replay", ["--workers", "2"]),
+            ("compress", ["--engine", "columnar"]),
+            ("compress", ["--stream"]),
+            ("serve", ["--engine", "auto"]),
+        ],
+        ids=[
+            "compress-workers",
+            "replay-workers",
+            "compress-engine",
+            "compress-stream",
+            "serve-engine",
+        ],
     )
-    def test_compress_ignores_flag(self, flags, trace_file, tmp_path):
-        plain, flagged = tmp_path / "plain.fctc", tmp_path / "flagged.fctc"
-        assert main(["compress", str(trace_file), str(plain)]) == 0
-        assert main(["compress", str(trace_file), str(flagged), *flags]) == 0
-        assert flagged.read_bytes() == plain.read_bytes()
-
-    @pytest.mark.parametrize("engine", ["auto", "scalar", "columnar"])
-    def test_serve_ignores_engine(self, engine, trace_file, tmp_path):
-        packets = trace_file.stat().st_size // 44
-        source = f"tail:{trace_file}"
-        outputs = []
-        for extra in ([], ["--engine", engine]):
-            out = tmp_path / f"serve{len(outputs)}" / "live.fctca"
-            out.parent.mkdir()
-            assert main(
-                ["serve", str(out), "--source", source,
-                 "--stop-after", str(packets), "--tail-poll", "0.05", *extra]
-            ) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
-    def test_flags_are_hidden(self, capsys):
-        assert main(["compress", "--help"]) == 0
-        text = capsys.readouterr().out
-        assert "--engine" not in text and "--stream" not in text
-        assert main(["serve", "--help"]) == 0
-        assert "--engine" not in capsys.readouterr().out
+    def test_exits_2_unrecognized(
+        self, verb, flags, trace_file, archive_file, tmp_path, capsys
+    ):
+        out = tmp_path / "out.fctca"
+        if verb == "serve":
+            argv = [verb, str(out), "--source", f"tail:{trace_file}",
+                    "--stop-after", "1"]
+        else:
+            source = trace_file if verb == "compress" else archive_file
+            argv = [verb, str(source), str(out)]
+        capsys.readouterr()
+        assert main([*argv, *flags]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestInternalErrors:

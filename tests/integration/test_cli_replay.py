@@ -82,13 +82,6 @@ class TestReplay:
         assert main(["replay", str(archive_file), str(out), "--limit", "2"]) == 0
         assert "flows matched    : 2" in capsys.readouterr().out
 
-    def test_bad_worker_count_rejected(self, tmp_path, archive_file, capsys):
-        out = tmp_path / "x.tsh"
-        assert (
-            main(["replay", str(archive_file), str(out), "--workers", "0"]) == 2
-        )
-        assert "--workers" in capsys.readouterr().err
-
     def test_missing_archive_exits_2(self, tmp_path, capsys):
         assert (
             main(["replay", str(tmp_path / "nope.fctca"), str(tmp_path / "o.tsh")])

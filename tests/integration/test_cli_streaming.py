@@ -1,6 +1,7 @@
-"""Integration: chunked compress reads and the hidden --stream/--workers flags.
+"""Integration: chunked compress reads.
 
-Every TSH input is read in chunks; ``--stream`` is accepted and ignored.
+Every TSH input is read in chunks; the output bytes and the report do
+not depend on ``--chunk-size``.
 """
 
 import pytest
@@ -61,26 +62,6 @@ class TestStreamMode:
         stream_out = tmp_path / "s.fctc"
         main(["compress", str(trace_file), str(stream_out), "--chunk-size", "100"])
         assert capsys.readouterr().out == batch_report
-
-
-class TestWorkersMode:
-    """``--workers`` is hidden: 1 is accepted and ignored, anything else
-    exits 2 (compression runs in one process)."""
-
-    def test_one_worker_is_byte_identical(self, tmp_path, trace_file, batch_file):
-        out = tmp_path / "w1.fctc"
-        assert main(
-            ["compress", str(trace_file), str(out), "--workers", "1"]
-        ) == 0
-        assert out.read_bytes() == batch_file.read_bytes()
-
-    def test_zero_workers_rejected(self, tmp_path, trace_file, capsys):
-        out = tmp_path / "bad.fctc"
-        assert main(
-            ["compress", str(trace_file), str(out), "--workers", "0"]
-        ) == 2
-        assert "--workers" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_zero_chunk_size_rejected(self, tmp_path, trace_file, capsys):
         out = tmp_path / "bad.fctc"

@@ -17,11 +17,7 @@ from repro.net.columns import (
     numpy_or_none,
     tolist,
 )
-from repro.net.flowkey import (
-    canonical_key_columns,
-    flow_hash,
-    flow_hash_columns,
-)
+from repro.net.flowkey import canonical_key_columns
 from repro.net.packet import PacketRecord
 from repro.synth import generate_web_trace
 from repro.trace.tsh import decode_columns, write_tsh_bytes
@@ -82,13 +78,6 @@ def test_canonical_key_columns_matches_five_tuple(packets, backend):
         assert lo == ((canon.src_ip << 16 | canon.src_port) << 8) | canon.protocol
         assert hi == (canon.dst_ip << 16) | canon.dst_port
         assert bool(fwd) == (packet.five_tuple() == canon)
-
-
-def test_flow_hash_columns_matches_flow_hash(packets, backend):
-    cols = columns_from_records(packets)
-    hashes = flow_hash_columns(cols)
-    for packet, value in zip(packets, hashes):
-        assert value == flow_hash(packet.five_tuple())
 
 
 # -- TSH columnar decode ----------------------------------------------------

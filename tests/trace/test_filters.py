@@ -1,4 +1,4 @@
-"""Tests for trace filters and slicers."""
+"""Tests for trace filters."""
 
 import pytest
 
@@ -6,9 +6,6 @@ from repro.net.packet import PacketRecord
 from repro.trace.filters import (
     is_web_packet,
     select_elapsed,
-    select_time_window,
-    select_web_traffic,
-    split_by_seconds,
 )
 from repro.trace.trace import Trace
 
@@ -32,23 +29,6 @@ class TestWebFilter:
     def test_udp_not_web(self):
         assert not is_web_packet(packet(1.0, dport=80, proto=17))
 
-    def test_select_web_traffic(self):
-        trace = Trace([packet(1.0), packet(2.0, dport=25)], name="mix")
-        web = select_web_traffic(trace)
-        assert len(web) == 1
-        assert web.name == "mix-web"
-
-
-class TestTimeWindow:
-    def test_half_open_window(self):
-        trace = Trace([packet(t) for t in (1.0, 2.0, 3.0)])
-        subset = select_time_window(trace, 1.0, 3.0)
-        assert [p.timestamp for p in subset] == [1.0, 2.0]
-
-    def test_rejects_inverted_window(self):
-        with pytest.raises(ValueError):
-            select_time_window(Trace(), 5.0, 1.0)
-
 
 class TestElapsed:
     def test_prefix_relative_to_start(self):
@@ -64,27 +44,3 @@ class TestElapsed:
         with pytest.raises(ValueError):
             select_elapsed(Trace(), -1.0)
 
-
-class TestSplit:
-    def test_split_even(self):
-        trace = Trace([packet(float(t)) for t in range(10)])
-        slices = split_by_seconds(trace, 2.0)
-        assert [len(s) for s in slices] == [2, 2, 2, 2, 2]
-
-    def test_split_with_gap(self):
-        trace = Trace([packet(0.0), packet(5.5)])
-        slices = split_by_seconds(trace, 1.0)
-        assert len(slices) == 6
-        assert [len(s) for s in slices] == [1, 0, 0, 0, 0, 1]
-
-    def test_split_empty(self):
-        assert split_by_seconds(Trace(), 1.0) == []
-
-    def test_rejects_nonpositive_bucket(self):
-        with pytest.raises(ValueError):
-            split_by_seconds(Trace(), 0.0)
-
-    def test_slices_cover_all_packets(self):
-        trace = Trace([packet(t * 0.7) for t in range(20)])
-        slices = split_by_seconds(trace, 3.0)
-        assert sum(len(s) for s in slices) == 20

@@ -3,14 +3,7 @@
 import pytest
 
 from repro.synth import generate_web_trace
-from repro.trace.reader import (
-    count_tsh_packets,
-    first_tsh_timestamp,
-    iter_tsh_chunks,
-    iter_tsh_packets,
-    iter_tsh_records,
-    read_columns,
-)
+from repro.trace.reader import count_tsh_packets, iter_tsh_packets, read_columns
 from repro.trace.trace import Trace
 from repro.trace.tsh import TSH_RECORD_BYTES
 
@@ -45,39 +38,25 @@ class TestIterPackets:
         with pytest.raises(ValueError, match="truncated"):
             list(iter_tsh_packets(path))
 
-    def test_bad_chunk_size(self, tsh_file):
-        with pytest.raises(ValueError, match="chunk_size"):
-            list(iter_tsh_packets(tsh_file, 0))
-
-
-class TestIterChunks:
-    def test_chunk_sizes(self, trace, tsh_file):
-        chunks = list(iter_tsh_chunks(tsh_file, 100))
-        assert all(len(chunk) == 100 for chunk in chunks[:-1])
-        assert 1 <= len(chunks[-1]) <= 100
-        assert sum(len(chunk) for chunk in chunks) == len(trace)
-
-    def test_single_giant_chunk(self, trace, tsh_file):
-        chunks = list(iter_tsh_chunks(tsh_file, 10**6))
-        assert len(chunks) == 1
-        assert chunks[0] == Trace.load_tsh(tsh_file).packets
-
     def test_truncated_final_record_raises(self, tsh_file, tmp_path):
         """A sub-record tail carried past the last read must still raise.
 
-        Regression guard for the memoryview-hoisted decode loop: the
-        truncation check lives in the shared block reader, and a chunk
-        size that leaves the partial record as the carried ``pending``
-        tail (rather than inside a block) is the corner that loop never
-        sees.
+        The truncation check lives in the shared block reader; a chunk
+        size that leaves the partial record as the carried tail (rather
+        than inside a block) is the corner the decode loop never sees.
         """
         path = tmp_path / "cut.tsh"
         path.write_bytes(tsh_file.read_bytes()[:-1])
         with pytest.raises(ValueError, match="truncated"):
-            list(iter_tsh_chunks(path, 100))
+            list(iter_tsh_packets(path, 100))
         # Whole-record chunks: the 43-byte tail is pure carry-over.
         with pytest.raises(ValueError, match="truncated"):
-            list(iter_tsh_chunks(path, 1))
+            list(iter_tsh_packets(path, 1))
+
+    def test_bad_chunk_size(self, tsh_file):
+        with pytest.raises(ValueError, match="chunk_size"):
+            list(iter_tsh_packets(tsh_file, 0))
+
 
 
 class TestReadColumns:
@@ -106,19 +85,6 @@ class TestReadColumns:
             list(read_columns(path, 100))
 
 
-class TestIterRecords:
-    def test_raw_records_match_file_bytes(self, tsh_file):
-        data = tsh_file.read_bytes()
-        records = list(iter_tsh_records(tsh_file, 100))
-        assert all(len(record) == TSH_RECORD_BYTES for record in records)
-        assert b"".join(records) == data
-
-    def test_truncated_raises(self, tsh_file, tmp_path):
-        path = tmp_path / "cut.tsh"
-        path.write_bytes(tsh_file.read_bytes()[:-5])
-        with pytest.raises(ValueError, match="truncated"):
-            list(iter_tsh_records(path))
-
 
 class TestCountPackets:
     def test_counts_without_reading(self, trace, tsh_file):
@@ -129,20 +95,3 @@ class TestCountPackets:
         path.write_bytes(b"\x00" * (TSH_RECORD_BYTES + 3))
         with pytest.raises(ValueError, match="not a multiple"):
             count_tsh_packets(path)
-
-
-class TestFirstTimestamp:
-    def test_reads_first_packet_time(self, trace, tsh_file):
-        first = first_tsh_timestamp(tsh_file)
-        assert first == pytest.approx(trace.packets[0].timestamp, abs=1e-6)
-
-    def test_empty_file_is_none(self, tmp_path):
-        path = tmp_path / "empty.tsh"
-        path.write_bytes(b"")
-        assert first_tsh_timestamp(path) is None
-
-    def test_truncated_raises(self, tmp_path):
-        path = tmp_path / "cut.tsh"
-        path.write_bytes(b"\x00" * 10)
-        with pytest.raises(ValueError, match="truncated"):
-            first_tsh_timestamp(path)

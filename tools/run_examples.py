@@ -8,9 +8,9 @@ The CI ``examples`` job runs this with two hard rules:
    stays in CI-smoke territory.
 2. **No deprecation leaks** — each example runs under
    ``-W error::DeprecationWarning``, so an example (or any *internal*
-   ``repro`` code it exercises) that still routes through a 1.1
-   deprecation shim fails the build.  Examples are the reference façade
-   callers; they must be warning-clean.
+   ``repro`` code it exercises) that routes through a deprecated entry
+   point fails the build.  Examples are the reference façade callers;
+   they must be warning-clean.
 
 Pure stdlib, exits non-zero on the first failing example.
 """
