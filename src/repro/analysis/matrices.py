@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from repro.core.codec import quantize_timestamp
 from repro.core.decompressor import DecompressorConfig
-from repro.core.flowmeta import FlowRecord, flow_records, flow_records_by_decode
+from repro.core.flowmeta import FlowRecord, flow_records
 from repro.net.ip import format_ipv4
 from repro.obs import current as obs_current
 
@@ -620,23 +620,52 @@ def _time_filter(
     return keep
 
 
-def _assemble(
-    records: Iterator[FlowRecord],
+def matrix_report_for_archive(
+    reader: "ArchiveReader",
     *,
-    source: str,
-    method: str,
-    window: float | None,
-    origin: float,
-    since: float | None,
-    until: float | None,
-    top_k: int,
-    scan_fanout: int,
-    anonymize_key: str | bytes | None,
-    segments_total: int,
-    decoded: Callable[[], int],
+    window: float | None = DEFAULT_WINDOW,
+    origin: float = 0.0,
+    since: float | None = None,
+    until: float | None = None,
+    top_k: int = DEFAULT_TOP_K,
+    scan_fanout: int = DEFAULT_SCAN_FANOUT,
+    anonymize_key: str | bytes | None = None,
+    method: str = "index",
+    config: DecompressorConfig | None = None,
+    stats: "QueryStats | None" = None,
 ) -> MatrixReport:
-    """Drive records through the aggregator and assemble the report."""
+    """Windowed matrix statistics over one open segment sequence.
+
+    ``reader`` is an archive or a one-segment
+    :meth:`~repro.archive.reader.ArchiveReader.unindexed` reader.
+    ``method="index"`` rides the flow-metadata fast path and lets the
+    footer index prune segments that cannot start a flow inside
+    ``[since, until]``; ``method="decode"`` synthesizes every packet of
+    every segment first — the full-decompression baseline.  Both
+    produce identical ``windows``; the report's ``segments_decoded`` /
+    ``segments_pruned`` (also published as
+    ``analysis.matrices.segments_decoded`` / ``.segments_pruned``)
+    expose the work difference.
+    """
+    from repro.query.engine import QueryEngine, QueryStats
+    from repro.query.predicates import MatchAll, TimeRange
+
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}: {method!r}")
     _check_top_k(top_k)
+    predicate = (
+        TimeRange(
+            since if since is not None else 0.0,
+            until if until is not None else float("inf"),
+        )
+        if since is not None or until is not None
+        else MatchAll()
+    )
+    if stats is None:
+        stats = QueryStats()
+    records = QueryEngine(reader).iter_flow_records(
+        predicate, config=config, stats=stats, method=method
+    )
     anonymizer = (
         AddressAnonymizer(anonymize_key) if anonymize_key is not None else None
     )
@@ -658,7 +687,8 @@ def _assemble(
         drain(aggregator.feed(record))
     drain(aggregator.finish())
 
-    segments_decoded = decoded()
+    segments_total = reader.segment_count
+    segments_decoded = stats.segments_decoded
     registry = obs_current()
     registry.counter(
         "analysis.matrices.windows", "traffic-matrix windows built"
@@ -675,7 +705,7 @@ def _assemble(
         "segments the index pruned from matrix builds",
     ).inc(segments_total - segments_decoded)
     return MatrixReport(
-        source=source,
+        source=str(reader.path),
         method=method,
         engine="python",
         window=window,
@@ -695,65 +725,6 @@ def _assemble(
     )
 
 
-def matrix_report_for_archive(
-    reader: "ArchiveReader",
-    *,
-    window: float | None = DEFAULT_WINDOW,
-    origin: float = 0.0,
-    since: float | None = None,
-    until: float | None = None,
-    top_k: int = DEFAULT_TOP_K,
-    scan_fanout: int = DEFAULT_SCAN_FANOUT,
-    anonymize_key: str | bytes | None = None,
-    method: str = "index",
-    config: DecompressorConfig | None = None,
-    stats: "QueryStats | None" = None,
-) -> MatrixReport:
-    """Windowed matrix statistics over one open archive.
-
-    ``method="index"`` rides the flow-metadata fast path and lets the
-    footer index prune segments that cannot start a flow inside
-    ``[since, until]``; ``method="decode"`` synthesizes every packet of
-    every segment first — the full-decompression baseline.  Both
-    produce identical ``windows``; the report's ``segments_decoded`` /
-    ``segments_pruned`` (also published as
-    ``analysis.matrices.segments_decoded`` / ``.segments_pruned``)
-    expose the work difference.
-    """
-    from repro.query.engine import QueryEngine, QueryStats
-    from repro.query.predicates import MatchAll, TimeRange
-
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}: {method!r}")
-    predicate = (
-        TimeRange(
-            since if since is not None else 0.0,
-            until if until is not None else float("inf"),
-        )
-        if since is not None or until is not None
-        else MatchAll()
-    )
-    if stats is None:
-        stats = QueryStats()
-    records = QueryEngine(reader).iter_flow_records(
-        predicate, config=config, stats=stats, method=method
-    )
-    return _assemble(
-        records,
-        source=str(reader.path),
-        method=method,
-        window=window,
-        origin=origin,
-        since=since,
-        until=until,
-        top_k=top_k,
-        scan_fanout=scan_fanout,
-        anonymize_key=anonymize_key,
-        segments_total=reader.segment_count,
-        decoded=lambda: stats.segments_decoded,
-    )
-
-
 def matrix_report_for_compressed(
     compressed: "CompressedTrace",
     *,
@@ -770,16 +741,16 @@ def matrix_report_for_compressed(
 ) -> MatrixReport:
     """Windowed matrix statistics over one in-memory compressed trace.
 
-    The single-segment form of :func:`matrix_report_for_archive` — what
-    container stores and raw traces (compressed in memory first) use.
+    :func:`matrix_report_for_archive` over ``compressed`` as a
+    one-segment unindexed sequence, named ``source``.
     """
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}: {method!r}")
-    derive = flow_records if method == "index" else flow_records_by_decode
-    return _assemble(
-        derive(compressed, config),
-        source=source or compressed.name,
-        method=method,
+    from repro.archive.reader import ArchiveReader
+
+    reader = ArchiveReader.unindexed(
+        source or compressed.name, 0, lambda: compressed
+    )
+    return matrix_report_for_archive(
+        reader,
         window=window,
         origin=origin,
         since=since,
@@ -787,8 +758,8 @@ def matrix_report_for_compressed(
         top_k=top_k,
         scan_fanout=scan_fanout,
         anonymize_key=anonymize_key,
-        segments_total=1,
-        decoded=lambda: 1,
+        method=method,
+        config=config,
     )
 
 

@@ -27,9 +27,16 @@ packet-level :class:`~repro.trace.stats.TraceStatistics`.
 
 A verb a kind cannot honor raises
 :class:`~repro.api.errors.CapabilityError` naming the kinds that can.
-Internally each verb picks its path (chunked TSH reads, whole pcap
-loads, or archive segments) by source kind — callers never choose a
-module, only an :class:`~repro.api.options.Options` value.
+
+``flows``, ``query``, matrix ``stats``, ``matrices`` and the container
+and archive replay (``packets``/``export``) are written once, in
+:class:`TraceStore`, over the store's *segment sequence* — an
+:class:`~repro.archive.reader.ArchiveReader`.  A ``.fctca`` is N
+indexed segments; a ``.fctc`` is one unindexed segment, the container
+decoded at open; a TSH or pcap file is one unindexed segment,
+compressed on first use and at most once per session.  An unindexed
+segment is never pruned.  Each kind class keeps only how it gets its
+sequence, ``compress``, ``info`` and its kind-only verbs.
 """
 
 from __future__ import annotations
@@ -57,9 +64,8 @@ from repro.analysis.matrices import (
     StreamingWindowAggregator,
     TrafficMatrix,
     matrix_report_for_archive,
-    matrix_report_for_compressed,
 )
-from repro.core.flowmeta import flow_records
+from repro.archive.reader import ArchiveReader
 from repro.core.codec import (
     container_info,
     dataset_sizes,
@@ -68,27 +74,14 @@ from repro.core.codec import (
 )
 from repro.core.compressor import compress_trace
 from repro.core.datasets import CompressedTrace
-from repro.core.errors import CodecError, CompressionError
+from repro.core.errors import CodecError
 from repro.core.pipeline import CompressionReport, report_for, report_for_stream
-from repro.core.replay import (
-    IteratorSpecFeed,
-    StreamingDecompressor,
-    merge_row_batches,
-    packets_from_batches,
-)
-from repro.core.decompressor import flow_specs
+from repro.core.replay import packets_from_batches
 from repro.core.generator import TraceModel
 from repro.flows.characterize import PacketValueError
 from repro.net.packet import PacketRecord
 from repro.obs import RunReport, record_run, scoped as obs_scoped
-from repro.query.engine import (
-    FlowSummary,
-    QueryEngine,
-    QueryResult,
-    QueryStats,
-    flow_summaries,
-    summarize_record,
-)
+from repro.query.engine import FlowSummary, QueryEngine, QueryResult, QueryStats
 from repro.query.predicates import MatchAll, Predicate
 from repro.trace.export import ExportResult, export_packet_stream
 from repro.trace.framing import FrameDecodeError
@@ -182,10 +175,12 @@ class ArchiveBuildReport:
 
 
 class TraceStore:
-    """Base session: holds the path + options, defaults verbs to typed errors.
+    """Base session: the path + options, and every shared verb, once.
 
-    Use as a context manager; only the archive session holds an open
-    file handle, but closing uniformly keeps caller code kind-agnostic.
+    The flow-level verbs run over :meth:`_segments`; verbs a kind
+    cannot honor default to typed errors.  Use as a context manager;
+    only the archive session holds an open file handle, but closing
+    uniformly keeps caller code kind-agnostic.
     """
 
     kind: SourceKind
@@ -203,6 +198,10 @@ class TraceStore:
         )
 
     # -- the uniform surface ---------------------------------------------
+
+    def _segments(self) -> ArchiveReader:
+        """The segment sequence the flow-level verbs run over."""
+        raise NotImplementedError
 
     def info(self) -> StoreInfo:
         raise NotImplementedError
@@ -242,7 +241,13 @@ class TraceStore:
         stats: QueryStats | None,
     ) -> Iterator[list[tuple]]:
         """The replay as sorted row batches (container and archive)."""
-        raise NotImplementedError
+        _check_limit(limit)
+        segments = self._segments()
+        if predicate is None and limit is None and stats is None:
+            return segments.iter_row_batches(self.options.decompressor)
+        return QueryEngine(segments).stream_row_batches(
+            predicate, limit=limit, stats=stats, options=self.options
+        )
 
     def _export_stream(
         self,
@@ -254,15 +259,24 @@ class TraceStore:
         """What ``export`` writes: replay row batches, or packets."""
         return self._row_batches(predicate, limit=limit, stats=stats)
 
+    @_typed_verb
     def flows(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> Iterator[FlowSummary]:
-        raise NotImplementedError
+        """The flows matching ``predicate``, at most ``limit`` of them."""
+        yield from self.query(predicate, limit=limit).flows
 
+    @_typed_verb
     def query(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
-        raise NotImplementedError
+        """The matching flows plus the work accounting.
+
+        ``limit=0`` scans nothing: no segment is decoded and a raw trace
+        is not compressed.
+        """
+        _check_limit(limit)
+        return QueryEngine(self._segments()).run(predicate, limit=limit)
 
     def compress(
         self,
@@ -345,10 +359,11 @@ class TraceStore:
     ) -> tuple[int, QueryStats]:
         raise self._unsupported("filter", "archive")
 
+    @_typed_verb
     def stats(
         self,
         *,
-        window: float | None = None,
+        window: float | None = DEFAULT_WINDOW,
         origin: float = 0.0,
         since: float | None = None,
         until: float | None = None,
@@ -356,9 +371,31 @@ class TraceStore:
         scan_fanout: int = DEFAULT_SCAN_FANOUT,
         anonymize_key: str | bytes | None = None,
         method: str = "index",
-    ) -> TraceStatistics | MatrixReport:
-        raise self._unsupported("stats", "tsh, pcap, container, archive")
+        query_stats: QueryStats | None = None,
+    ) -> MatrixReport:
+        """Windowed matrix statistics over the segment sequence.
 
+        ``method="index"`` (default) rides the flow-metadata fast path —
+        no packet is ever synthesized and the footer index prunes
+        archive segments outside ``[since, until]``; ``method="decode"``
+        is the full-decompression baseline producing identical windows.
+        Pass ``query_stats`` to observe the segment/byte accounting.
+        """
+        return matrix_report_for_archive(
+            self._segments(),
+            window=window,
+            origin=origin,
+            since=since,
+            until=until,
+            top_k=top_k,
+            scan_fanout=scan_fanout,
+            anonymize_key=anonymize_key,
+            method=method,
+            config=self.options.decompressor,
+            stats=query_stats,
+        )
+
+    @_typed_verb
     def matrices(
         self,
         *,
@@ -366,7 +403,15 @@ class TraceStore:
         origin: float = 0.0,
         anonymize_key: str | bytes | None = None,
     ) -> Iterator[TrafficMatrix]:
-        raise self._unsupported("matrices", "tsh, pcap, container, archive")
+        """Per-window traffic matrices, streamed one window at a time."""
+        return _matrices_over(
+            QueryEngine(self._segments()).iter_flow_records(
+                None, config=self.options.decompressor
+            ),
+            window=window,
+            origin=origin,
+            anonymize_key=anonymize_key,
+        )
 
     def window_probe(
         self,
@@ -403,34 +448,16 @@ class TraceStore:
     def _name(self, options: Options) -> str:
         return options.name or self.path.stem
 
-    def _query_over_rows(
-        self,
-        rows: Iterator[FlowSummary],
-        predicate: Predicate | None,
-        limit: int | None,
-        stats: QueryStats,
-    ) -> Iterator[FlowSummary]:
-        """Evaluate a predicate over summary rows, maintaining ``stats``."""
-        predicate = predicate or MatchAll()
-        if limit == 0:
-            return
-        for row in rows:
-            stats.flows_scanned += 1
-            if predicate.match_flow(row):
-                stats.flows_matched += 1
-                yield row
-                if limit is not None and stats.flows_matched >= limit:
-                    return
-
 
 class TraceFileStore(TraceStore):
     """Session over a raw packet-header trace (TSH or pcap).
 
     TSH inputs stream in fixed-size chunks wherever possible; pcap — a
     format this library only keeps for interoperability — is read
-    whole.  Flow-level verbs (``flows``/``query``) run the input
-    through the streaming compressor first: a raw trace has no flow
-    records on disk, so the compressor *is* the flow scanner.
+    whole.  The flow-level verbs run over the input's in-memory
+    compression, one unindexed segment made on first use: a raw trace
+    has no flow records on disk, so the compressor *is* the flow
+    scanner, and it runs at most once per session.
     """
 
     def __init__(self, path: str | Path, options: Options | None = None) -> None:
@@ -441,8 +468,21 @@ class TraceFileStore(TraceStore):
                 f"{self.path}: not a raw trace file ({self.kind.value})"
             )
         self._trace: Trace | None = None
+        self._compressed: CompressedTrace | None = None
         if self.packet_count() == 0:
             raise EmptyTraceError(f"{self.path}: trace holds no packets")
+        self._one_segment = ArchiveReader.unindexed(
+            self.path, self.path.stat().st_size, self._flow_scan
+        )
+
+    def _segments(self) -> ArchiveReader:
+        return self._one_segment
+
+    def _flow_scan(self) -> CompressedTrace:
+        """This session's one in-memory compression of the trace."""
+        if self._compressed is None:
+            self._compressed = self._compress_in_memory(self.options)
+        return self._compressed
 
     # -- reading -----------------------------------------------------------
 
@@ -484,48 +524,15 @@ class TraceFileStore(TraceStore):
 
     _export_stream = _packets
 
-    @_typed_verb
-    def flows(
-        self, predicate: Predicate | None = None, *, limit: int | None = None
-    ) -> Iterator[FlowSummary]:
-        _check_limit(limit)
-        stats = QueryStats()
-        return self._query_over_rows(
-            flow_summaries(0, self._compress_in_memory(self.options)),
-            predicate,
-            limit,
-            stats,
-        )
-
-    @_typed_verb
-    def query(
-        self, predicate: Predicate | None = None, *, limit: int | None = None
-    ) -> QueryResult:
-        _check_limit(limit)
-        stats = QueryStats(
-            segments_total=1,
-            segments_matched=1,
-            segments_decoded=1,
-            bytes_total=self.path.stat().st_size,
-            bytes_decoded=self.path.stat().st_size,
-        )
-        result = QueryResult(stats=stats)
-        rows = flow_summaries(0, self._compress_in_memory(self.options))
-        result.flows = list(self._query_over_rows(rows, predicate, limit, stats))
-        return result
-
-    @_typed_verb
     def stats(
         self,
         *,
         window: float | None = None,
-        origin: float = 0.0,
         since: float | None = None,
         until: float | None = None,
-        top_k: int = DEFAULT_TOP_K,
-        scan_fanout: int = DEFAULT_SCAN_FANOUT,
         anonymize_key: str | bytes | None = None,
         method: str = "index",
+        **report_args,
     ) -> TraceStatistics | MatrixReport:
         """Packet-level statistics, or the windowed matrix report.
 
@@ -533,9 +540,8 @@ class TraceFileStore(TraceStore):
         :class:`~repro.trace.stats.TraceStatistics`.  Any matrix
         argument (a ``window`` span, time bounds, an anonymization key,
         ``method="decode"``) switches to the
-        :class:`~repro.analysis.matrices.MatrixReport` built from this
-        trace's in-memory compression — a raw trace has no flow records
-        on disk, so the compressor is the flow scanner here too.
+        :class:`~repro.analysis.matrices.MatrixReport` every store
+        builds (:meth:`TraceStore.stats`).
         """
         if (
             window is None
@@ -545,36 +551,13 @@ class TraceFileStore(TraceStore):
             and method == "index"
         ):
             return compute_statistics(self.load_trace())
-        return matrix_report_for_compressed(
-            self._compress_in_memory(self.options),
-            source=str(self.path),
+        return super().stats(
             window=window,
-            origin=origin,
             since=since,
             until=until,
-            top_k=top_k,
-            scan_fanout=scan_fanout,
             anonymize_key=anonymize_key,
             method=method,
-            config=self.options.decompressor,
-        )
-
-    @_typed_verb
-    def matrices(
-        self,
-        *,
-        window: float | None = DEFAULT_WINDOW,
-        origin: float = 0.0,
-        anonymize_key: str | bytes | None = None,
-    ) -> Iterator[TrafficMatrix]:
-        return _matrices_over(
-            flow_records(
-                self._compress_in_memory(self.options),
-                self.options.decompressor,
-            ),
-            window=window,
-            origin=origin,
-            anonymize_key=anonymize_key,
+            **report_args,
         )
 
     def fidelity(self, *, options: Options | None = None):
@@ -607,7 +590,7 @@ class TraceFileStore(TraceStore):
         )
 
     def model(self) -> TraceModel:
-        return TraceModel.fit(self._compress_in_memory(self.options))
+        return TraceModel.fit(self._flow_scan())
 
     def info(self) -> StoreInfo:
         packets = self.packet_count()
@@ -662,8 +645,8 @@ class TraceFileStore(TraceStore):
         return iter(self.load_trace().packets)
 
     def _compress_in_memory(self, options: Options) -> CompressedTrace:
-        """The flow scan behind ``flows``/``query``/``model``: compress
-        without serializing, streaming where the format allows."""
+        """Compress without serializing, streaming where the format
+        allows."""
         if self.kind is SourceKind.TSH:
             from repro.core.streaming import compress_tsh_file
 
@@ -693,67 +676,12 @@ class ContainerStore(TraceStore):
         with _typed_decode_errors(self.path):
             self.compressed = deserialize_compressed(self._data)
             self._container_info = container_info(self._data)
-
-    def _row_batches(
-        self,
-        predicate: Predicate | None,
-        *,
-        limit: int | None,
-        stats: QueryStats | None,
-    ) -> Iterator[list[tuple]]:
-        _check_limit(limit)
-        config = self.options.decompressor
-        if predicate is None and limit is None and stats is None:
-            return StreamingDecompressor(self.compressed, config).row_batches()
-        if stats is None:
-            stats = QueryStats()
-        stats.segments_total = stats.segments_matched = 1
-        stats.segments_decoded = 1
-        stats.bytes_total = stats.bytes_decoded = len(self._data)
-        match = (predicate or MatchAll()).match_flow
-
-        def keep(record) -> bool:
-            stats.flows_scanned += 1
-            if limit is not None and stats.flows_matched >= limit:
-                return False
-            if match(summarize_record(0, self.compressed, record)):
-                stats.flows_matched += 1
-                return True
-            return False
-
-        feed = IteratorSpecFeed(
-            flow_specs(self.compressed, config, record_filter=keep)
-        )
-        return merge_row_batches(feed, config)
-
-    @_typed_verb
-    def flows(
-        self, predicate: Predicate | None = None, *, limit: int | None = None
-    ) -> Iterator[FlowSummary]:
-        _check_limit(limit)
-        return self._query_over_rows(
-            flow_summaries(0, self.compressed), predicate, limit, QueryStats()
+        self._one_segment = ArchiveReader.unindexed(
+            self.path, len(self._data), lambda: self.compressed
         )
 
-    @_typed_verb
-    def query(
-        self, predicate: Predicate | None = None, *, limit: int | None = None
-    ) -> QueryResult:
-        _check_limit(limit)
-        stats = QueryStats(
-            segments_total=1,
-            segments_matched=1,
-            segments_decoded=1,
-            bytes_total=len(self._data),
-            bytes_decoded=len(self._data),
-        )
-        result = QueryResult(stats=stats)
-        result.flows = list(
-            self._query_over_rows(
-                flow_summaries(0, self.compressed), predicate, limit, stats
-            )
-        )
-        return result
+    def _segments(self) -> ArchiveReader:
+        return self._one_segment
 
     def _compress(
         self, dest: str | Path, *, options: Options
@@ -804,49 +732,6 @@ class ContainerStore(TraceStore):
 
     def model(self) -> TraceModel:
         return TraceModel.fit(self.compressed)
-
-    @_typed_verb
-    def stats(
-        self,
-        *,
-        window: float | None = DEFAULT_WINDOW,
-        origin: float = 0.0,
-        since: float | None = None,
-        until: float | None = None,
-        top_k: int = DEFAULT_TOP_K,
-        scan_fanout: int = DEFAULT_SCAN_FANOUT,
-        anonymize_key: str | bytes | None = None,
-        method: str = "index",
-    ) -> MatrixReport:
-        """The windowed traffic-matrix report over this container's flows."""
-        return matrix_report_for_compressed(
-            self.compressed,
-            source=str(self.path),
-            window=window,
-            origin=origin,
-            since=since,
-            until=until,
-            top_k=top_k,
-            scan_fanout=scan_fanout,
-            anonymize_key=anonymize_key,
-            method=method,
-            config=self.options.decompressor,
-        )
-
-    @_typed_verb
-    def matrices(
-        self,
-        *,
-        window: float | None = DEFAULT_WINDOW,
-        origin: float = 0.0,
-        anonymize_key: str | bytes | None = None,
-    ) -> Iterator[TrafficMatrix]:
-        return _matrices_over(
-            flow_records(self.compressed, self.options.decompressor),
-            window=window,
-            origin=origin,
-            anonymize_key=anonymize_key,
-        )
 
     def info(self) -> StoreInfo:
         """Everything ``repro-trace inspect`` prints, as structured lines."""
@@ -914,53 +799,25 @@ class ArchiveStore(TraceStore):
     ``flows`` and index-path ``stats``/``matrices`` share the reader's
     bounded cache of decoded segment views for the store's lifetime, so
     each segment decodes once per session (``append`` keeps the views
-    of every segment it leaves unchanged).
+    of every segment it leaves unchanged).  The reader is this store's
+    segment sequence.
     """
 
     kind = SourceKind.ARCHIVE
 
     def __init__(self, path: str | Path, options: Options | None = None) -> None:
         super().__init__(path, options)
-        from repro.archive.reader import ArchiveReader
-
         with _typed_decode_errors(self.path):
             self.reader = ArchiveReader(self.path)
 
     def close(self) -> None:
         self.reader.close()
 
+    def _segments(self) -> ArchiveReader:
+        return self.reader
+
     def _engine(self) -> QueryEngine:
         return QueryEngine(self.reader)
-
-    def _row_batches(
-        self,
-        predicate: Predicate | None,
-        *,
-        limit: int | None,
-        stats: QueryStats | None,
-    ) -> Iterator[list[tuple]]:
-        _check_limit(limit)
-        if predicate is None and limit is None and stats is None:
-            return self.reader.iter_row_batches(self.options.decompressor)
-        return self._engine().stream_row_batches(
-            predicate,
-            limit=limit,
-            stats=stats,
-            options=self.options,
-        )
-
-    @_typed_verb
-    def flows(
-        self, predicate: Predicate | None = None, *, limit: int | None = None
-    ) -> Iterator[FlowSummary]:
-        yield from self.query(predicate, limit=limit).flows
-
-    @_typed_verb
-    def query(
-        self, predicate: Predicate | None = None, *, limit: int | None = None
-    ) -> QueryResult:
-        _check_limit(limit)
-        return self._engine().run(predicate, limit=limit)
 
     @_typed_verb
     def filter(
@@ -1033,8 +890,6 @@ class ArchiveStore(TraceStore):
                     fed += writer.feed(feed)
                 entries = writer.close()
         finally:
-            from repro.archive.reader import ArchiveReader
-
             self.reader = ArchiveReader(self.path)
             self.reader.adopt_views(previous)
         return ArchiveBuildReport(
@@ -1042,59 +897,6 @@ class ArchiveStore(TraceStore):
             segments_written=len(entries) - before,
             segments_total=len(entries),
             packets=fed,
-        )
-
-    @_typed_verb
-    def stats(
-        self,
-        *,
-        window: float | None = DEFAULT_WINDOW,
-        origin: float = 0.0,
-        since: float | None = None,
-        until: float | None = None,
-        top_k: int = DEFAULT_TOP_K,
-        scan_fanout: int = DEFAULT_SCAN_FANOUT,
-        anonymize_key: str | bytes | None = None,
-        method: str = "index",
-        query_stats: QueryStats | None = None,
-    ) -> MatrixReport:
-        """Windowed matrix statistics straight off the archive.
-
-        ``method="index"`` (default) rides the flow-metadata fast path —
-        no packet is ever synthesized and the footer index prunes
-        segments outside ``[since, until]``; ``method="decode"`` is the
-        full-decompression baseline producing identical windows.  Pass
-        ``query_stats`` to observe the segment/byte accounting.
-        """
-        return matrix_report_for_archive(
-            self.reader,
-            window=window,
-            origin=origin,
-            since=since,
-            until=until,
-            top_k=top_k,
-            scan_fanout=scan_fanout,
-            anonymize_key=anonymize_key,
-            method=method,
-            config=self.options.decompressor,
-            stats=query_stats,
-        )
-
-    @_typed_verb
-    def matrices(
-        self,
-        *,
-        window: float | None = DEFAULT_WINDOW,
-        origin: float = 0.0,
-        anonymize_key: str | bytes | None = None,
-    ) -> Iterator[TrafficMatrix]:
-        return _matrices_over(
-            self._engine().iter_flow_records(
-                None, config=self.options.decompressor
-            ),
-            window=window,
-            origin=origin,
-            anonymize_key=anonymize_key,
         )
 
     def window_probe(

@@ -21,6 +21,12 @@ once sealed, so whatever a caller derives from one decode (the query
 engine's :class:`~repro.query.engine.SegmentView`) is kept in a
 per-reader LRU bounded by :data:`VIEW_CACHE_FLOWS` cached flows, and
 later calls over the same segment skip the decode entirely.
+
+A reader is a *segment sequence*.  An archive is N indexed segments;
+:meth:`ArchiveReader.unindexed` wraps one segment with no footer index
+(a ``.fctc`` container, or a raw trace compressed in memory) so the
+store's verbs run the same engine over every kind.  No predicate prunes
+an unindexed segment: there is no index to rule it out.
 """
 
 from __future__ import annotations
@@ -37,8 +43,10 @@ from repro.archive.format import (
     ARCHIVE_VERSION_V1,
     ARCHIVE_VERSION_V2,
     HEADER,
+    SUMMARY_EXACT,
     TRAILER,
     TRAILER_MAGIC,
+    AddressSummary,
     SegmentIndexEntry,
     unpack_footer,
 )
@@ -113,11 +121,18 @@ def parse_archive_tail(
 
 
 class ArchiveReader:
-    """Open a ``.fctca`` file for segment-granular reads."""
+    """Open a ``.fctca`` file for segment-granular reads.
+
+    ``indexed`` is False for a reader made by :meth:`unindexed`, whose
+    one segment the query engine never prunes.
+    """
+
+    indexed = True
+    _loader: Callable[[], CompressedTrace] | None = None
 
     def __init__(self, path: str | Path, *, use_mmap: bool = True) -> None:
         self.path = Path(path)
-        self._file = open(self.path, "rb")
+        self._file: BinaryIO | None = open(self.path, "rb")
         self._mmap: mmap.mmap | None = None
         try:
             (
@@ -136,6 +151,52 @@ class ArchiveReader:
         except Exception:
             self._file.close()
             raise
+        self._start_session()
+
+    @classmethod
+    def unindexed(
+        cls,
+        path: str | Path,
+        size: int,
+        loader: Callable[[], CompressedTrace],
+    ) -> "ArchiveReader":
+        """A one-segment sequence with no footer index.
+
+        ``loader()`` returns the segment — a ``.fctc`` store's decoded
+        container, or a raw trace's in-memory compression — and is
+        called whenever :meth:`load_segment` is; a loader that must not
+        redo its work memoizes it.  ``size`` (the source file's bytes)
+        is the segment's length in query accounting.  The one index
+        entry is a placeholder: no predicate consults it, because the
+        query engine never prunes an unindexed segment.
+        """
+        reader = cls.__new__(cls)
+        reader.path = Path(path)
+        reader._file = reader._mmap = None
+        reader.epoch = 0.0
+        reader.entries = [
+            SegmentIndexEntry(
+                offset=0,
+                length=size,
+                time_min_units=0,
+                time_max_units=0,
+                flow_count=0,
+                short_flow_count=0,
+                packet_count=0,
+                min_flow_packets=0,
+                max_flow_packets=0,
+                min_rtt_units=0,
+                max_rtt_units=0,
+                address_count=0,
+                summary=AddressSummary(SUMMARY_EXACT),
+            )
+        ]
+        reader.indexed = False
+        reader._loader = loader
+        reader._start_session()
+        return reader
+
+    def _start_session(self) -> None:
         self.segments_decoded = 0
         self.bytes_decoded = 0
         self._views: OrderedDict[int, Any] = OrderedDict()
@@ -174,8 +235,14 @@ class ArchiveReader:
         return data
 
     def load_segment(self, index: int) -> CompressedTrace:
-        """Decode one segment; counts toward the decode statistics."""
+        """Decode one segment; counts toward the decode statistics.
+
+        An unindexed reader's segment comes from its loader instead and
+        counts toward nothing: it is not an archive decode.
+        """
         entry = self._entry(index)
+        if self._loader is not None:
+            return self._loader()
         try:
             compressed = read_compressed(io.BytesIO(self.read_segment_bytes(index)))
         except CodecError as exc:
@@ -352,7 +419,8 @@ class ArchiveReader:
         if self._mmap is not None:
             self._mmap.close()
             self._mmap = None
-        self._file.close()
+        if self._file is not None:
+            self._file.close()
 
     def __enter__(self) -> "ArchiveReader":
         return self

@@ -2,8 +2,12 @@
 
 The engine walks the archive footer first, skips every segment whose
 index entry cannot match the predicate, and scans the survivors one at
-a time.  Matching is evaluated directly against ``time-seq`` records and
-the template/address datasets — no packet is ever synthesized — and
+a time.  The same engine runs over a ``.fctc`` container or a raw
+trace through a one-segment
+:meth:`~repro.archive.reader.ArchiveReader.unindexed` reader; that
+segment has no index, so it is never pruned.  Matching is evaluated
+directly against ``time-seq`` records and the template/address
+datasets — no packet is ever synthesized — and
 results stream out as :class:`FlowSummary` rows.  :class:`QueryStats`
 records how much work the index saved (segments and bytes scanned vs.
 total), which the benchmarks and the acceptance tests assert on.
@@ -247,6 +251,27 @@ class QueryEngine:
     def __init__(self, reader: ArchiveReader) -> None:
         self.reader = reader
 
+    def _totals(self, stats: QueryStats) -> QueryStats:
+        """Fill in ``stats``' whole-sequence totals."""
+        stats.segments_total = self.reader.segment_count
+        stats.bytes_total = sum(entry.length for entry in self.reader.entries)
+        return stats
+
+    def _survivors(self, predicate: Predicate) -> list[int]:
+        """Segments the footer index cannot rule out, in file order.
+
+        An unindexed segment has no entry to test, so it always survives.
+        """
+        if not self.reader.indexed:
+            return list(range(self.reader.segment_count))
+        survivors = []
+        for index, entry in enumerate(self.reader.entries):
+            if predicate.match_segment(entry):
+                survivors.append(index)
+            else:
+                _log.debug("query: index pruned segment %d", index)
+        return survivors
+
     def run(
         self, predicate: Predicate | None = None, *, limit: int | None = None
     ) -> QueryResult:
@@ -260,22 +285,16 @@ class QueryEngine:
         """
         _check_limit(limit)
         predicate = predicate or MatchAll()
-        stats = QueryStats(
-            segments_total=self.reader.segment_count,
-            bytes_total=sum(entry.length for entry in self.reader.entries),
-        )
+        stats = self._totals(QueryStats())
         result = QueryResult(stats=stats)
         try:
-            for index, entry in enumerate(self.reader.entries):
+            for index in self._survivors(predicate):
                 if limit is not None and stats.flows_matched >= limit:
                     break
-                if not predicate.match_segment(entry):
-                    _log.debug("query: index pruned segment %d", index)
-                    continue
                 stats.segments_matched += 1
                 view = self.reader.segment_view(index, SegmentView)
                 stats.segments_decoded += 1
-                stats.bytes_decoded += entry.length
+                stats.bytes_decoded += self.reader.entries[index].length
                 for flow in view.flows:
                     stats.flows_scanned += 1
                     if predicate.match_flow(flow):
@@ -299,10 +318,7 @@ class QueryEngine:
         prune statistics.
         """
         predicate = predicate or MatchAll()
-        stats = QueryStats(
-            segments_total=self.reader.segment_count,
-            bytes_total=sum(entry.length for entry in self.reader.entries),
-        )
+        stats = self._totals(QueryStats())
         for entry in self.reader.entries:
             if predicate.match_segment(entry):
                 stats.segments_matched += 1
@@ -385,16 +401,9 @@ class QueryEngine:
             raise ValueError(f"method must be 'index' or 'decode': {method!r}")
         predicate = predicate or MatchAll()
         config = config or DecompressorConfig()
-        if stats is None:
-            stats = QueryStats()
-        stats.segments_total = self.reader.segment_count
-        stats.bytes_total = sum(entry.length for entry in self.reader.entries)
+        stats = self._totals(stats if stats is not None else QueryStats())
         if method == "index":
-            indices = [
-                index
-                for index, entry in enumerate(self.reader.entries)
-                if predicate.match_segment(entry)
-            ]
+            indices = self._survivors(predicate)
         else:
             indices = list(range(self.reader.segment_count))
         stats.segments_matched = len(indices)
@@ -522,13 +531,8 @@ class QueryEngine:
         them, and ``stats`` counts the work as the feed is drained.
         """
         predicate = predicate or MatchAll()
-        stats.segments_total = self.reader.segment_count
-        stats.bytes_total = sum(entry.length for entry in self.reader.entries)
-        indices = [
-            index
-            for index, entry in enumerate(self.reader.entries)
-            if predicate.match_segment(entry)
-        ]
+        self._totals(stats)
+        indices = self._survivors(predicate)
         stats.segments_matched = len(indices)
 
         def spec_source(
@@ -596,19 +600,14 @@ class QueryEngine:
         validate_backend_request(backend, level)
         _check_limit(limit)
         predicate = predicate or MatchAll()
-        stats = QueryStats(
-            segments_total=self.reader.segment_count,
-            bytes_total=sum(entry.length for entry in self.reader.entries),
-        )
+        stats = self._totals(QueryStats())
         with ArchiveWriter.create(
             out_path, epoch=self.reader.epoch, name=name, level=level
         ) as writer:
-            for index, entry in enumerate(self.reader.entries):
+            for index in self._survivors(predicate):
                 if limit is not None and stats.flows_matched >= limit:
                     break
-                if not predicate.match_segment(entry):
-                    _log.debug("filter: index pruned segment %d", index)
-                    continue
+                entry = self.reader.entries[index]
                 stats.segments_matched += 1
                 compressed = self.reader.load_segment(index)
                 stats.segments_decoded += 1

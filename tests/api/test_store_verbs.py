@@ -80,6 +80,47 @@ class TestFlowsAndQuery:
         assert result.stats.flows_scanned >= result.stats.flows_matched > 0
 
 
+class TestRawTraceCompressesOnce:
+    """A raw trace is one segment, compressed on first use, once."""
+
+    @pytest.fixture
+    def compressions(self, monkeypatch):
+        import repro.api.store as store_module
+        import repro.core.streaming as streaming
+
+        calls = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(streaming, "compress_tsh_file")  # TSH input
+        counting(store_module, "compress_trace")  # pcap input
+        return calls
+
+    @pytest.mark.parametrize("kind", ["tsh", "pcap"])
+    def test_one_session_runs_one_compression(
+        self, kind, tsh_path, pcap_path, compressions
+    ):
+        path = tsh_path if kind == "tsh" else pcap_path
+        with api.open(path) as store:
+            assert list(store.flows(limit=0)) == []
+            assert store.query(limit=0).flows == []
+            assert compressions == []
+            assert list(store.flows())
+            assert store.query(api.FlowKind("short")).flows
+            assert store.stats(window=2.0).windows
+            assert store.stats(window=2.0, method="decode").windows
+            assert list(store.matrices(window=2.0))
+            store.model()
+        assert len(compressions) == 1
+
+
 class TestCompress:
     def test_read_chunking_never_changes_bytes(self, tmp_path, tsh_path):
         default, chunked = tmp_path / "d.fctc", tmp_path / "c.fctc"

@@ -12,7 +12,10 @@ of the actual CLI — no test harness, no in-process shortcuts:
   strictly fewer decoded than total),
 * ``--anonymize-key`` must mask addresses while preserving structure,
 * ``query --stats`` and ``archive info --windows`` must render their
-  tables.
+  tables,
+* the one-segment path: a ``.tsh`` and the ``.fctc`` that ``compress``
+  makes of it (each one unindexed segment) must give identical window
+  tables, and ``query`` on the ``.fctc`` must render its flows.
 
 Pure stdlib; run from the repository root::
 
@@ -146,6 +149,25 @@ def smoke(workdir: Path) -> None:
     )
     if "window probe" not in info or "flows<=" not in info:
         print("FAIL: window probe table missing", file=sys.stderr)
+        raise SystemExit(1)
+
+    # The one-segment sequence: a raw trace and its container run the
+    # same engine as the archive, over one segment that is never pruned.
+    container = workdir / "day.fctc"
+    _check(_cli("compress", str(trace), str(container)), "compress")
+    from_trace = _report("stats", str(trace), "--window", SEGMENT_SPAN, "--json")
+    from_container = _report(
+        "stats", str(container), "--window", SEGMENT_SPAN, "--json"
+    )
+    if from_trace["windows"] != from_container["windows"]:
+        print("FAIL: .tsh and .fctc window tables differ", file=sys.stderr)
+        raise SystemExit(1)
+    print(f"ok: .tsh == .fctc across {len(from_container['windows'])} windows")
+    listed = _check(
+        _cli("query", str(container), "--until", "3"), "query .fctc --until 3"
+    )
+    if "seg=0" not in listed or "segments decoded : 1/1" not in listed:
+        print("FAIL: query on the .fctc rendered no flows", file=sys.stderr)
         raise SystemExit(1)
 
 
