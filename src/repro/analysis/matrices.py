@@ -182,17 +182,42 @@ class TrafficMatrix:
         record: FlowRecord,
         anonymizer: Callable[[int], int] | None = None,
     ) -> None:
-        """Fold one flow record into the matrix (both directions)."""
+        """Fold one flow record into the matrix (both directions).
+
+        :meth:`add` inlined: this runs once per flow on every stats
+        call, so the cells update in place without a call per direction.
+        """
         src, dst = record.src, record.dst
         if anonymizer is not None:
             src, dst = anonymizer(src), anonymizer(dst)
         self.flows += 1
         self.packets += record.packets
         self.bytes += record.bytes
-        if record.packets_fwd > 0:
-            self.add(src, dst, record.packets_fwd, record.bytes_fwd)
-        if record.packets_rev > 0:
-            self.add(dst, src, record.packets_rev, record.bytes_rev)
+        rows = self._rows
+        packets = record.packets_fwd
+        if packets > 0:
+            row = rows.get(src)
+            if row is None:
+                rows[src] = {dst: [packets, record.bytes_fwd]}
+            else:
+                cell = row.get(dst)
+                if cell is None:
+                    row[dst] = [packets, record.bytes_fwd]
+                else:
+                    cell[0] += packets
+                    cell[1] += record.bytes_fwd
+        packets = record.packets_rev
+        if packets > 0:
+            row = rows.get(dst)
+            if row is None:
+                rows[dst] = {src: [packets, record.bytes_rev]}
+            else:
+                cell = row.get(src)
+                if cell is None:
+                    row[src] = [packets, record.bytes_rev]
+                else:
+                    cell[0] += packets
+                    cell[1] += record.bytes_rev
 
     @property
     def links(self) -> int:
@@ -440,24 +465,32 @@ class StreamingWindowAggregator:
             self.origin + (index + 1) * self.span,
         )
 
-    def feed(self, record: FlowRecord) -> Iterator[TrafficMatrix]:
-        """Add one record; yields every window it proves complete."""
-        if self._last_start is not None and record.start < self._last_start:
+    def feed(self, record: FlowRecord) -> tuple[TrafficMatrix, ...]:
+        """Add one record; returns the window it proves complete, if any.
+
+        Usually ``()``: a window completes only when a record starts
+        past its end, so the common case builds no iterator.
+        """
+        start = record.start
+        if self._last_start is not None and start < self._last_start:
             raise ValueError(
                 "flow records must arrive in nondecreasing start order "
-                f"({record.start} after {self._last_start})"
+                f"({start} after {self._last_start})"
             )
-        self._last_start = record.start
-        window = self._window_of(record.start)
+        self._last_start = start
+        window = self._window_of(start)
         current = self._current
-        if current is not None and window != current.index:
-            self._current = None
+        if current is not None and window == current.index:
+            current.add_flow(record, self.anonymizer)
+            return ()
+        completed: tuple[TrafficMatrix, ...] = ()
+        if current is not None:
             self.windows_built += 1
-            yield current
-        if self._current is None:
-            start, end = self._bounds(window)
-            self._current = TrafficMatrix(window, start, end)
-        self._current.add_flow(record, self.anonymizer)
+            completed = (current,)
+        window_start, window_end = self._bounds(window)
+        current = self._current = TrafficMatrix(window, window_start, window_end)
+        current.add_flow(record, self.anonymizer)
+        return completed
 
     def finish(self) -> Iterator[TrafficMatrix]:
         """Flush the trailing window after the record stream ends."""
@@ -680,11 +713,14 @@ def matrix_report_for_archive(
         for matrix in matrices:
             windows.append(matrix.stats(top_k=top_k, scan_fanout=scan_fanout))
 
+    feed = aggregator.feed
     for record in records:
         if keep is not None and not keep(record):
             continue
         flows += 1
-        drain(aggregator.feed(record))
+        completed = feed(record)
+        if completed:
+            drain(completed)
     drain(aggregator.finish())
 
     segments_total = reader.segment_count

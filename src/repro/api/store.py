@@ -402,11 +402,18 @@ class TraceStore:
         window: float | None = DEFAULT_WINDOW,
         origin: float = 0.0,
         anonymize_key: str | bytes | None = None,
+        predicate: Predicate | None = None,
+        query_stats: QueryStats | None = None,
     ) -> Iterator[TrafficMatrix]:
-        """Per-window traffic matrices, streamed one window at a time."""
+        """Per-window traffic matrices, streamed one window at a time.
+
+        ``predicate`` keeps only the matching flows (index-pruned like
+        :meth:`query`); pass ``query_stats`` to observe the
+        segment/byte accounting, complete once the stream is drained.
+        """
         return _matrices_over(
             QueryEngine(self._segments()).iter_flow_records(
-                None, config=self.options.decompressor
+                predicate, config=self.options.decompressor, stats=query_stats
             ),
             window=window,
             origin=origin,

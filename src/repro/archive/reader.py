@@ -20,7 +20,9 @@ footer's per-segment time bounds tell the merge when the next segment
 once sealed, so whatever a caller derives from one decode (the query
 engine's :class:`~repro.query.engine.SegmentView`) is kept in a
 per-reader LRU bounded by :data:`VIEW_CACHE_FLOWS` cached flows, and
-later calls over the same segment skip the decode entirely.
+later calls over the same segment skip the decode entirely — a view
+built by a query keeps its decode until stats first derive records
+from it, so the two share one decode.
 
 A reader is a *segment sequence*.  An archive is N indexed segments;
 :meth:`ArchiveReader.unindexed` wraps one segment with no footer index
@@ -68,9 +70,10 @@ VIEW_CACHE_FLOWS = 1 << 15
 
 About 20 MB at the ~610 B a cached flow costs (a slotted
 :class:`~repro.query.engine.FlowSummary` plus its
-:class:`~repro.core.flowmeta.FlowRecord`).  Least recently used views
-are evicted past it; a segment holding more flows than this on its own
-is served but never cached.
+:class:`~repro.core.flowmeta.FlowRecord`); a view that still holds its
+decode instead of records costs about half that.  Least recently used
+views are evicted past it; a segment holding more flows than this on
+its own is served but never cached.
 """
 
 
@@ -267,17 +270,23 @@ class ArchiveReader:
         """Segment ``index``'s cached view, decoding only on a miss.
 
         ``view_type(index, compressed)`` builds a view from one decode;
-        the view answers ``covers(config)`` and derives what it lacks
-        with ``extend(config, compressed)``, and ``len(view)`` is its
-        flow count.  A resident view that covers ``config`` is a hit;
-        anything else decodes the segment through :meth:`load_segment`
-        (so ``segments_decoded`` counts real decodes only), builds or
-        extends the view and caches it.  The decoded trace itself is
-        dropped.  A decode or derivation that raises caches nothing.
+        ``view.covers(config)`` says whether it can answer for
+        ``config`` without a decode, ``view.extend(config, compressed)``
+        derives what it lacks (``compressed`` is the fresh decode on a
+        miss, ``None`` on a hit), and ``len(view)`` is its flow count.
+        A resident view that covers ``config`` is a hit; anything else
+        decodes the segment through :meth:`load_segment` (so
+        ``segments_decoded`` counts real decodes only), builds or
+        extends the view and caches it.  A
+        :class:`~repro.query.engine.SegmentView` holds its decode until
+        it derives records, so a segment decodes once per session
+        unless a second config asks for records or its view was
+        evicted.  A decode or derivation that raises caches nothing new.
         """
         registry = obs_current()
         view = self._views.get(index)
         if view is not None and view.covers(config):
+            view.extend(config)
             self._views.move_to_end(index)
             registry.counter(
                 "archive.segment_cache.hits", "segment views served from the cache"

@@ -399,7 +399,6 @@ def _cmd_query(args: argparse.Namespace) -> int:
             )
             return 2
         with api.open(args.archive) as store:
-            _require_kind(store, args.archive, ("archive",), "query --stats")
             return _print_query_stats(store, predicate)
     with api.open(args.archive) as store:
         if args.output is not None:
@@ -429,20 +428,15 @@ def _cmd_query(args: argparse.Namespace) -> int:
 def _print_query_stats(store, predicate) -> int:
     """``repro-trace query --stats``: matched flows as one matrix window.
 
-    Rides the flow-metadata fast path — no packet is synthesized — and
-    folds every matching flow into a single unbounded window, then
-    prints its matrix statistics plus the usual query work accounting.
+    Rides the flow-metadata fast path over the store's segment
+    sequence — any store kind, no packet synthesized — and folds every
+    matching flow into a single unbounded window, then prints its
+    matrix statistics plus the usual query work accounting.
     """
-    from repro.analysis.matrices import StreamingWindowAggregator
-    from repro.query.engine import QueryEngine
-
     query_stats = api.QueryStats()
-    aggregator = StreamingWindowAggregator(None)
-    engine = QueryEngine(store.reader)
-    for record in engine.iter_flow_records(predicate, stats=query_stats):
-        for _ in aggregator.feed(record):
-            pass  # span=None: no window completes before finish()
-    matrices = list(aggregator.finish())
+    matrices = list(
+        store.matrices(window=None, predicate=predicate, query_stats=query_stats)
+    )
     if not matrices:
         print("no matching flows")
     else:

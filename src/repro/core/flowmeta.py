@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from operator import add
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from repro.core.codec import (
@@ -177,30 +176,6 @@ def profile_template(
     )
 
 
-def _flow_end(
-    start: float,
-    profile: TemplateProfile,
-    is_long: bool,
-    rtt: float,
-    config: DecompressorConfig,
-) -> float:
-    """The flow's last packet timestamp, synthesis-identical.
-
-    The additions run left to right from ``start``, the exact float
-    operation sequence the synthesizer performs — sum-then-add would
-    round differently.
-    """
-    if is_long:
-        return reduce(add, profile.gap_seconds, start)
-    effective_rtt = rtt if rtt > 0 else config.default_rtt
-    back_to_back = config.back_to_back_gap
-    return reduce(
-        add,
-        [effective_rtt if dependent else back_to_back for dependent in profile.dep_steps],
-        start,
-    )
-
-
 def flow_records(
     compressed: CompressedTrace,
     config: DecompressorConfig | None = None,
@@ -216,60 +191,88 @@ def flow_records(
     seeds) — but the only RNG work per flow is the one draw that decides
     the client address.  Start timestamps are nondecreasing, the
     invariant the streaming window aggregator relies on.
+
+    End timestamps add the template's steps to the start one at a time,
+    left to right — the exact float operations the synthesizer performs
+    (sum-then-add would round differently).
     """
     config = config or DecompressorConfig()
+    config_seed = config.seed
+    default_rtt = config.default_rtt
+    back_to_back = config.back_to_back_gap
+    lookup = compressed.addresses.lookup
+    template_for = compressed.template_for
+    long_dataset = DatasetId.LONG
     occurrences: dict[tuple, int] = {}
-    profiles: dict[tuple[bool, int], TemplateProfile] = {}
+    # Per (is_long, template index): the profile's fields a record
+    # needs, read once per segment instead of once per flow.
+    shapes: dict[tuple[bool, int], tuple] = {}
     # One reused generator, fully re-seeded per flow — state cannot
-    # leak between flows, and the per-flow allocation disappears.
+    # leak between flows, and the per-flow allocation disappears.  The
+    # seed goes straight to the C base class: for an int the Python
+    # wrapper only type-checks and clears the gauss cache, which the
+    # address draw never reads.
     rng = random.Random()
+    reseed = super(random.Random, rng).seed
     for record in compressed.sorted_time_seq():
         timestamp_units = quantize_timestamp(record.timestamp)
         rtt_units = quantize_rtt(record.rtt)
-        is_long = record.dataset is DatasetId.LONG
+        is_long = record.dataset is long_dataset
+        template_index = record.template_index
         try:
-            server_ip = compressed.addresses.lookup(record.address_index)
+            server_ip = lookup(record.address_index)
         except IndexError as exc:  # validate() should have caught this
             raise CodecError(
                 f"dangling address index: {record.address_index}"
             ) from exc
-        identity = (
-            timestamp_units,
-            is_long,
-            record.template_index,
-            server_ip,
-            rtt_units,
-        )
+        identity = (timestamp_units, is_long, template_index, server_ip, rtt_units)
         occurrence = occurrences.get(identity, 0)
         occurrences[identity] = occurrence + 1
         if record_filter is not None and not record_filter(record):
             continue
-        key = (is_long, record.template_index)
-        profile = profiles.get(key)
-        if profile is None:
-            profile = profiles[key] = profile_template(
-                compressed.template_for(record), is_long, config
+        key = (is_long, template_index)
+        shape = shapes.get(key)
+        if shape is None:
+            profile = profile_template(template_for(record), is_long, config)
+            shape = shapes[key] = (
+                profile.n,
+                profile.bytes_fwd + profile.bytes_rev,
+                profile.packets_fwd,
+                profile.packets_rev,
+                profile.bytes_fwd,
+                profile.bytes_rev,
+                profile.gap_seconds if is_long else profile.dep_steps,
             )
+        packets, byte_count, packets_fwd, packets_rev, bytes_fwd, bytes_rev, steps = (
+            shape
+        )
         # The client address is the synthesizer's first draw; nothing
         # before it consumes entropy, so one draw recovers it exactly.
-        rng.seed(flow_seed(config.seed, *identity, occurrence))
+        reseed(flow_seed(config_seed, *identity, occurrence))
         client_ip = random_class_b_or_c(rng)
-        start = timestamp_units / TIMESTAMP_UNITS_PER_SECOND
+        start = end = timestamp_units / TIMESTAMP_UNITS_PER_SECOND
         rtt = rtt_units / RTT_UNITS_PER_SECOND
+        if is_long:
+            for gap in steps:
+                end += gap
+        else:
+            dependent_gap = rtt if rtt > 0 else default_rtt
+            for dependent in steps:
+                end += dependent_gap if dependent else back_to_back
         yield FlowRecord(
-            segment=segment,
-            start=start,
-            end=_flow_end(start, profile, is_long, rtt, config),
-            src=client_ip,
-            dst=server_ip,
-            is_long=is_long,
-            packets=profile.n,
-            bytes=profile.bytes_fwd + profile.bytes_rev,
-            packets_fwd=profile.packets_fwd,
-            packets_rev=profile.packets_rev,
-            bytes_fwd=profile.bytes_fwd,
-            bytes_rev=profile.bytes_rev,
-            rtt=rtt,
+            segment,
+            start,
+            end,
+            client_ip,
+            server_ip,
+            is_long,
+            packets,
+            byte_count,
+            packets_fwd,
+            packets_rev,
+            bytes_fwd,
+            bytes_rev,
+            rtt,
         )
 
 

@@ -16,8 +16,10 @@ total), which the benchmarks and the acceptance tests assert on.
 (:meth:`QueryEngine.iter_flow_records` with ``method="index"``) scan
 :class:`SegmentView` objects from the reader's bounded view cache
 (:meth:`~repro.archive.reader.ArchiveReader.segment_view`): each
-segment is decoded once per session, its summaries and flow records
-derived once, and every later call filters the cached rows.  The
+segment is decoded once per session — a view keeps its decode until
+its flow records are derived, so a query and a later stats call share
+it — its summaries and records derived once, and every later call
+filters the cached rows.  The
 verbs that need templates or packets — :meth:`QueryEngine.filter_to`,
 :meth:`QueryEngine.stream_packets` and ``method="decode"`` — decode
 their segments every time.
@@ -90,7 +92,7 @@ class QueryStats:
     """How much of the archive a query actually touched."""
 
     segments_total: int = 0
-    segments_matched: int = 0  # index entries the predicate could not rule out
+    segments_matched: int = 0  # index survivors reached (a limit stops early)
     segments_decoded: int = 0  # survivors scanned, from a decode or a cached view
     bytes_total: int = 0
     bytes_decoded: int = 0
@@ -188,38 +190,59 @@ class SegmentView:
     ordinals count over the full walk either way, so filtering the
     cached pairs yields exactly the records a filtered walk would.
 
-    The view keeps no reference to the decoded trace; a config whose
-    records are not derived yet costs one more decode.
+    A view keeps the decoded trace it was built from until its first
+    records are derived, then drops it: a segment a query decoded
+    first gives stats its records without a second decode.  After
+    that, a config whose records are not derived yet costs one more
+    decode.
     """
 
-    __slots__ = ("segment", "flows", "_by_start", "_records")
+    __slots__ = ("segment", "flows", "_by_start", "_records", "_compressed")
 
     def __init__(self, segment: int, compressed: CompressedTrace) -> None:
         self.segment = segment
         self.flows = tuple(flow_summaries(segment, compressed))
         self._by_start: tuple[FlowSummary, ...] = ()
         self._records: dict[DecompressorConfig, tuple[FlowRecord, ...]] = {}
+        self._compressed: CompressedTrace | None = compressed
 
     def __len__(self) -> int:
         return len(self.flows)
 
     def covers(self, config: DecompressorConfig | None) -> bool:
-        """Whether the view already answers for ``config`` (None: summaries)."""
-        return config is None or config in self._records
+        """Whether the view answers for ``config`` without a decode.
+
+        ``None`` asks for summaries only; a config is covered once its
+        records are derived, or while the view still holds its trace.
+        """
+        return (
+            config is None
+            or config in self._records
+            or self._compressed is not None
+        )
 
     def extend(
-        self, config: DecompressorConfig | None, compressed: CompressedTrace
+        self,
+        config: DecompressorConfig | None,
+        compressed: CompressedTrace | None = None,
     ) -> None:
-        """Derive ``config``'s records from this segment's decode."""
-        if self.covers(config):
+        """Derive ``config``'s records, from the held trace or ``compressed``.
+
+        ``compressed`` is a fresh decode of this segment, needed only
+        when :meth:`covers` is false.  The held trace is dropped once
+        records exist.
+        """
+        if config is None or config in self._records:
             return
-        records = tuple(flow_records(compressed, config, segment=self.segment))
+        source = compressed if compressed is not None else self._compressed
+        records = tuple(flow_records(source, config, segment=self.segment))
         if not self._by_start:
             # sorted_time_seq is a stable sort on timestamp over file
             # order; the summaries carry the same timestamps in the same
             # file order, so this is the records' order.
             self._by_start = tuple(sorted(self.flows, key=attrgetter("timestamp")))
         self._records[config] = records
+        self._compressed = None
 
     def records(
         self, config: DecompressorConfig
@@ -529,15 +552,18 @@ class QueryEngine:
         Segments the index rules out never enter it; the matching flows
         of the rest are popped in start order, at most ``limit`` of
         them, and ``stats`` counts the work as the feed is drained.
+        As in :meth:`run`, ``segments_matched`` counts the survivors
+        the feed reached: segments after the limit stopped it are
+        neither decoded nor counted.
         """
         predicate = predicate or MatchAll()
         self._totals(stats)
         indices = self._survivors(predicate)
-        stats.segments_matched = len(indices)
 
         def spec_source(
             segment: int, compressed: CompressedTrace
         ) -> Iterator[FlowSpec]:
+            stats.segments_matched += 1
             stats.segments_decoded += 1
             stats.bytes_decoded += self.reader.entries[segment].length
 

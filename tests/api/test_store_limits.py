@@ -77,6 +77,32 @@ class TestContainerLimits:
                 store.packets(MatchAll(), limit=-2)
 
 
+class TestLimitAccounting:
+    """``segments_matched`` counts the survivors a limited scan reached.
+
+    ``query()`` and a filtered ``packets(..., stats=)`` give it one
+    meaning: segments after the limit stopped the scan are not counted.
+    """
+
+    @pytest.mark.parametrize("kind", ["fctc_path", "fctca_path"])
+    def test_limit_zero_reaches_no_segment(self, request, kind):
+        path = request.getfixturevalue(kind)
+        stats = QueryStats()
+        with api.open(path) as store:
+            queried = store.query(MatchAll(), limit=0).stats
+            assert list(store.packets(MatchAll(), limit=0, stats=stats)) == []
+        assert queried.segments_matched == 0
+        assert stats.segments_matched == 0
+        assert stats.segments_decoded == 0
+
+    def test_limited_replay_counts_the_segments_it_opened(self, fctca_path):
+        stats = QueryStats()
+        with api.open(fctca_path) as store:
+            assert list(store.packets(MatchAll(), limit=1, stats=stats))
+            assert store.reader.segment_count > 1
+        assert stats.segments_matched == stats.segments_decoded == 1
+
+
 class TestCliLimits:
     def test_query_limit_zero_prints_no_flow(self, fctca_path, capsys):
         capsys.readouterr()

@@ -128,6 +128,28 @@ class TestQueryStats:
         message = "\n".join(r.getMessage() for r in caplog.records)
         assert "--stats" in message
 
+    def test_every_store_kind_prints_the_same_table(self, trace_file, tmp_path, capsys):
+        """A ``.tsh``, its ``.fctc`` and that container as a one-segment
+        archive give one table; only the byte accounting differs."""
+        container = tmp_path / "t.fctc"
+        archive = tmp_path / "t.fctca"
+        assert main(["compress", str(trace_file), str(container)]) == 0
+        assert main(["compress", str(container), str(archive)]) == 0
+        capsys.readouterr()
+        tables = {}
+        for path in (trace_file, container, archive):
+            args = ["query", str(path), "--since", "3", "--until", "6", "--stats"]
+            assert main(args) == 0
+            tables[path.suffix] = [
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("bytes decoded")
+            ]
+        assert "matched flows" in tables[".fctca"][0]
+        assert "segments decoded : 1/1 (index matched 1)" in tables[".fctca"]
+        assert tables[".tsh"] == tables[".fctca"]
+        assert tables[".fctc"] == tables[".fctca"]
+
     def test_no_matches_prints_empty_note(self, archive_file, capsys):
         args = ["query", str(archive_file), "--since", "9000", "--stats"]
         assert main(args) == 0

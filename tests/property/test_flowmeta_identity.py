@@ -6,19 +6,38 @@ same per-flow packet/byte splits, the same time bounds.  This suite
 pins that identity across every registered traffic scenario — the
 record stream is compared against aggregates
 computed from ``iter_packets``, the archive's packet-synthesis path.
+Every test runs under the default decompressor config and under one
+that moves every field the fast path reads (seed, default RTT,
+back-to-back gap, payload sizes), so a field read wrongly fails here.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from collections import defaultdict
 
 import pytest
 
 import repro
 from repro.archive.reader import ArchiveReader
-from repro.core.decompressor import SERVER_PORT
+from repro.core.decompressor import SERVER_PORT, DecompressorConfig
 from repro.core.flowmeta import flow_records, flow_records_by_decode
 from repro.synth.scenarios import get_scenario, scenario_names
+
+
+CONFIGS = {
+    "default": DecompressorConfig(),
+    "moved": DecompressorConfig(
+        seed=7,
+        default_rtt=0.0313,
+        back_to_back_gap=0.0007,
+        payload_small=211,
+        payload_large=1337,
+    ),
+}
+config_cases = pytest.mark.parametrize(
+    "config", list(CONFIGS.values()), ids=list(CONFIGS)
+)
 
 
 def _archive_for(tmp_path, scenario_name: str):
@@ -33,11 +52,12 @@ def _archive_for(tmp_path, scenario_name: str):
     return path
 
 
+@config_cases
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_fast_path_matches_full_decode(tmp_path, scenario_name):
+def test_fast_path_matches_full_decode(tmp_path, scenario_name, config):
     path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
-        records = list(reader.iter_flow_records())
+        records = list(reader.iter_flow_records(config))
         flow_count = reader.flow_count()
 
         # Aggregate the full packet synthesis: a packet belongs to the
@@ -46,7 +66,7 @@ def test_fast_path_matches_full_decode(tmp_path, scenario_name):
         packet_count = 0
         per_dst_packets: dict[int, int] = defaultdict(int)
         per_dst_bytes: dict[int, int] = defaultdict(int)
-        for packet in reader.iter_packets():
+        for packet in reader.iter_packets(config):
             packet_count += 1
             server = (
                 packet.dst_ip if packet.dst_port == SERVER_PORT else packet.src_ip
@@ -70,22 +90,42 @@ def test_fast_path_matches_full_decode(tmp_path, scenario_name):
     assert dict(meta_bytes) == dict(per_dst_bytes)
 
 
+@config_cases
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_record_twins_are_identical(tmp_path, scenario_name):
+def test_record_twins_are_identical(tmp_path, scenario_name, config):
     """Per-record identity, including bit-exact float end timestamps."""
     path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
         for segment in range(reader.segment_count):
             compressed = reader.load_segment(segment)
-            fast = list(flow_records(compressed, segment=segment))
-            slow = list(flow_records_by_decode(compressed, segment=segment))
+            fast = list(flow_records(compressed, config, segment=segment))
+            slow = list(flow_records_by_decode(compressed, config, segment=segment))
             assert fast == slow
 
 
+@config_cases
+def test_record_twins_agree_on_missing_rtts(tmp_path, config):
+    """Short flows with no stored RTT wait ``config.default_rtt`` per step."""
+    path = _archive_for(tmp_path, "web")
+    with ArchiveReader(path) as reader:
+        compressed = reader.load_segment(0)
+    missing = dataclasses.replace(
+        compressed,
+        time_seq=[
+            dataclasses.replace(record, rtt=0.0) if position % 2 else record
+            for position, record in enumerate(compressed.time_seq)
+        ],
+    )
+    fast = list(flow_records(missing, config))
+    assert any(record.rtt == 0.0 and not record.is_long for record in fast)
+    assert fast == list(flow_records_by_decode(missing, config))
+
+
+@config_cases
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_fast_path_starts_are_nondecreasing(tmp_path, scenario_name):
+def test_fast_path_starts_are_nondecreasing(tmp_path, scenario_name, config):
     """The aggregator's precondition, guaranteed by the reader merge."""
     path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
-        starts = [record.start for record in reader.iter_flow_records()]
+        starts = [record.start for record in reader.iter_flow_records(config)]
     assert starts == sorted(starts)

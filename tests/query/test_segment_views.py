@@ -194,13 +194,58 @@ class TestCache:
             store.query(MatchAll())
             count = store.reader.segment_count
             first = store.stats(window=1.0)
-            # Records for the store's config were derived once per segment...
-            assert store.reader.segments_decoded == 2 * count
+            # Records for the store's config came from the query's decode...
+            assert store.reader.segments_decoded == count
             second = store.stats(window=1.0)
             # ...and every later call reads them from the cache.
-            assert store.reader.segments_decoded == 2 * count
+            assert store.reader.segments_decoded == count
             assert report_key(first) == report_key(second)
             assert first.segments_decoded == count
+
+    def test_analyst_schedule_decodes_each_segment_state_once(self, inputs, tmp_path):
+        """Queries, an append, stats and destination queries on one store.
+
+        Every segment state a call touches — an index survivor, keyed
+        by its index entry, which an append leaves unchanged — decodes
+        exactly once, whichever call touched it first.
+        """
+        workdir, captures, destinations = inputs
+        path = tmp_path / "a.fctca"
+        shutil.copyfile(workdir / "head.fctca", path)
+        registry = MetricsRegistry()
+        touched: set = set()
+        decoded = 0
+        with scoped(registry), repro.open(path, options=OPTIONS) as store:
+
+            def touch(predicate) -> None:
+                for index, entry in enumerate(store.reader.entries):
+                    if predicate.match_segment(entry):
+                        touched.add((index, entry))
+
+            def query(predicate) -> None:
+                store.query(predicate)
+                touch(predicate)
+
+            def stats(since: float, until: float) -> None:
+                store.stats(window=1.0, since=since, until=until)
+                touch(TimeRange(since, until))
+
+            query(TimeRange(1.0, 3.0))
+            query(DestinationAddress(destinations[0]))
+            stats(0.0, 4.0)
+            decoded += store.reader.segments_decoded
+            store.append([captures[0]])
+            latest = store.reader.time_bounds()[1]
+            stats(2.0, latest)
+            query(TimeRange(latest - 2.0, latest))
+            query(DestinationAddress(destinations[-1]))
+            stats(0.0, latest)
+            query(MatchAll())
+            decoded += store.reader.segments_decoded
+        assert decoded == len(touched)
+        assert registry.snapshot().counters()["archive.segments_decoded"] == len(
+            touched
+        )
 
     def test_records_are_cached_per_config(self, inputs):
         workdir, _captures, _destinations = inputs

@@ -15,7 +15,8 @@ of the actual CLI — no test harness, no in-process shortcuts:
   tables,
 * the one-segment path: a ``.tsh`` and the ``.fctc`` that ``compress``
   makes of it (each one unindexed segment) must give identical window
-  tables, and ``query`` on the ``.fctc`` must render its flows.
+  tables, and ``query`` on the ``.fctc`` must render its flows and,
+  with ``--stats``, its matrix table.
 
 Pure stdlib; run from the repository root::
 
@@ -169,6 +170,14 @@ def smoke(workdir: Path) -> None:
     if "seg=0" not in listed or "segments decoded : 1/1" not in listed:
         print("FAIL: query on the .fctc rendered no flows", file=sys.stderr)
         raise SystemExit(1)
+    folded = _check(
+        _cli("query", str(container), "--since", "3", "--until", "6", "--stats"),
+        "query .fctc --stats",
+    )
+    for needle in ("matched flows", "max fan-out/in", "segments decoded : 1/1"):
+        if needle not in folded:
+            print(f"FAIL: query .fctc --stats lacks {needle!r}", file=sys.stderr)
+            raise SystemExit(1)
 
 
 def main() -> int:
