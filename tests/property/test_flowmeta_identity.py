@@ -6,8 +6,8 @@ same per-flow packet/byte splits, the same time bounds.  This suite
 pins that identity across every registered traffic scenario — the
 record stream is compared against aggregates
 computed from ``iter_packets``, the archive's packet-synthesis path.
-Every test runs under the default decompressor config and under one
-that moves every field the fast path reads (seed, default RTT,
+Every test checks its archive under the default decompressor config and
+under one that moves every field the fast path reads (seed, default RTT,
 back-to-back gap, payload sizes), so a field read wrongly fails here.
 """
 
@@ -35,9 +35,6 @@ CONFIGS = {
         payload_large=1337,
     ),
 }
-config_cases = pytest.mark.parametrize(
-    "config", list(CONFIGS.values()), ids=list(CONFIGS)
-)
 
 
 def _archive_for(tmp_path, scenario_name: str):
@@ -52,10 +49,14 @@ def _archive_for(tmp_path, scenario_name: str):
     return path
 
 
-@config_cases
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_fast_path_matches_full_decode(tmp_path, scenario_name, config):
+def test_fast_path_matches_full_decode(tmp_path, scenario_name):
     path = _archive_for(tmp_path, scenario_name)
+    for config_name, config in CONFIGS.items():
+        _check_fast_path_matches_full_decode(path, config_name, config)
+
+
+def _check_fast_path_matches_full_decode(path, config_name, config):
     with ArchiveReader(path) as reader:
         records = list(reader.iter_flow_records(config))
         flow_count = reader.flow_count()
@@ -74,36 +75,38 @@ def test_fast_path_matches_full_decode(tmp_path, scenario_name, config):
             per_dst_packets[server] += 1
             per_dst_bytes[server] += packet.payload_len
 
-    assert len(records) == flow_count
-    assert sum(record.packets for record in records) == packet_count
+    assert len(records) == flow_count, config_name
+    assert sum(record.packets for record in records) == packet_count, config_name
     assert all(
         record.packets == record.packets_fwd + record.packets_rev
         for record in records
-    )
+    ), config_name
 
     meta_packets: dict[int, int] = defaultdict(int)
     meta_bytes: dict[int, int] = defaultdict(int)
     for record in records:
         meta_packets[record.dst] += record.packets
         meta_bytes[record.dst] += record.bytes
-    assert dict(meta_packets) == dict(per_dst_packets)
-    assert dict(meta_bytes) == dict(per_dst_bytes)
+    assert dict(meta_packets) == dict(per_dst_packets), config_name
+    assert dict(meta_bytes) == dict(per_dst_bytes), config_name
 
 
-@config_cases
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_record_twins_are_identical(tmp_path, scenario_name, config):
+def test_record_twins_are_identical(tmp_path, scenario_name):
     """Per-record identity, including bit-exact float end timestamps."""
     path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
         for segment in range(reader.segment_count):
             compressed = reader.load_segment(segment)
-            fast = list(flow_records(compressed, config, segment=segment))
-            slow = list(flow_records_by_decode(compressed, config, segment=segment))
-            assert fast == slow
+            for config_name, config in CONFIGS.items():
+                fast = list(flow_records(compressed, config, segment=segment))
+                slow = list(
+                    flow_records_by_decode(compressed, config, segment=segment)
+                )
+                assert fast == slow, config_name
 
 
-@config_cases
+@pytest.mark.parametrize("config", list(CONFIGS.values()), ids=list(CONFIGS))
 def test_record_twins_agree_on_missing_rtts(tmp_path, config):
     """Short flows with no stored RTT wait ``config.default_rtt`` per step."""
     path = _archive_for(tmp_path, "web")
@@ -121,11 +124,11 @@ def test_record_twins_agree_on_missing_rtts(tmp_path, config):
     assert fast == list(flow_records_by_decode(missing, config))
 
 
-@config_cases
 @pytest.mark.parametrize("scenario_name", scenario_names())
-def test_fast_path_starts_are_nondecreasing(tmp_path, scenario_name, config):
+def test_fast_path_starts_are_nondecreasing(tmp_path, scenario_name):
     """The aggregator's precondition, guaranteed by the reader merge."""
     path = _archive_for(tmp_path, scenario_name)
     with ArchiveReader(path) as reader:
-        starts = [record.start for record in reader.iter_flow_records(config)]
-    assert starts == sorted(starts)
+        for config_name, config in CONFIGS.items():
+            starts = [record.start for record in reader.iter_flow_records(config)]
+            assert starts == sorted(starts), config_name
