@@ -8,9 +8,9 @@ markdown table; regenerate the table in ``docs/CLI.md`` with::
 
     PYTHONPATH=src python benchmarks/backend_table.py
 
-Pure stdlib — runnable in CI without test dependencies.  Ratios are
-deterministic per workload seed; throughputs are machine-dependent and
-documented as indicative.
+Needs only the package and numpy — runnable in CI without test
+dependencies.  Ratios are deterministic per workload seed; throughputs
+are machine-dependent and documented as indicative.
 """
 
 from __future__ import annotations

@@ -10,8 +10,8 @@ reading the same in-memory records.  It checks byte identity, and fails
 ``BENCH_streaming.json``.  A second guard times ``compress_tsh_file``
 with the :mod:`repro.obs` registry enabled versus disabled and fails
 when the enabled run is more than ``metrics_max_overhead`` slower — the
-instrumentation's "near-zero overhead" claim, enforced.  Pure stdlib +
-the library itself, so the CI job needs no test deps::
+instrumentation's "near-zero overhead" claim, enforced.  Needs only the
+library and numpy, so the CI job needs no test deps::
 
     PYTHONPATH=src python benchmarks/bench_smoke.py
 """

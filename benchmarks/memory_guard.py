@@ -22,8 +22,8 @@ Run from the repository root (CI does)::
     PYTHONPATH=src python benchmarks/memory_guard.py
 
 Exit status 0 = flat memory confirmed, 1 = regression, with the
-measured numbers on stdout either way.  Pure stdlib — no pytest needed
-— so the CI job stays dependency-free.
+measured numbers on stdout either way.  Needs only the package and
+numpy — no pytest — so the CI job installs nothing else.
 """
 
 from __future__ import annotations

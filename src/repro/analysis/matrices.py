@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
-from repro.core.codec import quantize_timestamp
 from repro.core.decompressor import DecompressorConfig
 from repro.core.flowmeta import FlowRecord, flow_records
 from repro.net.ip import format_ipv4
@@ -630,29 +629,6 @@ class MatrixReport:
 # -- report drivers ----------------------------------------------------------
 
 
-def _time_filter(
-    since: float | None, until: float | None
-) -> Callable[[FlowRecord], bool] | None:
-    """Flow-level window filter on the *quantized* start grid.
-
-    Both report methods apply the same filter, and it quantizes exactly
-    like the index's segment bounds — so index pruning is conservative
-    with respect to it and the two methods keep identical flow sets.
-    """
-    if since is None and until is None:
-        return None
-    low = quantize_timestamp(since) if since is not None else None
-    high = quantize_timestamp(until) if until is not None else None
-
-    def keep(record: FlowRecord) -> bool:
-        units = quantize_timestamp(record.start)
-        if low is not None and units < low:
-            return False
-        return high is None or units <= high
-
-    return keep
-
-
 def matrix_report_for_archive(
     reader: "ArchiveReader",
     *,
@@ -705,7 +681,6 @@ def matrix_report_for_archive(
     aggregator = StreamingWindowAggregator(
         window, origin=origin, anonymizer=anonymizer
     )
-    keep = _time_filter(since, until)
     flows = 0
     windows: list[WindowStats] = []
 
@@ -715,8 +690,6 @@ def matrix_report_for_archive(
 
     feed = aggregator.feed
     for record in records:
-        if keep is not None and not keep(record):
-            continue
         flows += 1
         completed = feed(record)
         if completed:

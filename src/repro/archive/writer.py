@@ -45,7 +45,7 @@ from repro.core.compressor import CompressorConfig
 from repro.core.datasets import CompressedTrace
 from repro.core.errors import ArchiveError
 from repro.core.streaming import StreamingCompressor
-from repro.net.columns import PacketColumns, tolist
+from repro.net.columns import PacketColumns
 from repro.net.packet import PacketRecord
 from repro.obs import current as obs_current
 
@@ -197,7 +197,7 @@ class SegmentFeeder:
         total = len(columns)
         if total == 0:
             return 0
-        timestamps = tolist(columns.timestamps)
+        timestamps = columns.timestamps.tolist()
         start = 0
         while start < total:
             if self._segment_fed and (

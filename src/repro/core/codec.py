@@ -131,26 +131,22 @@ def _pack_short_templates(templates: list[ShortFlowTemplate]) -> bytes:
 
 
 # Sections shorter than this pack with the plain loops — array setup
-# costs more than it saves on a handful of records.
+# costs more than it saves on a handful of records.  numpy is imported
+# inside the vectorized packers only: replay, query and stats import this
+# module to parse, and must not load it.
 _VECTOR_MIN = 32
 
 
-def _codec_numpy():
-    """numpy when the vectorized packers should run, else ``None``."""
-    from repro.net.columns import numpy_or_none
-
-    return numpy_or_none()
-
-
 def _pack_long_templates(templates: list[LongFlowTemplate]) -> bytes:
-    np = _codec_numpy()
     out = bytearray()
     for template in templates:
         if template.n > _MAX_U16:
             raise CodecError(f"long template too long for codec: {template.n}")
         out.extend(struct.pack(">H", template.n))
         out.extend(bytes(template.values))
-        if np is not None and template.n >= _VECTOR_MIN:
+        if template.n >= _VECTOR_MIN:
+            import numpy as np
+
             units = np.minimum(
                 np.rint(
                     np.asarray(template.gaps, dtype=np.float64)
@@ -167,8 +163,9 @@ def _pack_long_templates(templates: list[LongFlowTemplate]) -> bytes:
 
 
 def _pack_addresses(addresses: AddressTable) -> bytes:
-    np = _codec_numpy()
-    if np is not None and len(addresses) >= _VECTOR_MIN:
+    if len(addresses) >= _VECTOR_MIN:
+        import numpy as np
+
         try:
             values = np.fromiter(
                 addresses, dtype=np.uint32, count=len(addresses)
@@ -209,9 +206,10 @@ _TIME_SEQ_DTYPE_FIELDS = [
 
 
 def _pack_time_seq(records: list[TimeSeqRecord]) -> bytes:
-    np = _codec_numpy()
-    if np is None or len(records) < _VECTOR_MIN:
+    if len(records) < _VECTOR_MIN:
         return _pack_time_seq_scalar(records)
+    import numpy as np
+
     refs = np.array([r.template_index for r in records], dtype=np.int64)
     bad = np.nonzero(refs > MAX_TEMPLATE_INDEX)[0]
     if bad.size:

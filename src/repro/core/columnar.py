@@ -3,8 +3,7 @@
 :class:`ColumnarFlowCompressor` implements section 3 of the paper over
 :class:`~repro.net.columns.PacketColumns` chunks.  Per-chunk work —
 flag/payload classes, canonical keys, direction bits, terminator tests —
-is vectorized (numpy when importable, the stdlib ``array`` fallback
-otherwise; same bytes either way); only the irreducibly sequential part
+is vectorized with numpy; only the irreducibly sequential part
 (one dict probe and a couple of list appends per packet) remains a
 Python loop, with no ``PacketRecord``/``FiveTuple`` objects on it.
 
@@ -46,7 +45,7 @@ from repro.core.datasets import (
     inter_packet_gaps,
 )
 from repro.core.errors import CompressionError
-from repro.net.columns import PacketColumns, numpy_or_none, tolist
+from repro.net.columns import PacketColumns
 from repro.net.flowkey import canonical_key_columns
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_FIN, TCP_RST, classify_flags
@@ -95,11 +94,6 @@ class ColumnarFlowCompressor:
         self._earliest_seen: float | None = None
         self._peak_active = 0
         self._finished = False
-        kernel = "numpy" if numpy_or_none() is not None else "fallback"
-        obs_current().counter(
-            f"columnar.kernel.{kernel}",
-            "columnar compressors instantiated on this kernel backend",
-        ).inc()
 
     @property
     def output(self) -> CompressedTrace:
@@ -282,39 +276,24 @@ class ColumnarFlowCompressor:
 
     def _derive(self, columns: PacketColumns):
         """Per-chunk vectorized precomputation, returned as plain lists."""
+        import numpy as np
+
         characterization = self.config.characterization
         weights = characterization.weights
         w_flags, w_payload = weights.flags, weights.payload
         small_max = characterization.payload_small_max
-        np = numpy_or_none()
-        if np is not None:
-            global _flag_class_np
-            if _flag_class_np is None:
-                _flag_class_np = np.array(_FLAG_CLASS, dtype=np.int64)
-            flags = np.asarray(columns.flags)
-            payload = np.asarray(columns.payload_len)
-            payload_class = (payload > 0).astype(np.int64) + (payload > small_max)
-            base_values = (
-                w_flags * _flag_class_np[flags] + w_payload * payload_class
-            ).tolist()
-            terminators = ((flags & _TERMINATOR_MASK) != 0).tolist()
-            timestamps = np.asarray(columns.timestamps).tolist()
-            dst_ips = np.asarray(columns.dst_ip).tolist()
-        else:
-            flag_table = _FLAG_CLASS
-            base_values = [
-                w_flags * flag_table[flag]
-                + w_payload
-                * (0 if payload == 0 else (1 if payload <= small_max else 2))
-                for flag, payload in zip(
-                    tolist(columns.flags), tolist(columns.payload_len)
-                )
-            ]
-            terminators = [
-                bool(flag & _TERMINATOR_MASK) for flag in tolist(columns.flags)
-            ]
-            timestamps = tolist(columns.timestamps)
-            dst_ips = tolist(columns.dst_ip)
+        global _flag_class_np
+        if _flag_class_np is None:
+            _flag_class_np = np.array(_FLAG_CLASS, dtype=np.int64)
+        flags = columns.flags
+        payload = columns.payload_len
+        payload_class = (payload > 0).astype(np.int64) + (payload > small_max)
+        base_values = (
+            w_flags * _flag_class_np[flags] + w_payload * payload_class
+        ).tolist()
+        terminators = ((flags & _TERMINATOR_MASK) != 0).tolist()
+        timestamps = columns.timestamps.tolist()
+        dst_ips = columns.dst_ip.tolist()
         key_lo, key_hi, forwards = canonical_key_columns(columns)
         keys = list(zip(key_lo, key_hi))
         return timestamps, keys, forwards, base_values, terminators, dst_ips

@@ -7,52 +7,19 @@ algorithm needs for live ingest.  :class:`PacketColumns` holds one
 ``PacketRecord`` field — so parsing, flow-key hashing and
 characterization can run over whole chunks at C speed.
 
-Two storage backends, chosen once per process:
-
-* **numpy** (when importable) — fields are ``ndarray`` views with the
-  dtypes of the table in ``docs/ARCHITECTURE.md``; all derived columns
-  vectorize.
-* **array fallback** — fields are :mod:`array` arrays; derived columns
-  fall back to list comprehensions.  Everything stays correct (the
-  differential harness runs both), only slower.
-
-Set ``REPRO_NO_NUMPY=1`` to force the fallback — the CI job covering
-numpy-less deployments does exactly that.  Chunk *boundaries* never
-depend on the backend: both decode the same byte blocks the chunked
-reader yields.
+Fields are numpy ``ndarray``s with the dtypes of the table in
+``docs/ARCHITECTURE.md``, so every derived column vectorizes.  numpy is
+imported inside the functions that build or transform columns, never at
+module level: replay, query and stats import this module for the type
+alone and must not pay numpy's start-up cost.
 """
 
 from __future__ import annotations
 
-import os
-from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.net.packet import PacketRecord
-
-_np = None
-_numpy_checked = False
-
-
-def numpy_or_none():
-    """The :mod:`numpy` module, or ``None`` (absent / ``REPRO_NO_NUMPY``).
-
-    Resolved lazily on first call so importing this module stays cheap,
-    then cached.  Every vectorized helper routes its backend choice
-    through here, which is what lets the fallback suite force the
-    ``array`` path process-wide with one environment variable.
-    """
-    global _np, _numpy_checked
-    if not _numpy_checked:
-        _numpy_checked = True
-        if not os.environ.get("REPRO_NO_NUMPY"):
-            try:
-                import numpy
-            except ImportError:
-                numpy = None
-            _np = numpy
-    return _np
 
 
 COLUMN_FIELDS = (
@@ -72,41 +39,13 @@ COLUMN_FIELDS = (
 )
 """Column order — ``timestamps`` plus the ``PacketRecord`` fields."""
 
-# array.array typecodes of the fallback backend, one per column.  Sizes
-# are chosen for range safety ('Q' for 32-bit values: 'I'/'L' widths are
-# platform-defined), not for minimum footprint — numpy is the compact
-# backend, the fallback is the correctness backend.
-_FALLBACK_TYPECODES = (
-    "d",  # timestamps
-    "Q",  # src_ip
-    "Q",  # dst_ip
-    "H",  # src_port
-    "H",  # dst_port
-    "B",  # protocol
-    "B",  # flags
-    "i",  # payload_len
-    "Q",  # seq
-    "Q",  # ack
-    "B",  # ttl
-    "H",  # ip_id
-    "H",  # window
-)
-
-
-def tolist(column) -> list:
-    """A plain Python list of a column, whatever the backend."""
-    if isinstance(column, list):
-        return column
-    return column.tolist()
-
 
 @dataclass(slots=True)
 class PacketColumns:
     """One chunk of packets in columnar form.
 
     Fields mirror :class:`~repro.net.packet.PacketRecord` one-to-one;
-    every field is a sequence of the same length.  Construction from
-    records, slicing and row selection preserve the active backend.
+    every field is a one-dimensional numpy array of the same length.
     """
 
     timestamps: Sequence[float]
@@ -130,30 +69,16 @@ class PacketColumns:
         """The thirteen column sequences, in :data:`COLUMN_FIELDS` order."""
         return tuple(getattr(self, name) for name in COLUMN_FIELDS)
 
-    @property
-    def backend(self) -> str:
-        """``"numpy"`` or ``"array"`` — which storage backend holds rows."""
-        np = numpy_or_none()
-        if np is not None and isinstance(self.timestamps, np.ndarray):
-            return "numpy"
-        return "array"
-
     def slice(self, start: int, stop: int) -> "PacketColumns":
-        """Rows ``[start:stop)`` as a new chunk (numpy: zero-copy views)."""
+        """Rows ``[start:stop)`` as a new chunk of zero-copy views."""
         return PacketColumns(*(column[start:stop] for column in self.columns()))
 
     def select(self, indices: Sequence[int]) -> "PacketColumns":
         """The given rows, in the given order, as a new chunk."""
-        np = numpy_or_none()
-        if self.backend == "numpy":
-            idx = np.asarray(indices, dtype=np.intp)
-            return PacketColumns(*(column[idx] for column in self.columns()))
-        return PacketColumns(
-            *(
-                array(code, (column[i] for i in indices))
-                for code, column in zip(_FALLBACK_TYPECODES, self.columns())
-            )
-        )
+        import numpy as np
+
+        idx = np.asarray(indices, dtype=np.intp)
+        return PacketColumns(*(column[idx] for column in self.columns()))
 
     def to_records(self) -> list[PacketRecord]:
         """Materialize the chunk as one ``PacketRecord`` per row."""
@@ -174,12 +99,12 @@ class PacketColumns:
                 window=win,
             )
             for ts, sip, dip, sport, dport, proto, flg, plen, sq, ak, tl, ipid, win in zip(
-                *(tolist(column) for column in self.columns())
+                *(column.tolist() for column in self.columns())
             )
         ]
 
 
-# numpy dtypes per column, matching the fallback value ranges.
+# numpy dtype per column.
 _NUMPY_DTYPES = {
     "timestamps": "f8",
     "src_ip": "u4",
@@ -199,6 +124,8 @@ _NUMPY_DTYPES = {
 
 def columns_from_records(records: Iterable[PacketRecord]) -> PacketColumns:
     """Transpose a packet sequence into one columnar chunk."""
+    import numpy as np
+
     records = list(records)
     raw = {
         "timestamps": [p.timestamp for p in records],
@@ -215,22 +142,11 @@ def columns_from_records(records: Iterable[PacketRecord]) -> PacketColumns:
         "ip_id": [p.ip_id for p in records],
         "window": [p.window for p in records],
     }
-    np = numpy_or_none()
-    if np is not None:
-        return PacketColumns(
-            *(
-                np.array(raw[name], dtype=_NUMPY_DTYPES[name])
-                for name in COLUMN_FIELDS
-            )
-        )
     return PacketColumns(
-        *(
-            array(code, raw[name])
-            for name, code in zip(COLUMN_FIELDS, _FALLBACK_TYPECODES)
-        )
+        *(np.array(raw[name], dtype=_NUMPY_DTYPES[name]) for name in COLUMN_FIELDS)
     )
 
 
 def empty_columns() -> PacketColumns:
-    """A zero-row chunk on the active backend."""
+    """A zero-row chunk."""
     return columns_from_records(())

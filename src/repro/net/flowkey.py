@@ -110,41 +110,17 @@ def canonical_key_columns(columns) -> tuple[list[int], list[int], list[bool]]:
     conversation share the key pair and differ in ``forward`` exactly
     when their :class:`FiveTuple` forms differ.
     """
-    from repro.net.columns import numpy_or_none, tolist
+    import numpy as np
 
-    np = numpy_or_none()
-    if np is not None:
-        src_ip = np.asarray(columns.src_ip, dtype=np.uint64)
-        dst_ip = np.asarray(columns.dst_ip, dtype=np.uint64)
-        src_port = np.asarray(columns.src_port, dtype=np.uint64)
-        dst_port = np.asarray(columns.dst_port, dtype=np.uint64)
-        protocol = np.asarray(columns.protocol, dtype=np.uint64)
-        forward_end = (src_ip << np.uint64(16)) | src_port
-        backward_end = (dst_ip << np.uint64(16)) | dst_port
-        forward = forward_end <= backward_end
-        low = np.where(forward, forward_end, backward_end)
-        high = np.where(forward, backward_end, forward_end)
-        key_lo = (low << np.uint64(8)) | protocol
-        return key_lo.tolist(), high.tolist(), forward.tolist()
-    key_lo: list[int] = []
-    key_hi: list[int] = []
-    forward_flags: list[bool] = []
-    for sip, dip, sport, dport, proto in zip(
-        tolist(columns.src_ip),
-        tolist(columns.dst_ip),
-        tolist(columns.src_port),
-        tolist(columns.dst_port),
-        tolist(columns.protocol),
-    ):
-        forward_end = (sip << 16) | sport
-        backward_end = (dip << 16) | dport
-        is_forward = forward_end <= backward_end
-        low, high = (
-            (forward_end, backward_end)
-            if is_forward
-            else (backward_end, forward_end)
-        )
-        key_lo.append((low << 8) | proto)
-        key_hi.append(high)
-        forward_flags.append(is_forward)
-    return key_lo, key_hi, forward_flags
+    src_ip = np.asarray(columns.src_ip, dtype=np.uint64)
+    dst_ip = np.asarray(columns.dst_ip, dtype=np.uint64)
+    src_port = np.asarray(columns.src_port, dtype=np.uint64)
+    dst_port = np.asarray(columns.dst_port, dtype=np.uint64)
+    protocol = np.asarray(columns.protocol, dtype=np.uint64)
+    forward_end = (src_ip << np.uint64(16)) | src_port
+    backward_end = (dst_ip << np.uint64(16)) | dst_port
+    forward = forward_end <= backward_end
+    low = np.where(forward, forward_end, backward_end)
+    high = np.where(forward, backward_end, forward_end)
+    key_lo = (low << np.uint64(8)) | protocol
+    return key_lo.tolist(), high.tolist(), forward.tolist()

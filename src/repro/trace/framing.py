@@ -180,9 +180,8 @@ class TshStreamDecoder:
 
     Thin composition of :class:`RecordChunker` and the block decoder —
     each ``feed_columns`` decodes every completed 44-byte record in one
-    vectorized pass (numpy when available, the stdlib fallback
-    otherwise), exactly the bytes-to-packets path of the chunked file
-    reader.  ``feed`` is the same chunk materialized as records.
+    vectorized numpy pass, exactly the bytes-to-packets path of the
+    chunked file reader.  ``feed`` is the same chunk materialized as records.
     """
 
     format = FORMAT_TSH

@@ -44,7 +44,7 @@ _MAX_PAYLOAD = 0xFFFF - HEADER_BYTES
 
 # The whole 44-byte record as one struct: timing header, IPv4 header and
 # TCP prefix flattened.  One pack or unpack per record, and the
-# iter_unpack/unpack_from forms never slice per-record byte copies.
+# unpack_from form never slices per-record byte copies.
 _TSH_RECORD = struct.Struct(">IB3sBBHHHBBHIIHHIIBBH")
 assert _TSH_RECORD.size == TSH_RECORD_BYTES
 
@@ -214,95 +214,46 @@ def decode_columns(data):
     """Decode a block of whole 44-byte records into a ``PacketColumns``.
 
     The columnar twin of :func:`decode_record`: one vectorized parse per
-    block under numpy (a structured-dtype ``frombuffer`` plus per-column
-    casts), one ``iter_unpack`` sweep on the fallback backend.  Field
-    values — including the float timestamps, computed as
-    ``seconds + micros / 1e6`` in IEEE doubles on both backends — are
-    bit-identical to per-record decoding.  Raises ``ValueError`` when
-    ``data`` is not a whole number of records.
+    block (a structured-dtype ``frombuffer`` plus per-column casts).
+    Field values — including the float timestamps, computed as
+    ``seconds + micros / 1e6`` in IEEE doubles — are bit-identical to
+    per-record decoding.  Raises ``ValueError`` when ``data`` is not a
+    whole number of records.
     """
-    from array import array
+    import numpy as np
 
-    from repro.net.columns import PacketColumns, numpy_or_none
+    from repro.net.columns import PacketColumns
 
     if len(data) % TSH_RECORD_BYTES:
         raise ValueError(
             f"TSH block must be a multiple of {TSH_RECORD_BYTES} bytes, "
             f"got {len(data)}"
         )
-    np = numpy_or_none()
-    if np is not None:
-        global _tsh_dtype
-        if _tsh_dtype is None:
-            _tsh_dtype = np.dtype(_TSH_DTYPE_FIELDS)
-        rows = np.frombuffer(data, dtype=_tsh_dtype)
-        micros = (
-            (rows["usec_hi"].astype(np.uint32) << 16)
-            | (rows["usec_mid"].astype(np.uint32) << 8)
-            | rows["usec_lo"]
-        )
-        return PacketColumns(
-            timestamps=rows["sec"].astype(np.float64) + micros / _MICROSECOND,
-            src_ip=rows["src_ip"].astype(np.uint32),
-            dst_ip=rows["dst_ip"].astype(np.uint32),
-            src_port=rows["src_port"].astype(np.uint16),
-            dst_port=rows["dst_port"].astype(np.uint16),
-            protocol=rows["proto"].copy(),
-            flags=rows["flags"].copy(),
-            payload_len=np.maximum(
-                rows["total_len"].astype(np.int32) - HEADER_BYTES, 0
-            ),
-            seq=rows["seq"].astype(np.uint32),
-            ack=rows["ack"].astype(np.uint32),
-            ttl=rows["ttl"].copy(),
-            ip_id=rows["ip_id"].astype(np.uint16),
-            window=rows["window"].astype(np.uint16),
-        )
-    fields = tuple(zip(*_TSH_RECORD.iter_unpack(data)))
-    if not fields:
-        fields = ((),) * 20
-    (
-        sec,
-        _iface,
-        usec,
-        _ver_ihl,
-        _tos,
-        total_len,
-        ip_id,
-        _frag,
-        ttl,
-        proto,
-        _cksum,
-        src_ip,
-        dst_ip,
-        src_port,
-        dst_port,
-        seq,
-        ack,
-        _offset,
-        flags,
-        window,
-    ) = fields
+    global _tsh_dtype
+    if _tsh_dtype is None:
+        _tsh_dtype = np.dtype(_TSH_DTYPE_FIELDS)
+    rows = np.frombuffer(data, dtype=_tsh_dtype)
+    micros = (
+        (rows["usec_hi"].astype(np.uint32) << 16)
+        | (rows["usec_mid"].astype(np.uint32) << 8)
+        | rows["usec_lo"]
+    )
     return PacketColumns(
-        timestamps=array(
-            "d",
-            (
-                s + int.from_bytes(u, "big") / _MICROSECOND
-                for s, u in zip(sec, usec)
-            ),
+        timestamps=rows["sec"].astype(np.float64) + micros / _MICROSECOND,
+        src_ip=rows["src_ip"].astype(np.uint32),
+        dst_ip=rows["dst_ip"].astype(np.uint32),
+        src_port=rows["src_port"].astype(np.uint16),
+        dst_port=rows["dst_port"].astype(np.uint16),
+        protocol=rows["proto"].copy(),
+        flags=rows["flags"].copy(),
+        payload_len=np.maximum(
+            rows["total_len"].astype(np.int32) - HEADER_BYTES, 0
         ),
-        src_ip=array("Q", src_ip),
-        dst_ip=array("Q", dst_ip),
-        src_port=array("H", src_port),
-        dst_port=array("H", dst_port),
-        protocol=array("B", proto),
-        flags=array("B", flags),
-        payload_len=array("i", (max(0, t - HEADER_BYTES) for t in total_len)),
-        seq=array("Q", seq),
-        ack=array("Q", ack),
-        ttl=array("B", ttl),
-        ip_id=array("H", ip_id),
-        window=array("H", window),
+        seq=rows["seq"].astype(np.uint32),
+        ack=rows["ack"].astype(np.uint32),
+        ttl=rows["ttl"].copy(),
+        ip_id=rows["ip_id"].astype(np.uint16),
+        window=rows["window"].astype(np.uint16),
     )
 
 

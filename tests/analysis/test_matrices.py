@@ -6,6 +6,7 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 import repro
 from repro.analysis.matrices import (
@@ -20,6 +21,7 @@ from repro.analysis.matrices import (
     window_stats_for_compressed,
 )
 from repro.archive.reader import ArchiveReader
+from repro.core.codec import quantize_timestamp
 from repro.core.compressor import compress_trace
 from repro.core.flowmeta import FlowRecord, flow_records
 from repro.obs import MetricsRegistry, render_prometheus
@@ -341,6 +343,25 @@ class TestDifferentialIndexVsDecode:
         with ArchiveReader(archive_path) as reader:
             with pytest.raises(ValueError, match="method"):
                 matrix_report_for_archive(reader, method="turbo")
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, max_value=1e12, allow_nan=False),
+            min_size=3,
+            max_size=3,
+        )
+    )
+    def test_quantization_keeps_the_bounded_range(self, points):
+        # A bounded report keeps the flows whose summary passes
+        # ``since <= ts <= until`` and aggregates their records, whose
+        # start is ``ts`` on the stored 100 µs grid.  Quantization is
+        # monotone, so that start never leaves the quantized range.
+        since, ts, until = sorted(points)
+        assert (
+            quantize_timestamp(since)
+            <= quantize_timestamp(ts)
+            <= quantize_timestamp(until)
+        )
 
 
 class TestServeSnapshot:

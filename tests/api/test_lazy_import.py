@@ -110,14 +110,19 @@ class TestNoProcessPool:
 
 class TestReplayWithoutNumpy:
     def test_export_and_decompress_never_import_numpy(self, tmp_path):
-        # The replay path is pure stdlib; importing numpy would cost
-        # every replay its start-up time.
+        # The replay and flow-read paths are pure stdlib; numpy is a
+        # compress-side dependency, and importing it would cost every
+        # replay or query its start-up time.
         loaded = _loaded_after(
             "import repro\n"
             "from repro.core.codec import deserialize_compressed\n"
             "from repro.core.decompressor import decompress_trace\n"
             f"with repro.open({str(FIXTURES / 'v1.fctca')!r}) as store:\n"
             f"    store.export({str(tmp_path / 'out.tsh')!r})\n"
+            "    assert len(store.query().flows) == 124\n"
+            "    assert len(list(store.flows())) == 124\n"
+            f"with repro.open({str(FIXTURES / 'v1.fctc')!r}) as store:\n"
+            "    assert len(list(store.flows())) == 103\n"
             f"data = open({str(FIXTURES / 'v1.fctc')!r}, 'rb').read()\n"
             "assert len(decompress_trace(deserialize_compressed(data))) == 1297"
         )
@@ -132,6 +137,12 @@ class TestStatsWithoutScipy:
         loaded = _loaded_after(
             "import repro\n"
             f"with repro.open({str(FIXTURES / 'v1.fctca')!r}) as store:\n"
+            "    assert len(store.query().flows) == 124\n"
+            "    assert len(list(store.flows())) == 124\n"
+            "    assert store.stats(window=1.0).windows\n"
+            "    assert store.stats(window=1.0, since=0.5, until=2.0).flows\n"
+            f"with repro.open({str(FIXTURES / 'v1.fctc')!r}) as store:\n"
+            "    assert len(list(store.flows())) == 103\n"
             "    assert store.stats(window=1.0).windows\n"
         )
         assert "repro.analysis.matrices" in loaded

@@ -1,27 +1,16 @@
 """PacketColumns container and the columnar flow-key kernels.
 
 Every columnar function here has a scalar reference in the same package;
-each test computes both and asserts element-wise equality, on whichever
-backend (numpy or ``array``) the environment provides — plus explicitly
-on the ``array`` fallback via the ``REPRO_NO_NUMPY`` monkeypatch seam.
+each test computes both and asserts element-wise equality.
 """
 
 import pytest
 
-from repro.net import columns as columns_module
-from repro.net.columns import (
-    COLUMN_FIELDS,
-    PacketColumns,
-    columns_from_records,
-    empty_columns,
-    numpy_or_none,
-    tolist,
-)
+from repro.net.columns import COLUMN_FIELDS, columns_from_records, empty_columns
 from repro.net.flowkey import canonical_key_columns
 from repro.net.packet import PacketRecord
 from repro.synth import generate_web_trace
 from repro.trace.tsh import decode_columns, write_tsh_bytes
-from repro.trace.reader import read_columns
 
 
 @pytest.fixture(scope="module")
@@ -29,19 +18,17 @@ def packets():
     return list(generate_web_trace(duration=1.0, flow_rate=40.0, seed=3).packets)
 
 
-@pytest.fixture(params=["native", "fallback"])
-def backend(request, monkeypatch):
-    """Run a test on the environment backend and the forced fallback."""
-    if request.param == "fallback":
-        monkeypatch.setattr(columns_module, "_np", None)
-        monkeypatch.setattr(columns_module, "_numpy_checked", True)
+@pytest.fixture(params=["native"])
+def backend(request):
+    """numpy, the one column backend.
+
+    A single parameter, kept so these cases keep their ``[native]`` ids.
+    """
     return request.param
 
 
 def test_roundtrip_records(packets, backend):
     cols = columns_from_records(packets)
-    if backend == "fallback":
-        assert cols.backend == "array"
     assert len(cols) == len(packets)
     assert cols.to_records() == packets
 
@@ -62,9 +49,9 @@ def test_slice_and_select(packets, backend):
 def test_column_fields_cover_packet_record(packets):
     cols = columns_from_records(packets[:4])
     named = dict(zip(COLUMN_FIELDS, cols.columns()))
-    assert tolist(named["timestamps"]) == [p.timestamp for p in packets[:4]]
-    assert tolist(named["src_ip"]) == [p.src_ip for p in packets[:4]]
-    assert tolist(named["flags"]) == [p.flags for p in packets[:4]]
+    assert named["timestamps"].tolist() == [p.timestamp for p in packets[:4]]
+    assert named["src_ip"].tolist() == [p.src_ip for p in packets[:4]]
+    assert named["flags"].tolist() == [p.flags for p in packets[:4]]
 
 
 # -- flow-key kernels vs their scalar references ----------------------------
@@ -103,20 +90,3 @@ def test_decode_columns_rejects_partial_record():
     with pytest.raises(ValueError):
         decode_columns(data[:-1])
 
-
-# -- satellite 3: identical chunk boundaries on both backends ---------------
-
-
-def test_identical_chunk_boundaries_across_backends(tmp_path, packets, monkeypatch):
-    path = tmp_path / "t.tsh"
-    path.write_bytes(write_tsh_bytes(packets))
-
-    def boundaries():
-        return [len(chunk) for chunk in read_columns(path, chunk_size=97)]
-
-    native = boundaries()
-    monkeypatch.setattr(columns_module, "_np", None)
-    monkeypatch.setattr(columns_module, "_numpy_checked", True)
-    assert numpy_or_none() is None
-    assert boundaries() == native
-    assert sum(native) == len(packets)

@@ -1,14 +1,14 @@
 """The differential harness pinning the engine to the paper's algorithm.
 
 The columnar engine's contract is *the paper's bytes*: for any packet
-sequence, any chunking of the feed, and either array backend, it must
-produce the exact ``.fctc`` / ``.fctca`` files the readable linked-list
-compressor in ``tests/compress_oracle.py`` (``scalar_bytes`` here) does.
-This file is the gate — hypothesis-driven packet sequences (including
-out-of-order timestamps that exercise the auto-base rebase, unterminated
-flows closed by idle eviction, and degenerate self-loop tuples),
-generated traffic models, and the on-disk fixture corpus all run through
-both and are compared byte for byte.
+sequence and any chunking of the feed, it must produce the exact
+``.fctc`` / ``.fctca`` files the readable linked-list compressor in
+``tests/compress_oracle.py`` (``scalar_bytes`` here) does.  This file
+is the gate — hypothesis-driven packet sequences (including out-of-order
+timestamps that exercise the auto-base rebase, unterminated flows closed
+by idle eviction, and degenerate self-loop tuples), generated traffic
+models, and the on-disk fixture corpus all run through both and are
+compared byte for byte.
 """
 
 import random
@@ -235,16 +235,3 @@ def test_fctca_archive_identity(tsh_path, tmp_path):
     )
     assert dest.read_bytes() == expected
 
-
-def test_fallback_backend_identity(monkeypatch):
-    """With numpy gated off, the columnar engine still matches — exactly."""
-    from repro.net import columns
-
-    trace = generate_web_trace(duration=1.5, flow_rate=30.0, seed=5)
-    expected = scalar_bytes(trace.packets)
-    assert columnar_bytes(trace.packets, chunks=257) == expected
-
-    monkeypatch.setattr(columns, "_np", None)
-    monkeypatch.setattr(columns, "_numpy_checked", True)
-    assert columns_from_records(trace.packets[:3]).backend == "array"
-    assert columnar_bytes(trace.packets, chunks=257) == expected

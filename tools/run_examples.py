@@ -12,7 +12,8 @@ The CI ``examples`` job runs this with two hard rules:
    point fails the build.  Examples are the reference façade callers;
    they must be warning-clean.
 
-Pure stdlib, exits non-zero on the first failing example.
+Needs only the package and numpy; exits non-zero on the first failing
+example.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ in-process shortcuts:
 * ``fidelity --scenario NAME`` scores the roundtrip and the written
   report parses with the expected schema and a zero flow-size KS.
 
-Pure stdlib; run from the repository root::
+Needs only the package and numpy; run from the repository root::
 
     PYTHONPATH=src python tools/scenario_smoke.py [scenario ...]
 

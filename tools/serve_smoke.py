@@ -12,8 +12,8 @@ archive the way an operator would:
   per-segment time index the daemon wrote is actually useful.
 
 Every wait is deadline-bounded (``TIMEOUT`` seconds overall budget per
-step), so a hung daemon fails the job instead of wedging it.  Pure
-stdlib; run from the repository root::
+step), so a hung daemon fails the job instead of wedging it.  Needs
+only the package and numpy; run from the repository root::
 
     PYTHONPATH=src python tools/serve_smoke.py
 """

@@ -18,7 +18,7 @@ of the actual CLI — no test harness, no in-process shortcuts:
   tables, and ``query`` on the ``.fctc`` must render its flows and,
   with ``--stats``, its matrix table.
 
-Pure stdlib; run from the repository root::
+Needs only the package and numpy; run from the repository root::
 
     PYTHONPATH=src python tools/stats_smoke.py
 """
