@@ -192,25 +192,27 @@ class SegmentFeeder:
         Equivalent to :meth:`add_packet` row by row, but each stretch
         between boundaries is fed as one vectorized sub-chunk.
         """
+        import numpy as np
+
         if self._closed:
             raise ArchiveError("segment feeder already closed")
         total = len(columns)
         if total == 0:
             return 0
-        timestamps = columns.timestamps.tolist()
+        timestamps = columns.timestamps
         start = 0
         while start < total:
+            now = float(timestamps[start])
             if self._segment_fed and (
                 self._segment_fed >= self._segment_packets
                 or (
                     self._segment_span is not None
-                    and timestamps[start] - self._segment_first_ts
-                    >= self._segment_span
+                    and now - self._segment_first_ts >= self._segment_span
                 )
             ):
                 self._seal()
             if not self._segment_fed:
-                self._open_segment(timestamps[start])
+                self._open_segment(now)
             # Rows [start:stop) all fit in the open segment: stop at the
             # packet budget or the first timestamp past the span bound.
             stop = min(total, start + self._segment_packets - self._segment_fed)
@@ -218,11 +220,12 @@ class SegmentFeeder:
                 # The same float expression as the row-0 check above and
                 # add_packet: ``ts >= first + span`` can round differently
                 # and stop on a row that check does not seal on.
-                first, span = self._segment_first_ts, self._segment_span
-                for row in range(start, stop):
-                    if timestamps[row] - first >= span:
-                        stop = row
-                        break
+                past = np.flatnonzero(
+                    timestamps[start:stop] - self._segment_first_ts
+                    >= self._segment_span
+                )
+                if len(past):
+                    stop = start + int(past[0])
             self._compressor.feed_columns(columns.slice(start, stop))
             self._segment_fed += stop - start
             start = stop

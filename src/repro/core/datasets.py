@@ -35,6 +35,17 @@ class DatasetId(enum.Enum):
     LONG = "L"
 
 
+def _check_values(values) -> None:
+    """Reject a value outside 0..255 (``bytes`` checks ints at C speed)."""
+    try:
+        bytes(values)
+    except (TypeError, ValueError):
+        # Not all ints in range: decide with the plain rule, which also
+        # accepts in-range non-int numbers.
+        if any(v < 0 or v > 255 for v in values):
+            raise ValueError("f(p) values must fit one byte (0..255)") from None
+
+
 @dataclass(frozen=True, slots=True)
 class ShortFlowTemplate:
     """A short-flow cluster center: ``n`` and the ``V_f`` vector."""
@@ -44,8 +55,7 @@ class ShortFlowTemplate:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("a template needs at least one packet value")
-        if any(v < 0 or v > 255 for v in self.values):
-            raise ValueError("f(p) values must fit one byte (0..255)")
+        _check_values(self.values)
 
     @property
     def n(self) -> int:
@@ -73,9 +83,13 @@ class LongFlowTemplate:
             raise ValueError(
                 f"values/gaps length mismatch: {len(self.values)} vs {len(self.gaps)}"
             )
-        if any(v < 0 or v > 255 for v in self.values):
-            raise ValueError("f(p) values must fit one byte (0..255)")
-        if any(g < 0 for g in self.gaps):
+        _check_values(self.values)
+        smallest = min(self.gaps)
+        if smallest < 0 or (
+            smallest != smallest and any(g < 0 for g in self.gaps)
+        ):
+            # ``min`` keeps a leading NaN and compares nothing below it,
+            # so only then can a negative gap hide behind it.
             raise ValueError("inter-packet gaps cannot be negative")
 
     @property

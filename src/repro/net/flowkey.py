@@ -102,10 +102,11 @@ def flow_hash(key: FiveTuple) -> int:
 # canonical FiveTuple.
 
 
-def canonical_key_columns(columns) -> tuple[list[int], list[int], list[bool]]:
+def canonical_key_columns(columns):
     """Per-row canonical key pair and direction of a chunk.
 
-    Returns ``(key_lo, key_hi, forward)`` lists; ``forward[i]`` is True
+    Returns ``(key_lo, key_hi, forward)`` numpy arrays (two ``uint64``,
+    one ``bool``); ``forward[i]`` is True
     when row ``i`` travels from the lower endpoint — two rows of one
     conversation share the key pair and differ in ``forward`` exactly
     when their :class:`FiveTuple` forms differ.
@@ -123,4 +124,4 @@ def canonical_key_columns(columns) -> tuple[list[int], list[int], list[bool]]:
     low = np.where(forward, forward_end, backward_end)
     high = np.where(forward, backward_end, forward_end)
     key_lo = (low << np.uint64(8)) | protocol
-    return key_lo.tolist(), high.tolist(), forward.tolist()
+    return key_lo, high, forward

@@ -45,6 +45,69 @@ class TestLongFlowTemplate:
             LongFlowTemplate((), ())
 
 
+NAN = float("nan")
+
+
+class TestTemplateValidationPinned:
+    """Which inputs the template checks accept, case by case.
+
+    The checks run on every template the compressor builds, so they are
+    written for speed; these cases pin their answers to the plain
+    per-element rules ``0 <= v <= 255`` and ``not g < 0``.
+    """
+
+    @pytest.mark.parametrize(
+        "values, accepted",
+        [
+            ((0, 255), True),
+            ((-1,), False),
+            ((256,), False),
+            ((4, 256, 4), False),
+            ((True, 5), True),
+            ((False,), True),
+        ],
+    )
+    def test_short_values(self, values, accepted):
+        if accepted:
+            assert ShortFlowTemplate(values).values == values
+        else:
+            with pytest.raises(ValueError, match="one byte"):
+                ShortFlowTemplate(values)
+
+    @pytest.mark.parametrize(
+        "values, accepted",
+        [((-1, 2), False), ((2, 256), False), ((True, 7), True)],
+    )
+    def test_long_values(self, values, accepted):
+        gaps = (0.0,) * len(values)
+        if accepted:
+            assert LongFlowTemplate(values, gaps).values == values
+        else:
+            with pytest.raises(ValueError, match="one byte"):
+                LongFlowTemplate(values, gaps)
+
+    @pytest.mark.parametrize(
+        "gaps, accepted",
+        [
+            ((0.5, 0.0), True),
+            ((0.5, -0.25), False),
+            ((-0.0, 0.0), True),
+            ((NAN, 0.0), True),
+            ((0.5, NAN), True),
+            ((NAN, -1.0), False),
+            ((-1.0, NAN), False),
+            ((0.5, NAN, -1.0), False),
+        ],
+    )
+    def test_long_gaps(self, gaps, accepted):
+        values = (1,) * len(gaps)
+        if accepted:
+            assert LongFlowTemplate(values, gaps).n == len(gaps)
+        else:
+            with pytest.raises(ValueError, match="negative"):
+                LongFlowTemplate(values, gaps)
+
+
 class TestAddressTable:
     def test_intern_returns_stable_index(self):
         table = AddressTable()

@@ -4,10 +4,15 @@
 this file pins the named corners — empty input, a single packet, flows
 straddling chunk boundaries, idle eviction firing mid-chunk, rebase on
 out-of-order input, explicit base times — so a regression in any one of
-them fails a test that says exactly which corner broke.
+them fails a test that says exactly which corner broke.  It also pins
+what bytes do not show: the counters and the active-flow peak, and the
+split between the chunk kernel and the per-row step.
 """
 
+from dataclasses import asdict
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.codec import serialize_compressed
 from repro.core.columnar import ColumnarFlowCompressor
@@ -16,8 +21,10 @@ from repro.core.errors import CompressionError
 from repro.net.columns import columns_from_records, empty_columns
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_SYN
+from repro.obs import MetricsRegistry, scoped
 
 from tests.compress_oracle import FlowClusterCompressor
+from tests.property.test_columnar_identity import _packet as tiny_packet
 
 CLIENT = 0x0A000001
 SERVER = 0x0A000002
@@ -91,6 +98,17 @@ def test_flow_straddles_chunk_boundary():
         assert _columnar(packets, chunk=chunk) == expected
 
 
+def test_turnaround_after_chunk_boundary():
+    """A flow's first reply arrives mid-chunk, after it opened in an
+    earlier chunk: the RTT still counts from the flow's first packet."""
+    packets = [_packet(0.0, flags=TCP_SYN, payload=0)]
+    packets += [_packet(0.01 * i) for i in range(1, 4)]
+    packets += [_packet(0.05, reverse=True), _packet(0.06, flags=TCP_FIN)]
+    expected = _scalar(packets)
+    for chunk in range(1, len(packets) + 1):
+        assert _columnar(packets, chunk=chunk) == expected
+
+
 def test_idle_eviction_mid_chunk():
     """A later packet inside one chunk evicts an idle flow fed earlier."""
     config = CompressorConfig(idle_timeout=1.0)
@@ -116,6 +134,18 @@ def test_rebase_on_out_of_order_timestamps():
     expected = _scalar(packets)
     for chunk in (1, 2, len(packets)):
         assert _columnar(packets, chunk=chunk) == expected
+
+
+@pytest.mark.parametrize("at", [0, 1])
+def test_nan_timestamp_takes_the_reference_gate(at):
+    """A NaN stamp fails the gate's ``<=`` test, as in the reference: the
+    idle scan runs and rebuilds the bound, on column feeds too."""
+    config = CompressorConfig(idle_timeout=1.0)
+    packets = [_packet(0.0, 4000), _packet(5.0, 4001), _packet(9.0, 4000)]
+    packets.insert(at, _packet(float("nan"), 4002))
+    expected = _scalar(packets, config)
+    for chunk in (1, 2, len(packets)):
+        assert _columnar(packets, config, chunk=chunk) == expected
 
 
 def test_long_flow_packet_out_of_order_gets_a_zero_gap():
@@ -176,3 +206,77 @@ def test_stats_parity():
     scalar_out, columnar_out = scalar.finish(), columnar.finish()
     assert columnar_out.original_packet_count == scalar_out.original_packet_count
     assert columnar_out.flow_count() == scalar_out.flow_count()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    packets=st.lists(tiny_packet, min_size=0, max_size=400),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_chunked_counters_match_per_packet(packets, seed):
+    """Any chunking: the per-packet feed's counters, open flows and peak."""
+    import random
+
+    one_by_one = ColumnarFlowCompressor(name="t")
+    for packet in packets:
+        one_by_one.add_packet(packet)
+    chunked = ColumnarFlowCompressor(name="t")
+    rng = random.Random(seed)
+    start = 0
+    while start < len(packets):
+        size = rng.randint(1, 400)
+        chunked.feed_columns(columns_from_records(packets[start : start + size]))
+        start += size
+    assert chunked.active_flows == one_by_one.active_flows
+    assert chunked.peak_active_flows == one_by_one.peak_active_flows
+    assert asdict(chunked.stats) == asdict(one_by_one.stats)
+    one_by_one.finish()
+    chunked_bytes = serialize_compressed(chunked.finish())
+    assert asdict(chunked.stats) == asdict(one_by_one.stats)
+    assert chunked_bytes == _scalar(packets)
+
+
+def _sequential_rows(feed):
+    with scoped(MetricsRegistry()) as registry:
+        feed()
+    return registry.value("columnar.rows.sequential")
+
+
+def test_build_trace_never_leaves_the_kernel(tmp_path):
+    """A web-search capture under the idle timeout: every row in the kernel."""
+    from repro import api
+    from repro.synth.scenarios import get_scenario
+
+    source = tmp_path / "in.tsh"
+    get_scenario("web-search").build(20.0, 40.0, 1).save_tsh(source)
+
+    def build():
+        with api.open(source, options=api.Options.production()) as store:
+            store.compress(tmp_path / "out.fctca")
+
+    assert _sequential_rows(build) == 0
+
+
+def test_idle_gate_rows_take_the_per_row_step():
+    config = CompressorConfig(idle_timeout=1.0)
+    packets = _flow(0.0, 4000, 4)[:-1] + [
+        _packet(5.0 + 0.1 * i, 4001 + i) for i in range(10)
+    ]
+    engine = ColumnarFlowCompressor(config, name="t")
+    rows = _sequential_rows(
+        lambda: engine.feed_columns(columns_from_records(packets))
+    )
+    # The gate fires on the first packet past the timeout: that row and
+    # every later one in the chunk take the per-row step.
+    assert rows == 10
+    assert serialize_compressed(engine.finish()) == _scalar(packets, config)
+
+
+def test_rebase_rows_take_the_per_row_step():
+    packets = _flow(10.0, 4000, 5) + _flow(2.0, 4001, 5)
+    engine = ColumnarFlowCompressor(name="t")
+    rows = _sequential_rows(
+        lambda: engine.feed_columns(columns_from_records(packets))
+    )
+    assert rows == 5
+    assert serialize_compressed(engine.finish()) == _scalar(packets)

@@ -60,7 +60,10 @@ def test_column_fields_cover_packet_record(packets):
 def test_canonical_key_columns_matches_five_tuple(packets, backend):
     cols = columns_from_records(packets)
     key_lo, key_hi, forward = canonical_key_columns(cols)
-    for packet, lo, hi, fwd in zip(packets, key_lo, key_hi, forward):
+    assert (key_lo.dtype, key_hi.dtype, forward.dtype) == ("uint64", "uint64", bool)
+    for packet, lo, hi, fwd in zip(
+        packets, key_lo.tolist(), key_hi.tolist(), forward.tolist()
+    ):
         canon = packet.five_tuple().canonical()
         assert lo == ((canon.src_ip << 16 | canon.src_port) << 8) | canon.protocol
         assert hi == (canon.dst_ip << 16) | canon.dst_port

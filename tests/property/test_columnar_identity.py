@@ -12,6 +12,7 @@ compared byte for byte.
 """
 
 import random
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -120,19 +121,54 @@ def test_p2p_trace_identity(seed, chunk_size):
     )
 
 
+def _burst(start, first_port, flows):
+    """``flows`` unterminated flows opening 10 ms apart, in time order."""
+    packets = []
+    for index in range(flows):
+        packets += _unterminated_flow(start + 0.01 * index, first_port + index)
+    return sorted(packets, key=lambda packet: packet.timestamp)
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     idle_timeout=st.floats(min_value=0.5, max_value=10.0, allow_nan=False),
     gap=st.floats(min_value=0.1, max_value=30.0, allow_nan=False),
-    chunk_size=st.integers(min_value=1, max_value=16),
+    flows=st.integers(min_value=1, max_value=150),
+    chunk_size=st.integers(min_value=1, max_value=2000),
 )
-def test_idle_eviction_identity(idle_timeout, gap, chunk_size):
-    """Idle eviction fires (or not) mid-chunk identically on both engines."""
-    packets = _unterminated_flow(0.0, 2000) + _unterminated_flow(gap, 2001)
+def test_idle_eviction_identity(idle_timeout, gap, flows, chunk_size):
+    """Idle eviction fires (or not) mid-chunk identically on both engines.
+
+    Two bursts of up to 900 rows each: with large chunks the gate's
+    first row falls deep inside a chunk, after a kernel-fed prefix.
+    """
+    packets = _burst(0.0, 2000, flows) + _burst(gap, 3000, flows)
     config = CompressorConfig(idle_timeout=idle_timeout)
     assert columnar_bytes(packets, config, chunks=chunk_size) == scalar_bytes(
         packets, config
     )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+    shift=st.floats(min_value=0.001, max_value=5.0, allow_nan=False),
+    chunk_size=st.integers(min_value=1, max_value=2000),
+)
+def test_rebase_identity(seed, cut, shift, chunk_size):
+    """A capture stamped before the first packet, spliced in mid-feed.
+
+    Its first row rebases the implicit base; with large chunks that row
+    falls inside a chunk whose earlier rows went through the kernel.
+    """
+    trace = generate_web_trace(duration=1.5, flow_rate=25.0, seed=seed).packets
+    early = generate_web_trace(duration=0.5, flow_rate=25.0, seed=seed + 1).packets
+    origin = trace[0].timestamp - shift - early[-1].timestamp
+    early = [replace(packet, timestamp=packet.timestamp + origin) for packet in early]
+    at = int(cut * len(trace))
+    packets = trace[:at] + early + trace[at:]
+    assert columnar_bytes(packets, chunks=chunk_size) == scalar_bytes(packets)
 
 
 # -- fixture corpus ---------------------------------------------------------
