@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
-from itertools import chain
 
 from repro.obs import current as obs_current
 from repro.core.compressor import (
@@ -489,11 +488,6 @@ class ColumnarFlowCompressor:
         long_templates = output.long_templates
         append = output.time_seq.append
         base = self._base_time if self._base_time is not None else 0.0
-        long_gaps = iter(
-            _long_flow_gaps(
-                [state[_TIMES] for state in states if len(state[_TIMES]) > short_max]
-            )
-        )
         short = hits = packets = 0
         for state in states:
             values = state[_VALUES]
@@ -517,7 +511,9 @@ class ColumnarFlowCompressor:
             else:
                 index = len(long_templates)
                 long_templates.append(
-                    LongFlowTemplate(tuple(values), next(long_gaps))
+                    LongFlowTemplate(
+                        tuple(values), tuple(inter_packet_gaps(state[_TIMES]))
+                    )
                 )
                 record = TimeSeqRecord(
                     max(0.0, state[_FIRST_TS] - base),
@@ -536,35 +532,3 @@ class ColumnarFlowCompressor:
 
 
 _SHORT, _LONG = DatasetId.SHORT, DatasetId.LONG
-
-
-def _long_flow_gaps(flows: list[list[float]]) -> list[tuple[float, ...]]:
-    """:func:`inter_packet_gaps` of each long flow's timestamps, as tuples.
-
-    One numpy difference over all the flows' timestamps end to end; the
-    difference across two flows' boundary lands on the earlier flow's
-    last slot, which is overwritten with its trailing 0.  A flow with a
-    negative (or NaN) gap takes :func:`inter_packet_gaps` itself, whose
-    clamp is the definition.
-    """
-    if not flows:
-        return []
-    import numpy as np
-
-    ends = np.cumsum([len(times) for times in flows])
-    stamps = np.fromiter(chain.from_iterable(flows), np.float64, int(ends[-1]))
-    gaps = np.empty_like(stamps)
-    np.subtract(stamps[1:], stamps[:-1], out=gaps[:-1])
-    gaps[ends - 1] = 0.0
-    clean = gaps >= 0.0
-    all_clean = bool(clean.all())
-    flat = gaps.tolist()
-    result = []
-    offset = 0
-    for times, end in zip(flows, ends.tolist()):
-        if all_clean or clean[offset:end].all():
-            result.append(tuple(flat[offset:end]))
-        else:
-            result.append(tuple(inter_packet_gaps(times)))
-        offset = end
-    return result

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Iterable
 
 
@@ -106,7 +107,7 @@ def inter_packet_gaps(timestamps: list[float]) -> list[float]:
     way — gets a 0 gap: a template cannot store a negative one, and
     rejecting the flow would drop every packet in it.
     """
-    gaps = [later - earlier for earlier, later in zip(timestamps, timestamps[1:])]
+    gaps = list(map(sub, timestamps[1:], timestamps))
     if gaps and min(gaps) < 0.0:
         gaps = [max(0.0, gap) for gap in gaps]
     gaps.append(0.0)
