@@ -20,7 +20,7 @@ from repro.core.codec import deserialize_compressed, serialize_compressed
 from repro.core.compressor import compress_trace
 from repro.core.decompressor import decompress_trace
 from repro.core.generator import TraceModel
-from repro.core.pipeline import CompressionReport, report_for
+from repro.core.pipeline import CompressionReport, report_for_stream
 from repro.trace.export import ExportResult, export_packet_stream
 from repro.trace.trace import Trace
 
@@ -133,7 +133,7 @@ def roundtrip(
     decompressed = decompress_trace(
         deserialize_compressed(data), options.decompressor
     )
-    return decompressed, report_for(trace, compressed, data)
+    return decompressed, report_for_stream(compressed, data)
 
 
 def model_for(

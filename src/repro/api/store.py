@@ -44,6 +44,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import wraps
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -72,20 +73,21 @@ from repro.core.codec import (
     deserialize_compressed,
     serialize_compressed,
 )
-from repro.core.compressor import compress_trace
 from repro.core.datasets import CompressedTrace
 from repro.core.errors import CodecError
-from repro.core.pipeline import CompressionReport, report_for, report_for_stream
+from repro.core.pipeline import CompressionReport, report_for_stream
 from repro.core.replay import packets_from_batches
 from repro.core.generator import TraceModel
 from repro.flows.characterize import PacketValueError
+from repro.net.columns import PacketColumns
 from repro.net.packet import PacketRecord
 from repro.obs import RunReport, record_run, scoped as obs_scoped
 from repro.query.engine import FlowSummary, QueryEngine, QueryResult, QueryStats
 from repro.query.predicates import MatchAll, Predicate
 from repro.trace.export import ExportResult, export_packet_stream
 from repro.trace.framing import FrameDecodeError
-from repro.trace.reader import count_tsh_packets, iter_tsh_packets
+from repro.trace import reader as trace_reader
+from repro.trace.pcaplite import read_pcap_columns
 from repro.trace.stats import TraceStatistics, compute_statistics
 from repro.trace.trace import Trace
 
@@ -278,6 +280,7 @@ class TraceStore:
         _check_limit(limit)
         return QueryEngine(self._segments()).run(predicate, limit=limit)
 
+    @_typed_verb
     def compress(
         self,
         dest: str | Path,
@@ -295,7 +298,8 @@ class TraceStore:
         ``report=False`` (default) metrics land in the ambient registry,
         unless ``options.metrics`` is False, which scopes a disabled
         registry around the verb.  The engine path taken is the same in
-        all three cases.
+        all three cases.  Damaged input raises
+        :class:`CorruptInputError`, as it does from every reading verb.
         """
         options = options or self.options
         if report:
@@ -459,12 +463,13 @@ class TraceStore:
 class TraceFileStore(TraceStore):
     """Session over a raw packet-header trace (TSH or pcap).
 
-    TSH inputs stream in fixed-size chunks wherever possible; pcap — a
-    format this library only keeps for interoperability — is read
-    whole.  The flow-level verbs run over the input's in-memory
-    compression, one unindexed segment made on first use: a raw trace
-    has no flow records on disk, so the compressor *is* the flow
-    scanner, and it runs at most once per session.
+    Every verb reads the trace as one stream of columnar chunks
+    (:meth:`_chunks`): TSH streams from disk; pcap is decoded, and so
+    validated, once at open into compact chunks (about 39 B a packet).
+    The flow-level verbs run over the input's in-memory compression,
+    one unindexed segment made on first use: a raw trace has no flow
+    records on disk, so the compressor *is* the flow scanner, and it
+    runs at most once per session.
     """
 
     def __init__(self, path: str | Path, options: Options | None = None) -> None:
@@ -476,6 +481,13 @@ class TraceFileStore(TraceStore):
             )
         self._trace: Trace | None = None
         self._compressed: CompressedTrace | None = None
+        self._pcap_chunks: list[PacketColumns] | None = None
+        if self.kind is SourceKind.PCAP:
+            chunk_packets = self.options.streaming.chunk_packets
+            with _typed_decode_errors(self.path):
+                self._pcap_chunks = list(
+                    read_pcap_columns(self.path, chunk_packets)
+                )
         if self.packet_count() == 0:
             raise EmptyTraceError(f"{self.path}: trace holds no packets")
         self._one_segment = ArchiveReader.unindexed(
@@ -493,23 +505,32 @@ class TraceFileStore(TraceStore):
 
     # -- reading -----------------------------------------------------------
 
+    def _chunks(self, options: Options) -> Iterator[PacketColumns]:
+        """The trace as columnar chunks — every verb's one packet source."""
+        if self._pcap_chunks is not None:
+            return iter(self._pcap_chunks)
+        # Looked up at call time: instrumentation may wrap the reader.
+        return trace_reader.read_columns(
+            self.path, options.streaming.chunk_packets
+        )
+
     def packet_count(self) -> int:
-        if self.kind is SourceKind.TSH:
-            return count_tsh_packets(self.path)
-        return len(self.load_trace())
+        if self._pcap_chunks is not None:
+            return sum(map(len, self._pcap_chunks))
+        return trace_reader.count_tsh_packets(self.path)
 
     def load_trace(self) -> Trace:
         """Materialize the whole trace, once per session (batch verbs).
 
-        Every whole-trace read goes through here, so a damaged pcap
+        Every whole-trace read goes through here, so damaged input
         raises :class:`CorruptInputError` whichever verb reads it.
         """
         if self._trace is None:
             with _typed_decode_errors(self.path):
-                if self.kind is SourceKind.TSH:
-                    self._trace = Trace.load_tsh(self.path, name=self.options.name)
-                else:
-                    self._trace = Trace.load_pcap(self.path, name=self.options.name)
+                self._trace = Trace(
+                    list(self._packets(None, limit=None, stats=None)),
+                    name=self._name(self.options),
+                )
         return self._trace
 
     def _packets(
@@ -523,11 +544,9 @@ class TraceFileStore(TraceStore):
             raise self._unsupported(
                 "filtered packet replay", "container, archive"
             )
-        if self.kind is SourceKind.TSH:
-            return iter_tsh_packets(
-                self.path, self.options.streaming.chunk_packets
-            )
-        return iter(self.load_trace().packets)
+        return chain.from_iterable(
+            chunk.to_records() for chunk in self._chunks(self.options)
+        )
 
     _export_stream = _packets
 
@@ -577,10 +596,6 @@ class TraceFileStore(TraceStore):
         drift between this file and its reconstruction.
         """
         from repro.analysis.fidelity import score_roundtrip
-        from repro.core.codec import (
-            deserialize_compressed,
-            serialize_compressed,
-        )
         from repro.core.decompressor import decompress_trace
 
         options = options or self.options
@@ -621,49 +636,24 @@ class TraceFileStore(TraceStore):
         self, dest: str | Path, *, options: Options
     ) -> CompressionReport | ArchiveBuildReport:
         """Compress into ``dest`` — ``.fctca`` builds a segmented archive,
-        anything else a single ``.fctc`` container.
-
-        TSH input is read in ``options.streaming.chunk_packets`` chunks
-        (bounded memory); pcap has no chunked reader and loads whole.
-        """
+        anything else a single ``.fctc`` container."""
         dest = Path(dest)
         if dest.suffix.lower() == ".fctca":
-            return _build_archive(dest, [self._input_feed(options)], options)
-        backend, level = options.codec.backend, options.codec.level
-        if self.kind is SourceKind.TSH:
-            compressed = self._compress_in_memory(options)
-            data = serialize_compressed(compressed, backend=backend, level=level)
-            dest.write_bytes(data)
-            return report_for_stream(compressed, data)
-        trace = self.load_trace()
-        trace.name = self._name(options)
-        compressed = compress_trace(trace, options.compressor)
-        data = serialize_compressed(compressed, backend=backend, level=level)
+            return _build_archive(dest, [self._chunks(options)], options)
+        compressed = self._compress_in_memory(options)
+        data = serialize_compressed(
+            compressed, backend=options.codec.backend, level=options.codec.level
+        )
         dest.write_bytes(data)
-        return report_for(trace, compressed, data)
-
-    def _input_feed(self, options: Options):
-        """The archive-build feed: columnar chunks for TSH input, packet
-        records for pcap.  :meth:`ArchiveWriter.feed` accepts either."""
-        if self.kind is SourceKind.TSH:
-            from repro.trace.reader import read_columns
-
-            return read_columns(self.path, options.streaming.chunk_packets)
-        return iter(self.load_trace().packets)
+        return report_for_stream(compressed, data)
 
     def _compress_in_memory(self, options: Options) -> CompressedTrace:
-        """Compress without serializing, streaming where the format
-        allows."""
-        if self.kind is SourceKind.TSH:
-            from repro.core.streaming import compress_tsh_file
+        """Compress the chunk stream without serializing."""
+        from repro.core.streaming import compress_chunks
 
-            return compress_tsh_file(
-                self.path,
-                options.compressor,
-                chunk_size=options.streaming.chunk_packets,
-                name=self._name(options),
-            ).output
-        return compress_trace(self.load_trace(), options.compressor)
+        return compress_chunks(
+            self._chunks(options), options.compressor, name=self._name(options)
+        ).output
 
 
 class ContainerStore(TraceStore):
@@ -877,11 +867,11 @@ class ArchiveStore(TraceStore):
         """Extend the archive in place with more captures.
 
         ``sources`` is a list of trace paths (each opened through the
-        façade, so TSH streams and pcap loads) or a bare packet
-        iterable.  The reader is reopened afterwards, so the session
-        sees the appended segments; it keeps the cached views of every
-        segment whose index entry the append left unchanged — all of
-        them on success, since sealed segments are never rewritten.
+        façade and fed as its column chunks) or a bare packet iterable.
+        The reader is reopened afterwards, so the session sees the
+        appended segments; it keeps the cached views of every segment
+        whose index entry the append left unchanged — all of them on
+        success, since sealed segments are never rewritten.
         """
         options = options or self.options
         from repro.archive.writer import ArchiveWriter
@@ -995,15 +985,14 @@ def _matrices_over(
 def _packet_feeds(
     sources: Iterable[str | Path] | Iterable[PacketRecord],
     options: Options,
-) -> list[Iterator[PacketRecord]]:
-    """Normalize append/build sources into packet iterators.
+) -> list[Iterator[PacketRecord] | Iterator[PacketColumns]]:
+    """Normalize append/build sources into archive-writer feeds.
 
     Paths are opened through the façade (sniffed, typed errors — and
-    validated *before* the destination is touched); a bare
-    :class:`PacketRecord` iterable passes through lazily as one feed.
+    validated *before* the destination is touched) and feed their column
+    chunks; a bare :class:`PacketRecord` iterable passes through lazily
+    as one feed.
     """
-    from itertools import chain
-
     iterator = iter(sources)
     try:
         first = next(iterator)
@@ -1019,14 +1008,14 @@ def _packet_feeds(
                 f"{source}: archive feeds take raw trace files, "
                 f"not {store.kind.value}"
             )
-        # TSH sources feed columnar chunks, pcap sources records; the
-        # archive writer accepts either feed shape.
-        feeds.append(store._input_feed(options))
+        feeds.append(store._chunks(options))
     return feeds
 
 
 def _build_archive(
-    dest: Path, feeds: list[Iterator[PacketRecord]], options: Options
+    dest: Path,
+    feeds: list[Iterator[PacketRecord] | Iterator[PacketColumns]],
+    options: Options,
 ) -> ArchiveBuildReport:
     from repro.archive.writer import ArchiveWriter
 

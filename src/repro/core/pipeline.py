@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from repro.core.codec import dataset_sizes
 from repro.core.datasets import CompressedTrace
-from repro.trace.trace import Trace
 from repro.trace.tsh import tsh_file_size
 
 
@@ -57,26 +56,12 @@ class CompressionReport:
         return lines
 
 
-def report_for(trace: Trace, compressed: CompressedTrace, data: bytes) -> CompressionReport:
-    """Build the size report for a finished compression."""
-    return CompressionReport(
-        original_bytes=trace.stored_size_bytes(),
-        compressed_bytes=len(data),
-        packet_count=len(trace),
-        flow_count=compressed.flow_count(),
-        short_templates=len(compressed.short_templates),
-        long_templates=len(compressed.long_templates),
-        dataset_bytes=dataset_sizes(compressed),
-    )
-
-
 def report_for_stream(compressed: CompressedTrace, data: bytes) -> CompressionReport:
-    """The size report when no in-memory :class:`Trace` exists.
+    """Build the size report for a finished compression.
 
-    Streaming compression never holds the input trace, but every sizing
-    input survives in the datasets: the original TSH size is
-    44 bytes per packet and ``original_packet_count`` counts every packet
-    routed into a flow.  Matches :func:`report_for` field for field.
+    Every sizing input survives in the datasets, so no input trace is
+    needed: the original TSH size is 44 bytes per packet and
+    ``original_packet_count`` counts every packet routed into a flow.
     """
     return CompressionReport(
         original_bytes=tsh_file_size(compressed.original_packet_count),

@@ -12,11 +12,11 @@ compress path runs it through this module:
     chunked or shaped.  :func:`~repro.core.compressor.compress_trace`
     is a thin wrapper over it.
 
-:func:`compress_tsh_file`
-    Chunked-read a ``.tsh`` file through the vectorized block decoder
-    into the streaming compressor — peak memory is bounded by the
-    active-flow population and the compressed output (a few percent of
-    the trace), not the trace.
+:func:`compress_chunks` / :func:`compress_tsh_file`
+    Drive the streaming compressor over columnar chunks — any chunk
+    iterator, or a ``.tsh`` file's chunked reader — holding no more than
+    the chunks, the active flows and the compressed output (a few
+    percent of the trace).
 """
 
 from __future__ import annotations
@@ -218,33 +218,29 @@ def compress_stream(
     return compressor.finish()
 
 
-def compress_tsh_file(
-    path: str | Path,
+def compress_chunks(
+    chunks: Iterable[PacketColumns],
     config: CompressorConfig | None = None,
     *,
-    chunk_size: int = DEFAULT_CHUNK_PACKETS,
-    name: str | None = None,
+    name: str = "compressed",
 ) -> StreamingCompressor:
-    """Stream-compress a ``.tsh`` file in bounded memory.
+    """Compress a stream of columnar chunks, timing read and clustering.
 
     Returns the finished :class:`StreamingCompressor` so callers can read
-    ``output`` alongside ``stats`` / ``streaming_stats``.  The file is
-    read through the vectorized block decoder
-    (:func:`~repro.trace.reader.read_columns`), one columnar chunk of
-    ``chunk_size`` packets at a time.
+    ``output`` alongside ``stats`` / ``streaming_stats``.
     """
-    compressor = StreamingCompressor(config, name=name or Path(path).stem)
+    compressor = StreamingCompressor(config, name=name)
     registry = obs_current()
-    # Decode happens lazily inside the chunk generator, so timing the
-    # ``next`` call captures read+decode and the feed call captures
-    # clustering — two timer observations per chunk, nothing per packet.
+    # A lazy chunk source decodes inside ``next``, so timing that call
+    # captures read+decode and the feed call captures clustering — two
+    # timer observations per chunk, nothing per packet.
     decode_timer = registry.timer(
-        "stage.decode", "wall time reading and decoding TSH chunks"
+        "stage.decode", "wall time reading and decoding input chunks"
     )
     cluster_timer = registry.timer(
         "stage.cluster", "wall time clustering decoded chunks"
     )
-    chunks = read_columns(path, chunk_size)
+    chunks = iter(chunks)
     while True:
         with decode_timer.time():
             chunk = next(chunks, None)
@@ -254,3 +250,17 @@ def compress_tsh_file(
             compressor.feed_columns(chunk)
     compressor.finish()
     return compressor
+
+
+def compress_tsh_file(
+    path: str | Path,
+    config: CompressorConfig | None = None,
+    *,
+    chunk_size: int = DEFAULT_CHUNK_PACKETS,
+    name: str | None = None,
+) -> StreamingCompressor:
+    """:func:`compress_chunks` over a ``.tsh`` file's
+    :func:`~repro.trace.reader.read_columns`, ``chunk_size`` at a time."""
+    return compress_chunks(
+        read_columns(path, chunk_size), config, name=name or Path(path).stem
+    )

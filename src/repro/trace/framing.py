@@ -61,6 +61,7 @@ _PCAP_RECORD = struct.Struct("<IIII")
 _PCAP_IP = struct.Struct(">BBHHHBBHII")
 _PCAP_TCP = struct.Struct(">HHIIBBHHH")
 _MICROSECOND = 1_000_000
+_MAX_ORIGINAL = HEADER_BYTES + 2**31 - 1  # payload_len is an int32 column
 
 
 class FrameDecodeError(ValueError):
@@ -262,6 +263,8 @@ class PcapStreamDecoder:
                     raise FrameDecodeError(
                         f"record too short for TCP/IP headers: {captured}"
                     )
+                if original > _MAX_ORIGINAL:
+                    raise FrameDecodeError(f"record length out of range: {original}")
                 body = offset + _PCAP_RECORD.size
                 if len(buffer) < body + captured:
                     break

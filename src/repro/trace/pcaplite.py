@@ -12,8 +12,11 @@ capture produces).
 from __future__ import annotations
 
 import struct
+from itertools import islice
+from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
+from repro.net.columns import PacketColumns, columns_from_records
 from repro.net.packet import HEADER_BYTES, PacketRecord, validate_packet
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -116,3 +119,14 @@ def read_pcap(stream: BinaryIO) -> Iterator[PacketRecord]:
             decoder.finish()
             return
         yield from decoder.feed(data)
+
+
+def read_pcap_columns(
+    path: str | Path, chunk_size: int
+) -> Iterator[PacketColumns]:
+    """A pcap file as columnar chunks of ``chunk_size`` packets — the
+    pcap :func:`~repro.trace.reader.read_columns`, over :func:`read_pcap`."""
+    with open(path, "rb") as stream:
+        packets = read_pcap(stream)
+        while batch := list(islice(packets, chunk_size)):
+            yield columns_from_records(batch)

@@ -42,6 +42,8 @@ _DAMAGED = {
         "fctca_path", ".fctca", lambda p: _flipped(p, ARCHIVE_HEADER.size)
     ),
     "pcap-cut-short": ("pcap_path", ".pcap", lambda p: p.read_bytes()[:-10]),
+    # Byte 39 is the top byte of the first pcap record's original length.
+    "pcap-record-length": ("pcap_path", ".pcap", lambda p: _flipped(p, 39)),
     # Byte 7 is the low byte of the container's name length.
     "container-name-length": ("fctc_path", ".fctc", lambda p: _flipped(p, 7)),
     "container-template-value": ("fctc_path", ".fctc", _bad_template_value),
@@ -222,6 +224,11 @@ class TestTypedErrorsOnEveryVerb:
         with api.open(damaged_archive) as store:
             with pytest.raises(errors.CorruptInputError, match="segment 3"):
                 store.filter(tmp_path / "sub.fctca", MatchAll())
+
+    def test_damaged_archive_compress(self, damaged_archive, tmp_path):
+        with api.open(damaged_archive) as store:
+            with pytest.raises(errors.CorruptInputError, match="segment 3"):
+                store.compress(tmp_path / "copy.fctca")
 
     @pytest.mark.parametrize(
         "verb",

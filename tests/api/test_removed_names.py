@@ -1,7 +1,7 @@
-"""The 1.2.0 removals: docs/API.md's "Removed in 1.2.0" table is the contract.
+"""The removals: each docs/API.md "Removed in X" table is the contract.
 
-Every name the table lists must be gone from its module, and every
-replacement it names must resolve, so the table cannot drift from the
+Every name a table lists must be gone from its module, and every
+replacement it names must resolve, so the tables cannot drift from the
 code in either direction.
 """
 
@@ -14,20 +14,29 @@ import pytest
 API_MD = Path(__file__).resolve().parents[2] / "docs" / "API.md"
 
 
+def _removed_sections(text: str) -> list[str]:
+    """The body of every ``## Removed in ...`` section, in file order."""
+    sections = []
+    for match in re.finditer(r"^## Removed in [^\n]+\n", text, re.MULTILINE):
+        end = text.find("\n## ", match.end())
+        sections.append(text[match.end() : end if end >= 0 else len(text)])
+    return sections
+
+
 def _removed_rows() -> list[tuple[str, str | None]]:
-    """``(removed, replacement or None)`` for each row of the table."""
-    text = API_MD.read_text("utf-8")
-    start = text.index("\n## Removed in 1.2.0\n")
-    end = text.find("\n## ", start + 1)
+    """``(removed, replacement or None)`` for each row of every table."""
     rows = []
-    for line in text[start : end if end >= 0 else len(text)].splitlines():
-        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
-        if len(cells) < 2 or not cells[0].startswith("`"):
-            continue
-        (removed,) = re.findall(r"`([^`]+)`", cells[0])
-        replacement = re.findall(r"`([^`]+)`", cells[1])
-        assert replacement or cells[1] == "none", line
-        rows.append((removed, replacement[0] if replacement else None))
+    for section in _removed_sections(API_MD.read_text("utf-8")):
+        for line in section.splitlines():
+            cells = [
+                cell.strip() for cell in line.strip().strip("|").split("|")
+            ]
+            if len(cells) < 2 or not cells[0].startswith("`"):
+                continue
+            (removed,) = re.findall(r"`([^`]+)`", cells[0])
+            replacement = re.findall(r"`([^`]+)`", cells[1])
+            assert replacement or cells[1] == "none", line
+            rows.append((removed, replacement[0] if replacement else None))
     return rows
 
 
@@ -56,6 +65,7 @@ def test_table_lists_the_removals():
         "repro.archive.build_archive",
         "repro.baselines.deflate",
         "repro.trace.iter_tsh_chunks",
+        "repro.core.pipeline.report_for",
     ):
         assert name in removed
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro import api
 from repro.api import errors
+from repro.synth.scenarios import get_scenario, scenario_names
 from repro.trace.trace import Trace
 
 
@@ -85,22 +86,17 @@ class TestRawTraceCompressesOnce:
 
     @pytest.fixture
     def compressions(self, monkeypatch):
-        import repro.api.store as store_module
         import repro.core.streaming as streaming
 
         calls = []
+        real = streaming.compress_chunks
 
-        def counting(module, name):
-            real = getattr(module, name)
+        def counting(*args, **kwargs):
+            calls.append("compress_chunks")
+            return real(*args, **kwargs)
 
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(streaming, "compress_tsh_file")  # TSH input
-        counting(store_module, "compress_trace")  # pcap input
+        # The one in-memory compress entry both raw kinds go through.
+        monkeypatch.setattr(streaming, "compress_chunks", counting)
         return calls
 
     @pytest.mark.parametrize("kind", ["tsh", "pcap"])
@@ -119,6 +115,60 @@ class TestRawTraceCompressesOnce:
             assert list(store.matrices(window=2.0))
             store.model()
         assert len(compressions) == 1
+
+
+class TestRawKindsAreOnePath:
+    """TSH and pcap reach every verb as the same column chunks."""
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    def test_same_capture_same_bytes(self, tmp_path, scenario):
+        trace = get_scenario(scenario).build(6.0, 20.0, 3)
+        outputs = {}
+        for kind in ("tsh", "pcap"):
+            source = tmp_path / f"{scenario}.{kind}"
+            if kind == "tsh":
+                trace.save_tsh(source)
+            else:
+                trace.save_pcap(source)
+            out = tmp_path / kind
+            out.mkdir()
+            with api.open(source) as store:
+                store.compress(out / "capture.fctc")
+                store.compress(out / "capture.fctca")
+            outputs[kind] = [
+                (out / name).read_bytes()
+                for name in ("capture.fctc", "capture.fctca")
+            ]
+        assert outputs["tsh"] == outputs["pcap"]
+
+    def test_pcap_verbs_never_load_a_trace(
+        self, monkeypatch, tmp_path, pcap_path
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Trace.load_pcap called")
+
+        monkeypatch.setattr(Trace, "load_pcap", classmethod(refuse))
+        with api.open(pcap_path) as store:
+            store.compress(tmp_path / "p.fctc")
+            store.compress(tmp_path / "p.fctca")
+            assert list(store.flows())
+            assert list(store.packets())
+            assert store._trace is None
+
+    @pytest.mark.parametrize("kind", ["tsh", "pcap"])
+    def test_compress_name_leaves_session_alone(
+        self, tmp_path, kind, tsh_path, pcap_path
+    ):
+        path = tsh_path if kind == "tsh" else pcap_path
+        with api.open(path) as store:
+            store.compress(
+                tmp_path / "renamed.fctc",
+                options=api.Options.make(name="renamed"),
+            )
+            assert store.load_trace().name == path.stem
+            assert store._flow_scan().name == path.stem
+        with api.open(tmp_path / "renamed.fctc") as renamed:
+            assert renamed.compressed.name == "renamed"
 
 
 class TestCompress:

@@ -3,10 +3,15 @@
 import pytest
 
 from repro.api import roundtrip
-from repro.core.codec import deserialize_compressed, serialize_compressed
+from repro.core.codec import (
+    dataset_sizes,
+    deserialize_compressed,
+    serialize_compressed,
+)
 from repro.core.compressor import compress_trace
 from repro.core.decompressor import decompress_trace
-from repro.core.pipeline import report_for
+from repro.core.pipeline import CompressionReport, report_for_stream
+from repro.synth.scenarios import get_scenario, scenario_names
 from repro.trace.trace import Trace
 
 
@@ -58,5 +63,32 @@ class TestBytesApi:
     def test_report_for_consistency(self, multi_flow_trace):
         compressed = compress_trace(multi_flow_trace)
         data = serialize_compressed(compressed)
-        report = report_for(multi_flow_trace, compressed, data)
+        report = report_for_stream(compressed, data)
         assert report.compressed_bytes == len(data)
+
+
+class TestReportNeedsNoTrace:
+    """The datasets alone give the report the input trace would give."""
+
+    @pytest.mark.parametrize("scenario", scenario_names())
+    @pytest.mark.parametrize("kind", ["tsh", "pcap"])
+    def test_matches_trace_derived_report(self, tmp_path, scenario, kind):
+        path = tmp_path / f"{scenario}.{kind}"
+        built = get_scenario(scenario).build(6.0, 20.0, 3)
+        if kind == "tsh":
+            built.save_tsh(path)
+            trace = Trace.load_tsh(path)
+        else:
+            built.save_pcap(path)
+            trace = Trace.load_pcap(path)
+        compressed = compress_trace(trace)
+        data = serialize_compressed(compressed)
+        assert report_for_stream(compressed, data) == CompressionReport(
+            original_bytes=trace.stored_size_bytes(),
+            compressed_bytes=len(data),
+            packet_count=len(trace),
+            flow_count=compressed.flow_count(),
+            short_templates=len(compressed.short_templates),
+            long_templates=len(compressed.long_templates),
+            dataset_bytes=dataset_sizes(compressed),
+        )

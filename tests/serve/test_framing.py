@@ -202,6 +202,14 @@ class TestStreamDecoders:
         with pytest.raises(FrameDecodeError, match="record"):
             decoder.finish()
 
+    def test_pcap_decoder_record_length_out_of_range(self, trace):
+        buffer = io.BytesIO()
+        write_pcap(list(trace)[:2], buffer)
+        data = bytearray(buffer.getvalue())
+        data[39] ^= 0xFF  # top byte of the first record's original length
+        with pytest.raises(FrameDecodeError, match="out of range"):
+            PcapStreamDecoder().feed(bytes(data))
+
     def test_factory(self):
         assert stream_decoder("tsh").format == "tsh"
         assert stream_decoder("pcap").format == "pcap"

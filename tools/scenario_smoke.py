@@ -8,6 +8,8 @@ in-process shortcuts:
 * ``generate --scenario NAME`` writes the workload as TSH,
 * determinism: a second generation with the same seed is file-identical,
 * ``compress`` / ``decompress`` roundtrips it (packet count preserved),
+* the same scenario generated as ``.pcap`` compresses to a container
+  byte-identical to the TSH one (both raw kinds take one compress path),
 * ``fidelity --scenario NAME`` scores the roundtrip and the written
   report parses with the expected schema and a zero flow-size KS.
 
@@ -100,6 +102,24 @@ def smoke(name: str, workdir: Path) -> None:
     if _packet_count(restored) != _packet_count(trace):
         print(f"FAIL: {name}: roundtrip changed the packet count")
         raise SystemExit(1)
+
+    # Same stem in its own directory: the container name is the stem.
+    pcap_dir = workdir / f"{name}-pcap"
+    pcap_dir.mkdir()
+    capture = pcap_dir / f"{name}.pcap"
+    pcap_container = pcap_dir / container.name
+    _check(
+        _cli("generate", str(capture), "--scenario", name, *base),
+        f"{name}: generate pcap",
+    )
+    _check(
+        _cli("compress", str(capture), str(pcap_container)),
+        f"{name}: compress pcap",
+    )
+    if pcap_container.read_bytes() != container.read_bytes():
+        print(f"FAIL: {name}: pcap and TSH compress to different bytes")
+        raise SystemExit(1)
+    print(f"ok: {name}: pcap container is byte-identical to the TSH one")
 
     _check(
         _cli(
