@@ -44,7 +44,7 @@ from typing import Iterable
 from zlib import crc32
 
 from repro.core.codec import quantize_rtt, quantize_timestamp
-from repro.core.datasets import CompressedTrace, DatasetId
+from repro.core.datasets import CompressedTrace, TimeSeqColumns
 from repro.core.errors import ArchiveError
 
 ARCHIVE_MAGIC = b"FCTA"
@@ -296,6 +296,7 @@ def index_entry_for(
     offset: int,
     length: int,
     section_backends: tuple[int, int, int, int] = RAW_SECTION_BACKENDS,
+    columns: TimeSeqColumns | None = None,
 ) -> SegmentIndexEntry:
     """Build the footer entry describing one serialized segment.
 
@@ -303,30 +304,30 @@ def index_entry_for(
     index is exact with respect to what a decoder will see — a query
     compared against these bounds can never miss a decoded record.
     ``section_backends`` records the wire tags the segment's serializer
-    actually used (:attr:`~repro.core.codec.ContainerWriteResult.backend_tags`).
+    actually used (:attr:`~repro.core.codec.ContainerWriteResult.backend_tags`);
+    ``columns`` are the segment's time-seq fields when the caller has
+    already extracted them for the serializer.
     """
     if not compressed.time_seq:
         raise ArchiveError("refusing to index an empty segment")
-    time_seq = compressed.time_seq
+    if columns is None:
+        columns = TimeSeqColumns.of(compressed.time_seq)
     # Both quantizers are monotone (saturation included), so quantizing
     # the raw extremes gives the extremes of the quantized values.
-    timestamps = [r.timestamp for r in time_seq]
-    rtts = [r.rtt for r in time_seq]
-    template_packets = {
-        DatasetId.SHORT: [t.n for t in compressed.short_templates],
-        DatasetId.LONG: [t.n for t in compressed.long_templates],
-    }
+    timestamps, rtts = columns.timestamps, columns.rtts
+    short_sizes = [t.n for t in compressed.short_templates]
+    long_sizes = [t.n for t in compressed.long_templates]
     flow_packets = [
-        template_packets[r.dataset][r.template_index] for r in time_seq
+        *map(short_sizes.__getitem__, columns.short_refs()),
+        *map(long_sizes.__getitem__, columns.long_refs()),
     ]
-    short_flows = sum(1 for r in time_seq if r.dataset is DatasetId.SHORT)
     return SegmentIndexEntry(
         offset=offset,
         length=length,
         time_min_units=quantize_timestamp(min(timestamps)),
         time_max_units=quantize_timestamp(max(timestamps)),
-        flow_count=len(time_seq),
-        short_flow_count=short_flows,
+        flow_count=len(timestamps),
+        short_flow_count=len(timestamps) - sum(columns.long),
         packet_count=compressed.original_packet_count,
         min_flow_packets=min(flow_packets),
         max_flow_packets=max(flow_packets),

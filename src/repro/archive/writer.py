@@ -42,10 +42,10 @@ from repro.archive.format import (
 )
 from repro.core.codec import validate_backend_request, write_container
 from repro.core.compressor import CompressorConfig
-from repro.core.datasets import CompressedTrace
+from repro.core.datasets import CompressedTrace, TimeSeqColumns
 from repro.core.errors import ArchiveError
-from repro.core.streaming import StreamingCompressor
-from repro.net.columns import PacketColumns
+from repro.core.streaming import RECORD_CHUNK_PACKETS, StreamingCompressor
+from repro.net.columns import PacketColumns, columns_from_records
 from repro.net.packet import PacketRecord
 from repro.obs import current as obs_current
 
@@ -101,7 +101,9 @@ class SegmentFeeder:
 
     Not thread-safe: one feeder belongs to one feeding task.  The sink
     is invoked synchronously from the feed call that closed the
-    segment.
+    segment.  ``seal_timer`` (a :mod:`repro.obs` timer), when given,
+    observes each seal once: closing the segment's open flows and
+    handing the result to ``sink``.
     """
 
     def __init__(
@@ -115,6 +117,7 @@ class SegmentFeeder:
         name: str = "segment",
         segment_name: Callable[[int], str] | None = None,
         engine: str | None = None,
+        seal_timer=None,
     ) -> None:
         # ``engine`` is accepted and ignored: there is one compression
         # engine.  Its only caller is ``perf_ledger/workloads.py::
@@ -138,6 +141,7 @@ class SegmentFeeder:
         self._segment_fed = 0
         self._sealed = 0
         self._closed = False
+        self._seal_timer = seal_timer
 
     @property
     def packets_pending(self) -> int:
@@ -174,17 +178,32 @@ class SegmentFeeder:
     def feed(
         self, packets: Iterable[PacketRecord] | Iterable[PacketColumns]
     ) -> int:
-        """Feed records, columnar chunks, or a mix; returns the count."""
+        """Feed records, columnar chunks, or a mix; returns the count.
+
+        Runs of records are batched into column chunks: rotation and
+        compression give the same bytes however rows are chunked.
+        """
         if isinstance(packets, PacketColumns):
             return self.feed_columns(packets)
         count = 0
+        records: list[PacketRecord] = []
         for item in packets:
             if isinstance(item, PacketColumns):
+                count += self._feed_records(records)
                 count += self.feed_columns(item)
             else:
-                self.add_packet(item)
-                count += 1
-        return count
+                records.append(item)
+                if len(records) >= RECORD_CHUNK_PACKETS:
+                    count += self._feed_records(records)
+        return count + self._feed_records(records)
+
+    def _feed_records(self, records: list[PacketRecord]) -> int:
+        """Feed (and empty) a batch of records as one column chunk."""
+        if not records:
+            return 0
+        columns = columns_from_records(records)
+        records.clear()
+        return self.feed_columns(columns)
 
     def feed_columns(self, columns: PacketColumns) -> int:
         """Feed one columnar chunk, splitting it at rotation boundaries.
@@ -266,6 +285,12 @@ class SegmentFeeder:
     def _seal(self) -> bool:
         if not self._segment_fed or self._compressor is None:
             return False
+        if self._seal_timer is None:
+            return self._seal_segment()
+        with self._seal_timer.time():
+            return self._seal_segment()
+
+    def _seal_segment(self) -> bool:
         fed = self._segment_fed
         self._segment_fed = 0
         compressed = self._compressor.flush_segment(
@@ -568,6 +593,8 @@ class ArchiveWriter:
             raise ArchiveError("archive writer already closed")
         if not compressed.time_seq:
             raise ArchiveError("refusing to write an empty segment")
+        # The serializer and the index entry share one field extraction.
+        columns = TimeSeqColumns.of(compressed.time_seq)
         with self._lock:
             offset = self._stream.tell()
             result = write_container(
@@ -575,9 +602,10 @@ class ArchiveWriter:
                 compressed,
                 backend=backend if backend is not None else self._backend,
                 level=level if level is not None else self._level,
+                columns=columns,
             )
             entry = index_entry_for(
-                compressed, offset, result.length, result.backend_tags
+                compressed, offset, result.length, result.backend_tags, columns
             )
             self._entries.append(entry)
         obs_current().counter(

@@ -69,7 +69,6 @@ _LAZY_EXPORTS = {
     "repro.core.streaming": (
         "StreamingCompressor",
         "StreamingStats",
-        "compress_stream",
         "compress_tsh_file",
     ),
     "repro.core.pipeline": (

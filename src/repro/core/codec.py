@@ -43,7 +43,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import truediv
 from typing import BinaryIO, Mapping
 
@@ -59,6 +59,7 @@ from repro.core.datasets import (
     DatasetId,
     LongFlowTemplate,
     ShortFlowTemplate,
+    TimeSeqColumns,
     TimeSeqRecord,
 )
 from repro.core.errors import CodecError
@@ -139,27 +140,56 @@ _VECTOR_MIN = 32
 
 def _pack_long_templates(templates: list[LongFlowTemplate]) -> bytes:
     out = bytearray()
+    encoded = _vector_gap_units(templates)
     for template in templates:
         if template.n > _MAX_U16:
             raise CodecError(f"long template too long for codec: {template.n}")
         out.extend(struct.pack(">H", template.n))
         out.extend(bytes(template.values))
-        if template.n >= _VECTOR_MIN:
-            import numpy as np
-
-            units = np.minimum(
-                np.rint(
-                    np.asarray(template.gaps, dtype=np.float64)
-                    * GAP_UNITS_PER_SECOND
-                ),
-                float(_MAX_U16),
-            )
-            if units.min() >= 0:  # negative gaps: scalar path's struct error
-                out.extend(units.astype(">u2").tobytes())
-                continue
+        units = encoded.get(id(template))
+        if units is not None:
+            out.extend(units)
+            continue
         gap_units = [quantize_gap(gap) for gap in template.gaps]
         out.extend(struct.pack(f">{template.n}H", *gap_units))
     return bytes(out)
+
+
+def _vector_gap_units(templates: list[LongFlowTemplate]) -> dict[int, bytes]:
+    """The packed gap units of every template of ``_VECTOR_MIN`` or more
+    gaps that quantize without error, keyed by ``id``, in one numpy pass.
+
+    A template left out (a NaN or negative gap) takes the scalar path,
+    which raises its error.
+    """
+    vectored = [template for template in templates if template.n >= _VECTOR_MIN]
+    if not vectored:
+        return {}
+    import numpy as np
+
+    sizes = np.array([template.n for template in vectored])
+    units = np.minimum(
+        np.rint(
+            np.fromiter(
+                chain.from_iterable(template.gaps for template in vectored),
+                dtype=np.float64,
+                count=int(sizes.sum()),
+            )
+            * GAP_UNITS_PER_SECOND
+        ),
+        float(_MAX_U16),
+    )
+    starts = np.cumsum(sizes) - sizes
+    fits = np.minimum.reduceat(units, starts) >= 0
+    units[~np.repeat(fits, sizes)] = 0  # never packed; keeps the cast clean
+    packed = units.astype(">u2").tobytes()
+    return {
+        id(template): packed[2 * start : 2 * (start + size)]
+        for template, start, size, fit in zip(
+            vectored, starts.tolist(), sizes.tolist(), fits.tolist()
+        )
+        if fit
+    }
 
 
 def _pack_addresses(addresses: AddressTable) -> bytes:
@@ -205,25 +235,25 @@ _TIME_SEQ_DTYPE_FIELDS = [
 ]
 
 
-def _pack_time_seq(records: list[TimeSeqRecord]) -> bytes:
+def _pack_time_seq(
+    records: list[TimeSeqRecord], columns: TimeSeqColumns | None = None
+) -> bytes:
     if len(records) < _VECTOR_MIN:
         return _pack_time_seq_scalar(records)
     import numpy as np
 
-    refs = np.array([r.template_index for r in records], dtype=np.int64)
+    if columns is None:
+        columns = TimeSeqColumns.of(records)
+    refs = np.array(columns.template_index, dtype=np.int64)
     bad = np.nonzero(refs > MAX_TEMPLATE_INDEX)[0]
     if bad.size:
         # Same first-offender error as the scalar loop.
-        for record in records:
-            if record.template_index > MAX_TEMPLATE_INDEX:
-                raise CodecError(
-                    f"template index too large: {record.template_index}"
-                )
-    addrs = np.array([r.address_index for r in records], dtype=np.int64)
+        raise CodecError(f"template index too large: {int(refs[bad[0]])}")
+    addrs = np.array(columns.address_index, dtype=np.int64)
     if refs.min() < 0 or addrs.min() < 0 or addrs.max() > _MAX_U16:
         return _pack_time_seq_scalar(records)  # scalar path's struct error
-    timestamps = np.array([r.timestamp for r in records], dtype=np.float64)
-    rtts = np.array([r.rtt for r in records], dtype=np.float64)
+    timestamps = np.array(columns.timestamps, dtype=np.float64)
+    rtts = np.array(columns.rtts, dtype=np.float64)
     scaled_ts = timestamps * TIMESTAMP_UNITS_PER_SECOND
     scaled_rtt = rtts * RTT_UNITS_PER_SECOND
     if not (np.isfinite(scaled_ts).all() and np.isfinite(scaled_rtt).all()):
@@ -232,9 +262,7 @@ def _pack_time_seq(records: list[TimeSeqRecord]) -> bytes:
     rtt_units = np.minimum(np.rint(scaled_rtt), float(_MAX_U16))
     if ts_units.min() < 0 or rtt_units.min() < 0:
         return _pack_time_seq_scalar(records)
-    long_flag = np.array(
-        [r.dataset is DatasetId.LONG for r in records], dtype=np.int64
-    )
+    long_flag = np.array(columns.long, dtype=np.int64)
     rows = np.empty(len(records), dtype=np.dtype(_TIME_SEQ_DTYPE_FIELDS))
     rows["ts"] = ts_units.astype(np.uint32)
     rows["ref"] = (refs | (long_flag << 15)).astype(np.uint16)
@@ -396,8 +424,8 @@ class ContainerWriteResult:
         return tuple(get_backend(s.backend).tag for s in self.sections)
 
 
-def _check_counts(compressed: CompressedTrace) -> None:
-    compressed.validate()
+def _check_counts(compressed: CompressedTrace, columns: TimeSeqColumns) -> None:
+    compressed.validate(columns)
     if len(compressed.short_templates) > MAX_TEMPLATE_INDEX + 1:
         raise CodecError(
             f"too many short templates for codec: {len(compressed.short_templates)}"
@@ -429,12 +457,14 @@ def _pack_header(compressed: CompressedTrace, version: int) -> bytes:
     )
 
 
-def _section_bodies(compressed: CompressedTrace) -> tuple[bytes, bytes, bytes, bytes]:
+def _section_bodies(
+    compressed: CompressedTrace, columns: TimeSeqColumns
+) -> tuple[bytes, bytes, bytes, bytes]:
     return (
         _pack_short_templates(compressed.short_templates),
         _pack_long_templates(compressed.long_templates),
         _pack_addresses(compressed.addresses),
-        _pack_time_seq(compressed.time_seq),
+        _pack_time_seq(compressed.time_seq, columns),
     )
 
 
@@ -447,6 +477,7 @@ def write_container(
     *,
     backend: str | Mapping[str, str] | None = None,
     level: int | None = None,
+    columns: TimeSeqColumns | None = None,
 ) -> ContainerWriteResult:
     """Write one v2 container; returns the per-section backend accounting.
 
@@ -454,15 +485,19 @@ def write_container(
     everywhere, a name, ``"auto"``, or a per-section mapping); ``level``
     is forwarded to backends that take one.  With ``auto``, each section
     is trial-compressed independently and the winner's tag — never the
-    word "auto" — lands on disk.
+    word "auto" — lands on disk.  ``columns`` is the trace's
+    :class:`~repro.core.datasets.TimeSeqColumns` when the caller has
+    them (the archive writer shares them with the index entry).
     """
-    _check_counts(compressed)
+    if columns is None:
+        columns = TimeSeqColumns.of(compressed.time_seq)
+    _check_counts(compressed, columns)
     spec = resolve_backend_spec(backend)
     registry = obs_current()
     with registry.timer(
         "stage.encode", "wall time packing and backend-coding sections"
     ).time():
-        bodies = _section_bodies(compressed)
+        bodies = _section_bodies(compressed, columns)
         # A plain backend name is an explicit request: a level it cannot
         # honor is an error.  Under auto / per-section mappings / the raw
         # default the level is advisory — it applies where a leveled codec
@@ -550,10 +585,11 @@ def write_compressed_v1(stream: BinaryIO, compressed: CompressedTrace) -> int:
     new files should use :func:`write_compressed`, whose ``raw`` default
     stores the same section bytes behind 36 bytes of tags.
     """
-    _check_counts(compressed)
+    columns = TimeSeqColumns.of(compressed.time_seq)
+    _check_counts(compressed, columns)
     start = stream.tell()
     stream.write(_pack_header(compressed, VERSION_V1))
-    for body in _section_bodies(compressed):
+    for body in _section_bodies(compressed, columns):
         stream.write(body)
     return stream.tell() - start
 

@@ -185,19 +185,26 @@ class TemplateMatcher:
 
 
 def compress_trace(
-    trace: Trace | Iterable[PacketRecord], config: CompressorConfig | None = None
+    trace: Trace | Iterable[PacketRecord],
+    config: CompressorConfig | None = None,
+    *,
+    name: str | None = None,
 ) -> CompressedTrace:
-    """Compress a whole trace in one call.
+    """Compress a whole trace, or any packet iterable, in one call.
 
     A thin wrapper over the one engine: the streaming compressor fed
-    the whole packet sequence, which also publishes the ``compress.*``
-    counters at ``finish``.
+    the whole packet sequence (an iterable is consumed a chunk at a
+    time, never materialized), which also publishes the ``compress.*``
+    counters at ``finish``.  ``name`` defaults to the trace's name, or
+    ``"compressed"`` for a bare iterable.
     """
     # Imported here: the columnar engine imports this module.
     from repro.core.streaming import StreamingCompressor
 
-    name = trace.name if isinstance(trace, Trace) else "compressed"
-    packets = trace.packets if isinstance(trace, Trace) else trace
+    if isinstance(trace, Trace):
+        name, packets = name or trace.name, trace.packets
+    else:
+        name, packets = name or "compressed", trace
     compressor = StreamingCompressor(config, name=name)
     compressor.feed(packets)
     return compressor.finish()

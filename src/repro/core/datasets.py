@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from operator import sub
+from itertools import compress
+from operator import not_, sub
 from typing import Iterable
 
 
@@ -176,6 +177,41 @@ class TimeSeqRecord:
             raise ValueError(f"negative RTT: {self.rtt}")
 
 
+@dataclass(frozen=True, slots=True)
+class TimeSeqColumns:
+    """The ``time-seq`` dataset as five aligned field lists.
+
+    Sealing a trace reads every record in several places — the integrity
+    check, the section packer and the archive index entry — so a seal
+    extracts the fields once, with :meth:`of`, and shares them.
+    """
+
+    timestamps: list[float]
+    long: list[bool]
+    template_index: list[int]
+    address_index: list[int]
+    rtts: list[float]
+
+    @classmethod
+    def of(cls, records: list[TimeSeqRecord]) -> "TimeSeqColumns":
+        long = DatasetId.LONG
+        return cls(
+            [record.timestamp for record in records],
+            [record.dataset is long for record in records],
+            [record.template_index for record in records],
+            [record.address_index for record in records],
+            [record.rtt for record in records],
+        )
+
+    def short_refs(self) -> Iterable[int]:
+        """The template indices of the short-flow records, in order."""
+        return compress(self.template_index, map(not_, self.long))
+
+    def long_refs(self) -> Iterable[int]:
+        """The template indices of the long-flow records, in order."""
+        return compress(self.template_index, self.long)
+
+
 @dataclass
 class CompressedTrace:
     """All four datasets plus bookkeeping for one compressed trace."""
@@ -274,10 +310,22 @@ class CompressedTrace:
         """
         return sorted(self.time_seq, key=lambda r: r.timestamp)
 
-    def validate(self) -> None:
-        """Check cross-dataset referential integrity; raise on corruption."""
+    def validate(self, columns: TimeSeqColumns | None = None) -> None:
+        """Check cross-dataset referential integrity; raise on corruption.
+
+        With the time-seq ``columns`` at hand, an in-range dataset is
+        confirmed from three maxima; the record walk then runs only to
+        name the first offender.
+        """
         short_count, long_count = self.template_counts()
         address_count = len(self.addresses)
+        if (
+            columns is not None
+            and max(columns.short_refs(), default=-1) < short_count
+            and max(columns.long_refs(), default=-1) < long_count
+            and max(columns.address_index, default=-1) < address_count
+        ):
+            return
         for position, record in enumerate(self.time_seq):
             limit = short_count if record.dataset is DatasetId.SHORT else long_count
             if record.template_index >= limit:

@@ -9,7 +9,8 @@ compress path runs it through this module:
     :class:`~repro.net.columns.PacketColumns` chunks, or any iterable)
     and never holds more state than the active flows plus the
     compressed datasets.  Output bytes do not depend on how the feed is
-    chunked or shaped.  :func:`~repro.core.compressor.compress_trace`
+    chunked or shaped, so record feeds are batched into column chunks
+    (:func:`record_chunks`).  :func:`~repro.core.compressor.compress_trace`
     is a thin wrapper over it.
 
 :func:`compress_chunks` / :func:`compress_tsh_file`
@@ -22,16 +23,36 @@ compress path runs it through this module:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.core.columnar import ColumnarFlowCompressor
 from repro.core.compressor import CompressorConfig, CompressorStats
 from repro.core.datasets import CompressedTrace
-from repro.net.columns import PacketColumns
+from repro.net.columns import PacketColumns, columns_from_records
 from repro.net.packet import PacketRecord
 from repro.obs import current as obs_current
 from repro.trace.reader import DEFAULT_CHUNK_PACKETS, read_columns
+
+
+RECORD_CHUNK_PACKETS = 2048
+"""Rows per column chunk a record feed is batched into: enough for the
+chunk kernel, while a chunk's working arrays stay small beside the
+flow table."""
+
+
+def record_chunks(
+    packets: Iterable[PacketRecord], size: int = RECORD_CHUNK_PACKETS
+) -> Iterator[PacketColumns]:
+    """A record iterable as column chunks of at most ``size`` rows.
+
+    The compressor's bytes do not depend on chunking, so a record feed
+    takes the chunk kernel this way instead of one per-row step each.
+    """
+    packets = iter(packets)
+    while batch := list(islice(packets, size)):
+        yield columns_from_records(batch)
 
 
 @dataclass
@@ -103,15 +124,14 @@ class StreamingCompressor:
 
         Accepts a :class:`~repro.net.columns.PacketColumns` chunk as
         well as any record iterable — columnar chunks route through
-        :meth:`feed_columns`.
+        :meth:`feed_columns`, records are batched into column chunks.
         """
         if isinstance(packets, PacketColumns):
             return self.feed_columns(packets)
-        add = self._engine.add_packet
+        feed = self._engine.feed_columns
         count = 0
-        for packet in packets:
-            add(packet)
-            count += 1
+        for chunk in record_chunks(packets):
+            count += feed(chunk)
         stats = self.streaming_stats
         stats.packets_fed += count
         stats.chunks_fed += 1
@@ -205,17 +225,6 @@ class StreamingCompressor:
         from repro.core.codec import serialize_compressed
 
         return serialize_compressed(self.finish(), backend=backend, level=level)
-
-
-def compress_stream(
-    packets: Iterable[PacketRecord],
-    config: CompressorConfig | None = None,
-    name: str = "compressed",
-) -> CompressedTrace:
-    """Compress any packet iterable without materializing it."""
-    compressor = StreamingCompressor(config, name=name)
-    compressor.feed(packets)
-    return compressor.finish()
 
 
 def compress_chunks(

@@ -147,6 +147,22 @@ def columns_from_records(records: Iterable[PacketRecord]) -> PacketColumns:
     )
 
 
+def concat_columns(chunks: Sequence[PacketColumns]) -> PacketColumns:
+    """Several chunks as one, rows in order."""
+    import numpy as np
+
+    if len(chunks) == 1:
+        return chunks[0]
+    if not chunks:
+        return empty_columns()
+    return PacketColumns(
+        *(
+            np.concatenate([getattr(chunk, name) for chunk in chunks])
+            for name in COLUMN_FIELDS
+        )
+    )
+
+
 def empty_columns() -> PacketColumns:
     """A zero-row chunk."""
     return columns_from_records(())

@@ -13,6 +13,12 @@ One asyncio loop runs three kinds of task per daemon:
   :class:`~repro.archive.writer.SegmentFeeder`, which rotates sealed
   segments into the shared :class:`~repro.archive.writer.ArchiveWriter`
   exactly as the offline build path would;
+* **stage timers** — ``stage.serve.read`` (one socket or tail read:
+  awaiting the bytes, framing and decoding them), ``stage.serve.queue_wait``
+  (a decoded chunk's wait from its read to its compress, backpressure
+  included), ``stage.serve.compress`` (one chunk through the feeder)
+  and ``stage.serve.seal`` (one segment's seal: closing its flows and
+  writing it) observe once per chunk or segment, never per packet;
 * **services** — the optional wall-clock rotation tick and the optional
   Prometheus text endpoint.
 
@@ -37,6 +43,7 @@ import logging
 import os
 import signal
 from dataclasses import dataclass, field
+from time import perf_counter
 
 from repro.api.errors import OptionsError
 from repro.api.options import Options
@@ -167,6 +174,7 @@ class _Daemon:
         self._stop_reason = "end of stream"
         self._total_packets = 0
         self._report: ServeReport | None = None
+        self._read_timer = self._queue_timer = self._compress_timer = None
 
     # -- lifecycle --------------------------------------------------------
 
@@ -174,7 +182,22 @@ class _Daemon:
         return asyncio.run(self._run())
 
     async def _run(self) -> ServeReport:
-        self._registry = obs_current()
+        self._registry = registry = obs_current()
+        self._read_timer = registry.timer(
+            "stage.serve.read",
+            "wall time of one source read: awaiting, framing and decoding it",
+        )
+        self._queue_timer = registry.timer(
+            "stage.serve.queue_wait",
+            "wall time a decoded chunk waits between its read and its compress",
+        )
+        self._compress_timer = registry.timer(
+            "stage.serve.compress", "wall time feeding one chunk to its feeder"
+        )
+        seal_timer = registry.timer(
+            "stage.serve.seal",
+            "wall time sealing one segment: closing its flows and writing it",
+        )
         self._stop = asyncio.Event()
         options = self._options
         self._writer = ArchiveWriter.create(self._archive_path, options=options)
@@ -189,6 +212,7 @@ class _Daemon:
                 segment_span=options.archive.segment_span,
                 config=options.compressor,
                 name=label,
+                seal_timer=seal_timer,
             )
             self._sources.append(
                 _Source(spec, label, feeder, self._serve.queue_chunks)
@@ -382,12 +406,13 @@ class _Daemon:
 
     async def _enqueue(self, source: _Source, columns: PacketColumns) -> None:
         queue = source.queue
+        item = (perf_counter(), columns)  # stamped for stage.serve.queue_wait
         try:
-            queue.put_nowait(columns)
+            queue.put_nowait(item)
         except asyncio.QueueFull:
             source.report.backpressure_waits += 1
             source.backpressure_counter.inc()
-            await queue.put(columns)
+            await queue.put(item)
         source.report.chunks += 1
         source.chunks_counter.inc()
         source.queue_depth_gauge.set_max(float(queue.qsize()))
@@ -409,12 +434,13 @@ class _Daemon:
             decoder = stream_decoder(source.spec.format)
             try:
                 while not framer.eof:
-                    data = await reader.read(_SOCKET_READ_BYTES)
-                    if not data:
-                        break
-                    # Payloads are transport chunking of one continuous
-                    # stream: decode everything this read completed at once.
-                    columns = decoder.feed_columns(b"".join(framer.feed(data)))
+                    with self._read_timer.time():
+                        data = await reader.read(_SOCKET_READ_BYTES)
+                        if not data:
+                            break
+                        # Payloads are transport chunking of one continuous
+                        # stream: decode everything this read completed at once.
+                        columns = decoder.feed_columns(b"".join(framer.feed(data)))
                     if columns:
                         await self._enqueue(source, columns)
                 framer.finish()
@@ -489,13 +515,14 @@ class _Daemon:
                 return position  # not created yet — keep polling
             if size <= position:
                 return position
-            with open(path, "rb") as stream:
-                stream.seek(position)
-                data = stream.read(min(size - position, _TAIL_READ_BYTES))
-            if not data:
-                return position
-            position += len(data)
-            columns = decoder.feed_columns(data)
+            with self._read_timer.time():
+                with open(path, "rb") as stream:
+                    stream.seek(position)
+                    data = stream.read(min(size - position, _TAIL_READ_BYTES))
+                if not data:
+                    return position
+                position += len(data)
+                columns = decoder.feed_columns(data)
             if columns:
                 await self._enqueue(source, columns)
 
@@ -504,12 +531,15 @@ class _Daemon:
     async def _consume(self, source: _Source) -> None:
         serve_budget = self._serve.stop_after_packets
         while True:
-            chunk = await source.queue.get()
-            if chunk is None:
+            item = await source.queue.get()
+            if item is None:
                 break
+            enqueued, chunk = item
+            self._queue_timer.observe(perf_counter() - enqueued)
             count = len(chunk)
             try:
-                source.feeder.feed(chunk)
+                with self._compress_timer.time():
+                    source.feeder.feed(chunk)
             except Exception:  # noqa: BLE001 — poison data, not a daemon bug
                 _log.exception(
                     "source %s: compressing a chunk failed; source abandoned",

@@ -29,9 +29,12 @@ This module is that buffering, factored out once and shared:
     :class:`~repro.net.packet.PacketRecord` lists from ``feed``.  The
     TSH decoder rides the vectorized block decoder
     (:func:`~repro.trace.tsh.decode_columns`), so a socket feed keeps
-    the columnar hot path and records are only a view of the columns;
-    the pcap decoder is the incremental core
-    :func:`~repro.trace.pcaplite.read_pcap` now wraps.
+    the columnar hot path and records are only a view of the columns.
+    The pcap decoder is the incremental core
+    :func:`~repro.trace.pcaplite.read_pcap` and
+    :func:`~repro.trace.pcaplite.read_pcap_columns` wrap; its
+    ``feed_columns`` decodes runs of the fixed 56-byte records this
+    library writes through one structured numpy view.
 
 All four are sans-IO: no sockets, no files, no event loop — any driver
 (asyncio today, a selectors loop tomorrow) can pump them.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import struct
 
-from repro.net.columns import PacketColumns, columns_from_records
+from repro.net.columns import PacketColumns, columns_from_records, concat_columns
 from repro.net.packet import HEADER_BYTES, PacketRecord
 from repro.trace.pcaplite import LINKTYPE_RAW, PCAP_MAGIC
 from repro.trace.tsh import TSH_RECORD_BYTES, decode_columns
@@ -62,6 +65,24 @@ _PCAP_IP = struct.Struct(">BBHHHBBHII")
 _PCAP_TCP = struct.Struct(">HHIIBBHHH")
 _MICROSECOND = 1_000_000
 _MAX_ORIGINAL = HEADER_BYTES + 2**31 - 1  # payload_len is an int32 column
+
+# One pcap record as this library writes it: the record header, then a
+# 40-byte TCP/IP snapshot (captured length 40).
+_PCAP_FIXED_BYTES = _PCAP_RECORD.size + HEADER_BYTES
+_PCAP_FIXED_FIELDS = [
+    ("sec", "<u4"), ("usec", "<u4"), ("captured", "<u4"), ("original", "<u4"),
+    ("ver_ihl", "u1"), ("tos", "u1"), ("total_len", ">u2"), ("ip_id", ">u2"),
+    ("frag", ">u2"), ("ttl", "u1"), ("proto", "u1"), ("ip_check", ">u2"),
+    ("src_ip", ">u4"), ("dst_ip", ">u4"),
+    ("src_port", ">u2"), ("dst_port", ">u2"), ("seq", ">u4"), ("ack", ">u4"),
+    ("offset", "u1"), ("flags", "u1"), ("window", ">u2"), ("tcp_check", ">u2"),
+    ("urgent", ">u2"),
+]
+_pcap_fixed_dtype = None
+# A fixed run is checked 16 records first, then up to this many: an odd
+# record right after a short run wastes little.
+_PCAP_RUN_PROBE = 16
+_PCAP_RUN_MAX = 8192
 
 
 class FrameDecodeError(ValueError):
@@ -237,15 +258,44 @@ class PcapStreamDecoder:
         return len(self._buffer)
 
     def feed(self, data: bytes) -> list[PacketRecord]:
+        """Every packet ``data`` completes, one record at a time."""
+        return self._decode(data, runs=False)
+
+    def feed_columns(self, data: bytes) -> PacketColumns:
+        """Every packet ``data`` completes, as one (maybe empty) chunk.
+
+        Runs of fixed 56-byte records decode through one structured
+        numpy view; any other record shape takes :meth:`feed`'s record
+        step.  Rows, and the error raised at a malformed record, are
+        :meth:`feed`'s.
+        """
+        pieces = self._decode(data, runs=True)
+        chunks: list[PacketColumns] = []
+        records: list[PacketRecord] = []
+        for piece in pieces:
+            if isinstance(piece, PacketColumns):
+                if records:
+                    chunks.append(columns_from_records(records))
+                    records = []
+                chunks.append(piece)
+            else:
+                records.append(piece)
+        if records or not chunks:
+            chunks.append(columns_from_records(records))
+        return concat_columns(chunks)
+
+    def _decode(self, data: bytes, runs: bool) -> list:
+        """Decode what ``data`` completes: records, plus column blocks for
+        the fixed-record runs when ``runs`` is set."""
         buffer = self._buffer + data if self._buffer else bytes(data)
-        packets: list[PacketRecord] = []
+        pieces: list = []
         # Walk the buffer by offset and trim it once per feed: re-slicing
         # after every record would copy the rest of the buffer each time.
         offset = 0
         try:
             if not self._header_done:
                 if len(buffer) < _PCAP_GLOBAL.size:
-                    return packets
+                    return pieces
                 magic, _major, _minor, _zone, _sigfigs, _snaplen, linktype = (
                     _PCAP_GLOBAL.unpack_from(buffer)
                 )
@@ -259,6 +309,12 @@ class PcapStreamDecoder:
                 seconds, micros, captured, original = _PCAP_RECORD.unpack_from(
                     buffer, offset
                 )
+                if runs and captured == HEADER_BYTES and original <= _MAX_ORIGINAL:
+                    run = _fixed_run(buffer, offset)
+                    if run:
+                        pieces.append(_decode_fixed_run(buffer, offset, run))
+                        offset += run * _PCAP_FIXED_BYTES
+                        continue
                 if captured < HEADER_BYTES:
                     raise FrameDecodeError(
                         f"record too short for TCP/IP headers: {captured}"
@@ -268,17 +324,13 @@ class PcapStreamDecoder:
                 body = offset + _PCAP_RECORD.size
                 if len(buffer) < body + captured:
                     break
-                packets.append(
+                pieces.append(
                     _decode_pcap_body(seconds, micros, original, buffer, body)
                 )
                 offset = body + captured
-            return packets
+            return pieces
         finally:
             self._buffer = buffer[offset:]
-
-    def feed_columns(self, data: bytes) -> PacketColumns:
-        """:meth:`feed`'s packets as one (maybe empty) columnar chunk."""
-        return columns_from_records(self.feed(data))
 
     def finish(self) -> None:
         if self._buffer or not self._header_done:
@@ -286,6 +338,47 @@ class PcapStreamDecoder:
             raise FrameDecodeError(
                 f"truncated pcap {what} ({len(self._buffer)} buffered byte(s))"
             )
+
+
+def _fixed_run(buffer: bytes, offset: int) -> int:
+    """How many whole fixed 56-byte records start at ``offset``, in a row."""
+    import numpy as np
+
+    global _pcap_fixed_dtype
+    if _pcap_fixed_dtype is None:
+        _pcap_fixed_dtype = np.dtype(_PCAP_FIXED_FIELDS)
+    available = min((len(buffer) - offset) // _PCAP_FIXED_BYTES, _PCAP_RUN_MAX)
+    for count in (min(available, _PCAP_RUN_PROBE), available):
+        rows = np.frombuffer(buffer, dtype=_pcap_fixed_dtype, count=count, offset=offset)
+        fixed = (rows["captured"] == HEADER_BYTES) & (rows["original"] <= _MAX_ORIGINAL)
+        if not fixed.all():
+            return int(fixed.argmin())
+    return available
+
+
+def _decode_fixed_run(buffer: bytes, offset: int, count: int) -> PacketColumns:
+    """``count`` fixed records at ``offset`` as a chunk — the values
+    :func:`_decode_pcap_body` gives, column by column."""
+    import numpy as np
+
+    rows = np.frombuffer(buffer, dtype=_pcap_fixed_dtype, count=count, offset=offset)
+    return PacketColumns(
+        timestamps=rows["sec"].astype(np.float64) + rows["usec"] / _MICROSECOND,
+        src_ip=rows["src_ip"].astype(np.uint32),
+        dst_ip=rows["dst_ip"].astype(np.uint32),
+        src_port=rows["src_port"].astype(np.uint16),
+        dst_port=rows["dst_port"].astype(np.uint16),
+        protocol=rows["proto"].copy(),
+        flags=rows["flags"].copy(),
+        payload_len=np.maximum(
+            rows["original"].astype(np.int64) - HEADER_BYTES, 0
+        ).astype(np.int32),
+        seq=rows["seq"].astype(np.uint32),
+        ack=rows["ack"].astype(np.uint32),
+        ttl=rows["ttl"].copy(),
+        ip_id=rows["ip_id"].astype(np.uint16),
+        window=rows["window"].astype(np.uint16),
+    )
 
 
 def _decode_pcap_body(

@@ -12,11 +12,10 @@ capture produces).
 from __future__ import annotations
 
 import struct
-from itertools import islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from repro.net.columns import PacketColumns, columns_from_records
+from repro.net.columns import PacketColumns, concat_columns
 from repro.net.packet import HEADER_BYTES, PacketRecord, validate_packet
 
 PCAP_MAGIC = 0xA1B2C3D4
@@ -125,8 +124,27 @@ def read_pcap_columns(
     path: str | Path, chunk_size: int
 ) -> Iterator[PacketColumns]:
     """A pcap file as columnar chunks of ``chunk_size`` packets — the
-    pcap :func:`~repro.trace.reader.read_columns`, over :func:`read_pcap`."""
+    pcap :func:`~repro.trace.reader.read_columns`, over the stream
+    decoder's :meth:`~repro.trace.framing.PcapStreamDecoder.feed_columns`."""
+    from repro.trace.framing import PcapStreamDecoder
+
+    decoder = PcapStreamDecoder()
+    pending: list[PacketColumns] = []
+    held = 0
     with open(path, "rb") as stream:
-        packets = read_pcap(stream)
-        while batch := list(islice(packets, chunk_size)):
-            yield columns_from_records(batch)
+        while data := stream.read(max(_READ_CHUNK_BYTES, chunk_size * 56)):
+            columns = decoder.feed_columns(data)
+            if not len(columns):
+                continue
+            pending.append(columns)
+            held += len(columns)
+            if held >= chunk_size:
+                merged = concat_columns(pending)
+                whole = held - held % chunk_size
+                for start in range(0, whole, chunk_size):
+                    yield merged.slice(start, start + chunk_size)
+                pending = [merged.slice(whole, held)] if whole < held else []
+                held -= whole
+        decoder.finish()
+    if held:
+        yield concat_columns(pending)

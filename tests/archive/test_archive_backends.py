@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import Options, create_archive
 from repro.archive import ArchiveReader, ArchiveWriter
-from repro.core import compress_stream, deserialize_compressed, serialize_compressed
+from repro.core import compress_trace, deserialize_compressed, serialize_compressed
 from repro.core.backends import get_backend
 from repro.core.codec import serialize_compressed_v1
 from repro.core.streaming import StreamingCompressor
@@ -174,7 +174,7 @@ class TestStreamingBackends:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_stream_and_batch_serialize_identically(self, trace, backend):
         streamed = serialize_compressed(
-            compress_stream(iter(trace.packets), name="t"), backend=backend
+            compress_trace(iter(trace.packets), name="t"), backend=backend
         )
         compressor = StreamingCompressor(name="t")
         compressor.feed(trace.packets)

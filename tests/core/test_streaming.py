@@ -6,11 +6,7 @@ from repro.core.codec import serialize_compressed
 from repro.core.compressor import CompressorConfig, TemplateMatcher, compress_trace
 from repro.core.datasets import ShortFlowTemplate
 from repro.core.errors import CompressionError
-from repro.core.streaming import (
-    StreamingCompressor,
-    compress_stream,
-    compress_tsh_file,
-)
+from repro.core.streaming import StreamingCompressor, compress_tsh_file
 from repro.synth import generate_web_trace
 from repro.trace.trace import Trace
 
@@ -56,8 +52,8 @@ class TestStreamingCompressor:
         with pytest.raises(CompressionError):
             compressor.add_packet(packets[0])
 
-    def test_compress_stream_matches_batch(self, web_trace):
-        streamed = compress_stream(iter(web_trace.packets), name=web_trace.name)
+    def test_iterator_feed_matches_batch(self, web_trace):
+        streamed = compress_trace(iter(web_trace.packets), name=web_trace.name)
         batch = compress_trace(web_trace)
         assert serialize_compressed(streamed) == serialize_compressed(batch)
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.codec import serialize_compressed
 from repro.core.compressor import CompressorConfig, compress_trace
 from repro.core.decompressor import decompress_trace
-from repro.core.streaming import StreamingCompressor, compress_stream
+from repro.core.streaming import StreamingCompressor
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_ACK, TCP_SYN
 from repro.synth import generate_p2p_trace, generate_web_trace
@@ -100,7 +100,7 @@ def test_idle_eviction_equivalence(idle_timeout, gap, chunk_size):
 def test_streaming_roundtrip_is_lossless_in_counts():
     """Stream-compress then decompress: flow/packet counts survive."""
     trace = generate_web_trace(duration=2.0, flow_rate=30.0, seed=5)
-    compressed = compress_stream(iter(trace.packets), name=trace.name)
+    compressed = compress_trace(iter(trace.packets), name=trace.name)
     restored = decompress_trace(compressed)
     assert len(restored) == len(trace)
     assert compressed.original_packet_count == len(trace)

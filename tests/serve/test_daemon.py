@@ -219,8 +219,11 @@ class TestBackpressure:
 
             popper = asyncio.create_task(pop_one())
             await daemon._enqueue(source, ["chunk-2"])  # blocks until pop
-            assert await popper == ["chunk-1"]
-            assert source.queue.get_nowait() == ["chunk-2"]
+            # Queue items carry their enqueue time (stage.serve.queue_wait).
+            first_stamp, first = await popper
+            second_stamp, second = source.queue.get_nowait()
+            assert (first, second) == (["chunk-1"], ["chunk-2"])
+            assert first_stamp <= second_stamp
             return source
 
         with scoped(MetricsRegistry()):
