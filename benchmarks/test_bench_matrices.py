@@ -1,13 +1,14 @@
 """Benchmarks: traffic-matrix statistics vs. full decompression.
 
 The analytics subsystem's reason to exist is that ``repro stats``
-should not pay for packet synthesis.  Three claims are pinned against
-``BENCH_matrices.json``:
+should not pay for packet synthesis.  Three claims are pinned on the
+workload in ``BENCH_matrices.json``:
 
-* **Faster** — the index fast path (flow metadata, one RNG draw per
-  flow) must beat the decode baseline (synthesize every packet, fold
-  back down) by at least ``min_speedup`` on **identical** window
-  tables, so fast-but-wrong fails the same test that times it.
+* **Less work** — the index fast path (flow metadata, one RNG draw per
+  flow) synthesizes no packet, while the decode baseline synthesizes
+  every flow's packets and folds them back down, on **identical**
+  window tables, so cheap-but-wrong fails the same test.  The check
+  counts calls, not wall time, so load on the machine cannot trip it.
 * **Less work on a bounded range** — a ``[since, until]`` request must
   let the footer index prune segments the decode baseline still pays
   for, again with identical windows.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import time
 import tracemalloc
 from pathlib import Path
 
@@ -29,6 +29,7 @@ import pytest
 from repro.analysis.matrices import matrix_report_for_archive
 from repro.api import ArchiveOptions, Options, create_archive
 from repro.archive import ArchiveReader
+from repro.core import flowmeta
 from repro.synth.scenarios import get_scenario
 
 BASELINE = json.loads(
@@ -60,31 +61,30 @@ def _report(path, method, **bounds):
         )
 
 
-def _best_of(worker, rounds: int = 3) -> float:
-    samples = []
-    for _ in range(rounds):
-        start = time.perf_counter()
-        worker()
-        samples.append(time.perf_counter() - start)
-    return min(samples)
-
-
 class TestIndexPathSavesWork:
-    def test_identical_windows_for_a_fraction_of_the_time(self, archive_path):
+    def test_identical_windows_for_a_fraction_of_the_work(
+        self, archive_path, monkeypatch
+    ):
+        calls = {"synthesized": 0}
+        synthesize = flowmeta.synthesize_flow
+
+        def counting(spec, config):
+            calls["synthesized"] += 1
+            return synthesize(spec, config)
+
+        monkeypatch.setattr(flowmeta, "synthesize_flow", counting)
         by_index = _report(archive_path, "index")
+        index_calls = calls["synthesized"]
         by_decode = _report(archive_path, "decode")
-        # Identity first: the speedup only counts if the answer matches.
+        # Identity first: the saving only counts if the answer matches.
         assert by_index.windows == by_decode.windows
         assert by_index.flows == by_decode.flows > 0
-
-        index = _best_of(lambda: _report(archive_path, "index"))
-        decode = _best_of(lambda: _report(archive_path, "decode"))
-        speedup = decode / index
-        print(
-            f"\nindex {index * 1e3:.1f} ms vs decode {decode * 1e3:.1f} ms "
-            f"({speedup:.1f}x, floor {BASELINE['min_speedup']}x)"
+        # The index path synthesizes no packet; the baseline does.
+        assert index_calls == 0
+        assert calls["synthesized"] > 0
+        assert by_index.segments_decoded == (
+            by_index.segments_total - by_index.segments_pruned
         )
-        assert speedup >= BASELINE["min_speedup"]
 
     def test_bounded_range_prunes_segments(self, archive_path):
         bounds = dict(since=8.0, until=16.0)

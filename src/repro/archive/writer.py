@@ -158,22 +158,9 @@ class SegmentFeeder:
         return self._compressor
 
     def add_packet(self, packet: PacketRecord) -> None:
-        """Feed one packet, sealing a segment at the configured bounds."""
-        if self._closed:
-            raise ArchiveError("segment feeder already closed")
-        if self._segment_fed and (
-            self._segment_fed >= self._segment_packets
-            or (
-                self._segment_span is not None
-                and packet.timestamp - self._segment_first_ts
-                >= self._segment_span
-            )
-        ):
-            self._seal()
-        if not self._segment_fed:
-            self._open_segment(packet.timestamp)
-        self._compressor.add_packet(packet)
-        self._segment_fed += 1
+        """Feed one packet, sealing a segment at the configured bounds:
+        a one-row :meth:`feed_columns`."""
+        self.feed_columns(columns_from_records([packet]))
 
     def feed(
         self, packets: Iterable[PacketRecord] | Iterable[PacketColumns]
@@ -208,8 +195,10 @@ class SegmentFeeder:
     def feed_columns(self, columns: PacketColumns) -> int:
         """Feed one columnar chunk, splitting it at rotation boundaries.
 
-        Equivalent to :meth:`add_packet` row by row, but each stretch
-        between boundaries is fed as one vectorized sub-chunk.
+        A segment seals before the first row that would overflow
+        ``segment_packets`` or land ``segment_span`` seconds past the
+        segment's first packet; each stretch between boundaries is fed
+        as one vectorized sub-chunk.
         """
         import numpy as np
 
@@ -236,9 +225,9 @@ class SegmentFeeder:
             # packet budget or the first timestamp past the span bound.
             stop = min(total, start + self._segment_packets - self._segment_fed)
             if self._segment_span is not None:
-                # The same float expression as the row-0 check above and
-                # add_packet: ``ts >= first + span`` can round differently
-                # and stop on a row that check does not seal on.
+                # The same float expression as the row-0 check above:
+                # ``ts >= first + span`` can round differently and stop
+                # on a row that check does not seal on.
                 past = np.flatnonzero(
                     timestamps[start:stop] - self._segment_first_ts
                     >= self._segment_span
@@ -562,11 +551,10 @@ class ArchiveWriter:
     def feed_columns(self, columns: PacketColumns) -> int:
         """Feed one columnar chunk, splitting it at rotation boundaries.
 
-        Equivalent to :meth:`add_packet` row by row — a segment rotates
-        before the first row that would overflow ``segment_packets`` or
-        land ``segment_span`` seconds past the segment's first packet —
-        but each stretch between boundaries is fed as one vectorized
-        sub-chunk.
+        A segment rotates before the first row that would overflow
+        ``segment_packets`` or land ``segment_span`` seconds past the
+        segment's first packet; each stretch between boundaries is fed
+        as one vectorized sub-chunk.
         """
         return self._ensure_feeder().feed_columns(columns)
 

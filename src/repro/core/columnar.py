@@ -1,10 +1,10 @@
 """The flow-clustering engine — one chunk at a time, one table of open flows.
 
 :class:`ColumnarFlowCompressor` implements section 3 of the paper over
-:class:`~repro.net.columns.PacketColumns` chunks.  Per-chunk work —
-flag/payload classes, canonical keys, direction bits, terminator tests —
-is vectorized with numpy.  The per-packet loop survives only where the
-paper's algorithm is sequential, and a chunk is cut where that starts:
+:class:`~repro.net.columns.PacketColumns` chunks.  Every row goes
+through one array kernel; per-chunk work — flag/payload classes,
+canonical keys, direction bits, terminator tests — is vectorized with
+numpy:
 
 * **The open-flow table** (:class:`_FlowTable`) holds every open flow
   as one integer slot: a dict maps the flow key to its slot, per-slot
@@ -12,28 +12,30 @@ paper's algorithm is sequential, and a chunk is cut where that starts:
   first and last direction bit, RTT and whether it is set), and one
   growable packet log holds ``(slot, f(p), timestamp)`` rows.  An open
   flow costs no Python object of its own beyond its dict entry.
-* **The split row** is the first row where the per-packet step would
-  rebase the implicit base time (``now < base``) or pass the idle gate
-  (``now - earliest > idle_timeout``).  Both tests run element by
-  element with the step's own float expressions, so the cut lands on
-  exactly the row the step would act on.
-* **The chunk kernel** takes every row before the split.  One stable
-  ``np.lexsort`` groups them by key; each group is cut after every
-  FIN/RST row into flow instances; values and the first direction
-  turnaround (the RTT) are arrays.  One ``dict.get`` probe per key finds
-  the instances that continue an open flow; their table state is updated
-  as arrays.  New instances that survive the chunk take slots in the
-  order of their opening rows; instances that end in FIN/RST close in
-  the order of their last rows.
-* **The per-row step** (:meth:`ColumnarFlowCompressor._add_row`) takes
-  the rows from the split to the end of the chunk, and every record fed
-  through :meth:`~ColumnarFlowCompressor.add_packet`.  No row takes
-  both paths.  It reads and writes the same table.
+* **The chunk kernel** (:meth:`ColumnarFlowCompressor._feed_kernel`).
+  One stable ``np.lexsort`` groups the rows by key; each group is cut
+  into flow instances after every FIN/RST row and wherever the flow
+  goes idle before its next row; values and the first direction
+  turnaround (the RTT) are arrays.  One ``dict.get`` probe per key
+  finds the instances that continue an open flow; their table state is
+  updated as arrays.  New instances that survive take slots in the
+  order of their opening rows.
+* **Idle eviction** follows one rule: before row ``r`` is processed,
+  every open flow other than row ``r``'s own with
+  ``ts_r - last_ts > idle_timeout`` closes, in opening order, after any
+  rebase at ``r`` and before ``r``'s own FIN/RST close.  A flow goes
+  stale at the first row whose running maximum timestamp passes that
+  test (:func:`_first_stale`).  A chunk is cut into kernel calls only
+  at rebase rows and deep-reorder rows (:meth:`~ColumnarFlowCompressor.
+  _call_bounds`), where the running maximum would stop being exact.
+  The minimum of the open flows' last timestamps gates the search, so a
+  call that spans less than the timeout pays nothing for it.
 * **One batched close** (:meth:`ColumnarFlowCompressor._close_flows`)
-  serves the kernel, the per-row step, idle eviction and ``finish``: it
-  takes the closing flows as arrays, resolves each distinct short vector
-  with the template matcher once and interns each distinct destination
-  once, both in first-close order.
+  serves the kernel and ``finish``: it takes the closing flows as
+  arrays, in (row, eviction before FIN/RST, opening sequence) order,
+  resolves each distinct short vector with the template matcher once
+  and interns each distinct destination once, both in first-close
+  order.
 
 **Byte identity with the paper's algorithm is a hard contract**, pinned
 by the differential harness in ``tests/property/test_columnar_identity.py``
@@ -43,22 +45,22 @@ reference's to the byte.  The replicated semantics worth naming:
 
 * the insertion-ordered slot dict stands in for the active-flow linked
   list — it holds the same flows in the same order (the kernel inserts
-  only the flows that survive the chunk, in the order of their opening
+  only the flows that survive the call, in the order of their opening
   rows), and each slot carries its opening sequence number, so idle
   eviction and the end-of-trace flush visit flows in the same order;
 * a flow's direction structure collapses to booleans: a packet's
   direction equals the first packet's exactly when their canonical
   ``forward`` bits agree, so g2 dependence and the RTT turnaround are
   tracked with two bits and one lazily-set float per flow;
-* base-time rebase, the idle-eviction freshness gate and its
-  ``exclude`` rule, and the close/dataset logic follow the reference
-  (same float arithmetic, same ordering; ``max(0.0, x)`` clamps become
+* base-time rebase, the idle test and its exclusion of the row's own
+  flow, and the close/dataset logic follow the reference (same float
+  arithmetic, same ordering; NaN timestamps never go stale and never
+  make a flow stale; ``max(0.0, x)`` clamps become
   ``where(x > 0.0, x, 0.0)``, which agrees on NaN and −0.0).
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import replace
 from itertools import repeat
 from operator import lshift, or_
@@ -77,12 +79,10 @@ from repro.core.datasets import (
     inter_packet_gaps,
 )
 from repro.core.errors import CompressionError
-from repro.net.columns import PacketColumns
+from repro.net.columns import PacketColumns, columns_from_records
 from repro.net.flowkey import canonical_key_columns
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_FIN, TCP_RST, classify_flags
-
-_log = logging.getLogger(__name__)
 
 _TERMINATOR_MASK = TCP_FIN | TCP_RST
 
@@ -98,7 +98,6 @@ _RECORD_BATCH = 4096
 # hi`` (``hi`` is an address-and-port end, 48 bits): one untracked
 # object per open flow instead of a tuple and two ints.
 _KEY_SHIFT = 48
-_KEY_HI_MASK = (1 << _KEY_SHIFT) - 1
 
 
 def _flow_keys(key_lo, key_hi):
@@ -144,7 +143,7 @@ class _FlowTable:
         self._mark = np.zeros(1, dtype=np.int64)
         self._free = np.empty(0, dtype=np.int64)  # released slots, a stack
         self._free_count = 0
-        self._next_seq = 0
+        self.next_seq = 0
         self.log_slot = np.empty(0, dtype=np.int64)
         self.log_value = np.empty(0, dtype=np.int64)
         self.log_time = np.empty(0)
@@ -193,33 +192,10 @@ class _FlowTable:
         self.rtt[slots] = rtt
         self.key_lo[slots] = key_lo
         self.key_hi[slots] = key_hi
-        self.seq[slots] = np.arange(self._next_seq, self._next_seq + count)
-        self._next_seq += count
+        self.seq[slots] = np.arange(self.next_seq, self.next_seq + count)
+        self.next_seq += count
         self.slots.update(zip(_flow_keys(key_lo, key_hi), slots.tolist()))
         return slots
-
-    def open_one(self, key, now, dst, forward) -> int:
-        """One new flow: the per-row step's open."""
-        if self._free_count:
-            self._free_count -= 1
-            slot = int(self._free[self._free_count])
-        else:
-            if self.used == len(self.first_ts):
-                self._grow(1)
-            slot = self.used
-            self.used += 1
-        self.first_ts[slot] = self.last_ts[slot] = now
-        self.dst[slot] = dst
-        self.first_fwd[slot] = self.last_fwd[slot] = forward
-        self.rtt_set[slot] = False
-        self.rtt[slot] = 0.0
-        self.key_lo[slot] = key >> _KEY_SHIFT
-        self.key_hi[slot] = key & _KEY_HI_MASK
-        self.seq[slot] = self._next_seq
-        self._next_seq += 1
-        self.first_row[slot] = self.log_len
-        self.slots[key] = slot
-        return slot
 
     def release(self, slots) -> None:
         """Return closed flows' slots (their keys already left the dict)."""
@@ -257,12 +233,6 @@ class _FlowTable:
         self.log_value[start:stop] = values
         self.log_time[start:stop] = times
         return start
-
-    def append_one(self, slot: int, value: int, time: float) -> None:
-        row = self._reserve(1)
-        self.log_slot[row] = slot
-        self.log_value[row] = value
-        self.log_time[row] = time
 
     def take(self, slots):
         """Remove the logged rows of ``slots``: ``(ranks, values, times)``.
@@ -325,6 +295,44 @@ def _group(ranks, values, times, count: int):
 
     order = np.argsort(ranks, kind="stable")
     return values[order], times[order], np.bincount(ranks, minlength=count)
+
+
+def _running_max(timestamps):
+    """Each row's running maximum timestamp, NaN read as -inf."""
+    import numpy as np
+
+    return np.maximum.accumulate(
+        np.where(timestamps == timestamps, timestamps, -np.inf)
+    )
+
+
+def _first_stale(peaks, last, timeout):
+    """For each last-activity time in ``last``, the first row whose
+    running maximum ``peaks`` makes it stale (``len(peaks)`` if none).
+
+    Stale is the paper's float test, ``peak - last > timeout``; NaN is
+    never stale.  ``searchsorted`` on ``last + timeout`` lands within
+    rounding of the answer; the test is monotone in the peak, so
+    stepping over whole runs of equal peaks settles it exactly.
+    """
+    import numpy as np
+
+    count = len(peaks)
+    with np.errstate(invalid="ignore"):
+        at = np.searchsorted(peaks, last + timeout, side="right")
+        while True:  # back while the row before is stale too
+            back = np.flatnonzero(at > 0)
+            back = back[peaks[at[back] - 1] - last[back] > timeout]
+            if not len(back):
+                break
+            at[back] = np.searchsorted(peaks, peaks[at[back] - 1], side="left")
+        while True:  # ahead while this row is not stale
+            ahead = np.flatnonzero(at < count)
+            ahead = ahead[~(peaks[at[ahead]] - last[ahead] > timeout)]
+            if not len(ahead):
+                break
+            at[ahead] = np.searchsorted(peaks, peaks[at[ahead]], side="right")
+    return at
 
 
 def _vector_keys(values, sizes):
@@ -397,7 +405,8 @@ class ColumnarFlowCompressor:
         self._matcher = TemplateMatcher(self._output.short_templates, self.config)
         self._base_time = base_time
         self._explicit_base = base_time is not None
-        self._earliest_seen: float | None = None
+        # A lower bound on the open flows' last timestamps (NaN: none).
+        self._idle_floor = float("inf")
         self._peak_active = 0
         self._finished = False
         self._idle_timeout = self.config.idle_timeout
@@ -423,70 +432,26 @@ class ColumnarFlowCompressor:
     def feed_columns(self, columns: PacketColumns) -> int:
         """Process one chunk (timestamp order across all feeds).
 
-        Rows before the chunk's split row go through the chunk kernel,
-        the rest through the per-row step; no row takes both.
+        Every row goes through the chunk kernel, one call per stretch
+        between :meth:`_call_bounds`.
         """
         if self._finished:
             raise CompressionError("compressor already finished")
         count = len(columns)
         if count == 0:
             return 0
-        registry = obs_current()
-        registry.histogram(
+        obs_current().histogram(
             "columnar.chunk_packets", "rows per columnar chunk fed"
         ).observe(count)
         derived = self._derive(columns)
-        split = self._split_row(derived[0])
-        registry.counter(
-            "columnar.rows.sequential",
-            "rows fed through the per-row step (at or after a chunk's "
-            "first rebase or idle-gate row)",
-        ).inc(count - split)
-        if split:
-            self._feed_kernel(*(column[:split] for column in derived))
-        if split < count:
-            timestamps, key_lo, key_hi, forwards, base_values, terminators, dsts = (
-                column[split:].tolist() for column in derived
-            )
-            add_row = self._add_row
-            for now, lo, hi, forward, base_value, terminator, dst in zip(
-                timestamps, key_lo, key_hi, forwards, base_values, terminators, dsts
-            ):
-                add_row(
-                    now, lo << _KEY_SHIFT | hi, forward, base_value, terminator, dst
-                )
+        bounds = self._call_bounds(derived[0])
+        for start, stop in zip(bounds, bounds[1:]):
+            self._feed_kernel(*(column[start:stop] for column in derived))
         return count
 
     def add_packet(self, packet: PacketRecord) -> None:
-        """Process one packet through the per-row step."""
-        if self._finished:
-            raise CompressionError("compressor already finished")
-        forward_end = (packet.src_ip << 16) | packet.src_port
-        backward_end = (packet.dst_ip << 16) | packet.dst_port
-        forward = forward_end <= backward_end
-        low, high = (
-            (forward_end, backward_end)
-            if forward
-            else (backward_end, forward_end)
-        )
-        characterization = self.config.characterization
-        weights = characterization.weights
-        payload = packet.payload_len
-        if payload == 0:
-            payload_class = 0
-        elif payload <= characterization.payload_small_max:
-            payload_class = 1
-        else:
-            payload_class = 2
-        self._add_row(
-            packet.timestamp,
-            ((low << 8) | packet.protocol) << _KEY_SHIFT | high,
-            forward,
-            weights.flags * _FLAG_CLASS[packet.flags & 0xFF]
-            + weights.payload * payload_class,
-            packet.flags & _TERMINATOR_MASK,
-            packet.dst_ip,
-        )
+        """Process one packet: a one-row :meth:`feed_columns`."""
+        self.feed_columns(columns_from_records([packet]))
 
     def finish(self) -> CompressedTrace:
         """Flush open flows (in arrival order) and return the datasets."""
@@ -508,41 +473,6 @@ class ColumnarFlowCompressor:
 
     # -- internals --------------------------------------------------------
 
-    def _add_row(self, now, key, forward, base_value, terminator, dst) -> None:
-        """One packet through the paper's per-packet step."""
-        base = self._base_time
-        if base is None:
-            self._base_time = now
-        elif now < base and not self._explicit_base:
-            self._rebase(now)
-        earliest = self._earliest_seen
-        if earliest is not None and not now - earliest <= self._idle_timeout:
-            self._expire_idle(now, exclude=key)
-            earliest = self._earliest_seen
-        self.stats.packets += 1
-        table = self._table
-        slot = table.slots.get(key)
-        if slot is None:
-            # Flow opener: g2 is 1 (waits on nothing).
-            base_value += self._w_dep
-            slot = table.open_one(key, now, dst, forward)
-            if len(table.slots) > self._peak_active:
-                self._peak_active = len(table.slots)
-        else:
-            if forward == table.last_fwd[slot]:
-                base_value += self._w_dep
-            if not table.rtt_set[slot] and forward != table.first_fwd[slot]:
-                table.rtt[slot] = now - table.first_ts[slot]
-                table.rtt_set[slot] = True
-            table.last_fwd[slot] = forward
-            table.last_ts[slot] = now
-        table.append_one(slot, base_value, now)
-        if earliest is None or now < earliest:
-            self._earliest_seen = now
-        if terminator:
-            del table.slots[key]
-            self._close_slots([slot])
-
     def _rebase(self, now: float) -> None:
         # Shift already-closed flows to the new earlier base, relative to
         # the trace's true earliest packet.
@@ -553,54 +483,65 @@ class ColumnarFlowCompressor:
             for record in self._output.time_seq
         ]
 
-    def _split_row(self, timestamps) -> int:
-        """The first row where the per-row step does something sequential.
+    def _call_bounds(self, timestamps) -> list[int]:
+        """Where a chunk is cut into kernel calls: its ends, every rebase
+        row and every deep-reorder row.
 
-        That is a rebase (``now < base`` under an implicit base) or the
-        idle gate (``now - earliest > idle_timeout``, with ``earliest``
-        the bound before the row) — the step's own float expressions,
-        element by element.  A NaN anywhere makes its row the split
-        (the gate's negated ``<=`` fires on it), which is early but
-        exact: the per-row step is always right.
+        A rebase row lies below the implicit base (``now < base``, the
+        base following each rebase); its call rebases first.  A
+        deep-reorder row lies more than the idle timeout below the
+        running maximum up to it.  Inside a call no row does, so past a
+        flow's last row the call's running maximum comes from later rows
+        only, and :func:`_first_stale` on it is exact.
         """
         import numpy as np
 
-        count = len(timestamps)
-        earliest = self._earliest_seen
-        before = np.empty(count)
-        # Row 0 sees the carried bound; with none, its gate cannot fire.
-        before[0] = np.inf if earliest is None else earliest
-        np.minimum.accumulate(timestamps[:-1], out=before[1:])
-        if earliest is not None:
-            np.minimum(before, earliest, out=before)
-        events = ~(timestamps - before <= self._idle_timeout)
-        if not self._explicit_base:
-            base = self._base_time
-            events |= timestamps < (timestamps[0] if base is None else base)
-        first = int(events.argmax())
-        return first if events[first] else count
+        cuts = np.zeros(len(timestamps), dtype=bool)
+        low, high = np.fmin.reduce(timestamps), np.fmax.reduce(timestamps)
+        with np.errstate(invalid="ignore"):
+            # No row lies further below the running maximum than the span.
+            if high - low > self._idle_timeout:
+                cuts = _running_max(timestamps) - timestamps > self._idle_timeout
+        base = timestamps[0] if self._base_time is None else self._base_time
+        if not self._explicit_base and low < base:
+            # The base before each row; a NaN row never lowers it.
+            cuts |= timestamps < np.fmin.accumulate(
+                np.concatenate(([base], timestamps[:-1]))
+            )
+        cuts[0] = True
+        return [*np.flatnonzero(cuts).tolist(), len(timestamps)]
 
     def _feed_kernel(
         self, timestamps, key_lo, key_hi, forwards, base_values, terminators, dsts
     ) -> None:
-        """Rows with no rebase and no idle gate, as array operations.
+        """One call's rows, as array operations.
 
-        Rows are grouped by key with one stable sort and cut after each
-        FIN/RST; each piece is one flow instance.  Only the first
-        instance of a key can continue an open flow (a later one follows
-        a FIN/RST), so only those probe the table.  Instances ending in
-        FIN/RST close in the order of their last rows — the per-row
-        step's close order — and surviving new flows take slots in the
-        order of their opening rows, as the per-row step leaves them.
+        Rows are grouped by key with one stable sort and cut into flow
+        instances after each FIN/RST and where a flow goes stale before
+        its key's next row.  Only the first instance of a key can
+        continue an open flow, so only those probe the table; an open
+        flow that goes stale before that row is evicted instead.  Flows
+        close in (row, eviction before FIN/RST, opening sequence) order,
+        and surviving new flows take slots in the order of their opening
+        rows, as the paper's per-packet loop leaves them.
         """
         import numpy as np
 
         count = len(timestamps)
+        now = timestamps[0].item()
         if self._base_time is None:
-            self._base_time = timestamps[0].item()
+            self._base_time = now
+        elif not self._explicit_base and now < self._base_time:
+            self._rebase(now)
         table = self._table
         open_before = len(table.slots)
         w_dep = self._w_dep
+        timeout = self._idle_timeout
+        # Nothing goes stale unless the call reaches more than the
+        # timeout past the oldest activity it can see.
+        floor = np.fmin(self._idle_floor, np.fmin.reduce(timestamps))
+        with np.errstate(invalid="ignore"):
+            evicting = bool(np.fmax.reduce(timestamps) - floor > timeout)
         order = np.lexsort((key_hi, key_lo))
         key_lo, key_hi = key_lo[order], key_hi[order]
         forwards, terminators = forwards[order], terminators[order]
@@ -610,6 +551,12 @@ class ColumnarFlowCompressor:
         new_key[1:] |= key_hi[1:] != key_hi[:-1]
         starts_mask = new_key.copy()
         starts_mask[1:] |= terminators[:-1]
+        if evicting:
+            peaks = _running_max(timestamps)
+            # A flow whose last row is row i goes stale at row stale_at[i]
+            # (here in key order); it is cut there if its key comes back.
+            stale_at = _first_stale(peaks, timestamps, timeout)[order]
+            starts_mask[1:] |= stale_at[:-1] < order[1:]
         starts = np.flatnonzero(starts_mask)
         lasts = np.append(starts[1:], count) - 1
         instance_of = np.cumsum(starts_mask) - 1
@@ -632,10 +579,14 @@ class ColumnarFlowCompressor:
         first_fwd, last_fwd = forwards[starts], forwards[lasts]
         flow_dst = dsts[order[starts]].astype(np.int64)
         first_rows, last_rows = order[starts], order[lasts]
-        closes = terminators[lasts]
+        fin = terminators[lasts]
+        # The row each instance closes at; ``count`` if it stays open.
+        close_at = np.where(fin, last_rows, stale_at[lasts] if evicting else count)
+        closes = close_at < count
         slot = np.full(len(starts), -1, dtype=np.int64)
 
         continued = np.empty(0, dtype=np.int64)
+        evicted = evicted_at = np.empty(0, dtype=np.int64)  # open flows
         if table.slots:
             heads = np.flatnonzero(new_key[starts])
             found = np.fromiter(
@@ -649,6 +600,23 @@ class ColumnarFlowCompressor:
             )
             continued = heads[found >= 0]
             slot[continued] = found[found >= 0]
+        if evicting and table.slots:
+            # An open flow that goes stale before its own first row here
+            # is evicted, and that row opens a new flow.  Released slots
+            # hold +inf, which never goes stale.
+            with np.errstate(invalid="ignore"):
+                carried = np.flatnonzero(
+                    peaks[-1] - table.last_ts[: table.used] > timeout
+                )
+            own = np.full(table.used, count)
+            own[slot[continued]] = first_rows[continued]
+            at = _first_stale(peaks, table.last_ts[carried], timeout)
+            stale = at < own[carried]
+            evicted, evicted_at = carried[stale], at[stale]
+            own[evicted] = -1
+            reopened = own[slot[continued]] < 0
+            slot[continued[reopened]] = -1
+            continued = continued[~reopened]
         if len(continued):
             slots = slot[continued]
             opener = starts[continued]
@@ -672,10 +640,10 @@ class ColumnarFlowCompressor:
             flow_dst[continued] = table.dst[slots]
             rtts[continued] = table.rtt[slots]
 
-        # Carried flows that close leave the dict before this chunk's
+        # Open flows that close leave the dict before this call's
         # survivors enter it: a survivor may reopen the same key.
-        carried = continued[closes[continued]]
-        for key in _flow_keys(key_lo[starts[carried]], key_hi[starts[carried]]):
+        leaving = np.concatenate((slot[continued[closes[continued]]], evicted))
+        for key in table.keys(leaving):
             del table.slots[key]
         opened = np.ones(len(starts), dtype=bool)
         opened[continued] = False
@@ -702,45 +670,63 @@ class ColumnarFlowCompressor:
                 logged = np.cumsum(resident) - 1
                 table.first_row[slot[survivors]] = first + logged[starts[survivors]]
 
-        # The per-row step checks the peak right after each open: the
-        # flows open then are the earlier opens less the earlier closes.
+        # One event per closing flow, this call's instances first: twice
+        # its row, plus one for a FIN/RST.  The open at row r is event
+        # 2r + 1: after the row's evictions, before its own FIN/RST.
         closed = np.flatnonzero(closes)
+        events = np.concatenate((2 * close_at[closed] + fin[closed], 2 * evicted_at))
+        # The peak is checked right after each open: the flows open then
+        # are the earlier opens less the earlier closes.
         opens = np.sort(first_rows[opened])
         if len(opens):
             live = (
                 open_before
                 + np.arange(1, len(opens) + 1)
-                - np.searchsorted(np.sort(last_rows[closed]), opens)
+                - np.searchsorted(np.sort(events), 2 * opens + 1)
             )
             self._peak_active = max(self._peak_active, int(live.max()))
+        evictions = np.flatnonzero(events % 2 == 0)
         self.stats.packets += count
-        earliest = timestamps.min().item()
-        if self._earliest_seen is None or earliest < self._earliest_seen:
-            self._earliest_seen = earliest
-
-        if not len(closed):
-            return
-        close_order = closed[np.argsort(last_rows[closed])]
-        rank = np.full(len(starts), -1, dtype=np.int64)
-        rank[close_order] = np.arange(len(close_order))
-        rows = ~resident
-        ranks, flow_values, flow_times = (
-            rank[instance_of[rows]], values[rows], times[rows]
-        )
-        carried = close_order[slot[close_order] >= 0]
-        if len(carried):
-            slots = slot[carried]
-            logged_ranks, logged_values, logged_times = table.take(slots)
-            table.release(slots)
-            # Logged rows are older than the chunk's: they go first.
-            ranks = np.concatenate((rank[carried][logged_ranks], ranks))
-            flow_values = np.concatenate((logged_values, flow_values))
-            flow_times = np.concatenate((logged_times, flow_times))
-        self._close_flows(
-            first_ts[close_order],
-            flow_dst[close_order],
-            rtts[close_order],
-            *_group(ranks, flow_values, flow_times, len(close_order)),
+        self.stats.flows_evicted += len(evictions)
+        if len(events):
+            # Flows opened in this call come after every open one, in
+            # the order of their first rows.  Only evictions share a
+            # row, so only they need that order to break the tie.
+            slots = np.concatenate((slot[closed], evicted))
+            carried = np.flatnonzero(slots >= 0)
+            seqs = np.concatenate((table.next_seq + first_rows[closed], evicted))
+            seqs[carried] = table.seq[slots[carried]]
+            tie = np.zeros(len(events), dtype=np.int64)
+            tie[evictions[np.argsort(seqs[evictions])]] = np.arange(len(evictions))
+            close_order = np.argsort(events * (len(evictions) + 1) + tie)
+            rank = np.empty(len(slots), dtype=np.int64)
+            rank[close_order] = np.arange(len(slots))
+            instance_rank = np.empty(len(starts), dtype=np.int64)
+            instance_rank[closed] = rank[: len(closed)]
+            rows = ~resident
+            ranks, flow_values, flow_times = (
+                instance_rank[instance_of[rows]], values[rows], times[rows]
+            )
+            first_ts = np.concatenate((first_ts[closed], table.first_ts[evicted]))
+            flow_dst = np.concatenate((flow_dst[closed], table.dst[evicted]))
+            rtts = np.concatenate((rtts[closed], table.rtt[evicted]))
+            if len(carried):
+                logged_ranks, logged_values, logged_times = table.take(slots[carried])
+                table.release(slots[carried])
+                # Logged rows are older than the call's: they go first.
+                ranks = np.concatenate((rank[carried][logged_ranks], ranks))
+                flow_values = np.concatenate((logged_values, flow_values))
+                flow_times = np.concatenate((logged_times, flow_times))
+            self._close_flows(
+                first_ts[close_order],
+                flow_dst[close_order],
+                rtts[close_order],
+                *_group(ranks, flow_values, flow_times, len(slots)),
+            )
+        self._idle_floor = (
+            np.fmin.reduce(table.last_ts[: table.used])
+            if evicting and table.used
+            else floor
         )
 
     def _derive(self, columns: PacketColumns):
@@ -771,56 +757,6 @@ class ColumnarFlowCompressor:
             terminators,
             np.asarray(columns.dst_ip),
         )
-
-    def _expire_idle(self, now: float, exclude=None) -> None:
-        # Mirrors the reference: the freshness gate on the earliest
-        # last-activity bound, the strict exclusion of the flow carrying
-        # the clock tick, stale collection in flow-arrival order, and
-        # the bound recomputation afterwards.
-        import numpy as np
-
-        timeout = self._idle_timeout
-        if self._earliest_seen is None or now - self._earliest_seen <= timeout:
-            return
-        table = self._table
-        flows = table.slots
-        if not flows:
-            self._earliest_seen = None
-            return
-        stale = now - table.last_ts[: table.used] > timeout
-        excluded = flows.get(exclude)
-        if excluded is not None:
-            stale[excluded] = False
-        stale = np.flatnonzero(stale)
-        if len(stale):
-            stale = stale[np.argsort(table.seq[stale])]
-            for key in table.keys(stale):
-                del flows[key]
-            self._close_slots(stale)
-            self.stats.flows_evicted += len(stale)
-            if _log.isEnabledFor(logging.DEBUG):
-                _log.debug(
-                    "idle eviction at t=%.6f: closed %d stale flow(s), "
-                    "%d active",
-                    now,
-                    len(stale),
-                    len(flows),
-                )
-        if not flows:
-            self._earliest_seen = None
-            return
-        # ``min`` over the flows in arrival order: a NaN first keeps the
-        # NaN, any later NaN is never smaller.  Released slots hold +inf.
-        first = float(table.last_ts[next(iter(flows.values()))])
-        self._earliest_seen = (
-            first
-            if first != first
-            else float(np.fmin.reduce(table.last_ts[: table.used]))
-        )
-
-    def _close_slots(self, slots) -> None:
-        """Close open flows (keys already removed), in the given order."""
-        self._close_flows(*self._take_flows(slots))
 
     def _take_flows(self, slots):
         """Release open flows (keys already removed) as

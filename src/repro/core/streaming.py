@@ -48,7 +48,7 @@ def record_chunks(
     """A record iterable as column chunks of at most ``size`` rows.
 
     The compressor's bytes do not depend on chunking, so a record feed
-    takes the chunk kernel this way instead of one per-row step each.
+    reaches the chunk kernel a chunk at a time, not one row per call.
     """
     packets = iter(packets)
     while batch := list(islice(packets, size)):

@@ -5,8 +5,7 @@ this file pins the named corners — empty input, a single packet, flows
 straddling chunk boundaries, idle eviction firing mid-chunk, rebase on
 out-of-order input, explicit base times — so a regression in any one of
 them fails a test that says exactly which corner broke.  It also pins
-what bytes do not show: the counters and the active-flow peak, and the
-split between the chunk kernel and the per-row step.
+what bytes do not show: the counters and the active-flow peak.
 """
 
 from dataclasses import asdict
@@ -21,7 +20,6 @@ from repro.core.errors import CompressionError
 from repro.net.columns import columns_from_records, empty_columns
 from repro.net.packet import PacketRecord
 from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_SYN
-from repro.obs import MetricsRegistry, scoped
 
 from tests.compress_oracle import FlowClusterCompressor
 from tests.property.test_columnar_identity import _packet as tiny_packet
@@ -120,6 +118,25 @@ def test_idle_eviction_mid_chunk():
     # All in one chunk and split right at the eviction trigger.
     assert _columnar(packets, config, chunk=len(packets)) == expected
     assert _columnar(packets, config, chunk=3) == expected
+
+
+@pytest.mark.parametrize(
+    "last, now",
+    [(0.58, 1.08), (0.18, 0.68)],
+    ids=["stale-at-the-rounded-sum", "fresh-past-the-rounded-sum"],
+)
+def test_idle_test_rounds_as_the_reference(last, now):
+    """``now - last > timeout`` as the reference rounds it: 1.08 equals
+    0.58 + 0.5 yet 1.08 - 0.58 > 0.5, and 0.68 exceeds 0.18 + 0.5 yet
+    0.68 - 0.18 <= 0.5.  A flow last seen at ``last`` is evicted by
+    another flow's row at ``now`` exactly when the reference says so.
+    The last row, far later, makes the call search for stale flows."""
+    config = CompressorConfig(idle_timeout=0.5)
+    packets = [_packet(last, 4000), _packet(now, 4001), _packet(now, 4000)]
+    packets.append(_packet(now + 10.0, 4002))
+    expected = _scalar(packets, config)
+    for chunk in (1, len(packets)):
+        assert _columnar(packets, config, chunk=chunk) == expected
 
 
 def test_rebase_on_out_of_order_timestamps():
@@ -236,47 +253,20 @@ def test_chunked_counters_match_per_packet(packets, seed):
     assert chunked_bytes == _scalar(packets)
 
 
-def _sequential_rows(feed):
-    with scoped(MetricsRegistry()) as registry:
-        feed()
-    return registry.value("columnar.rows.sequential")
-
-
-def test_build_trace_never_leaves_the_kernel(tmp_path):
-    """A web-search capture under the idle timeout: every row in the kernel."""
-    from repro import api
-    from repro.synth.scenarios import get_scenario
-
-    source = tmp_path / "in.tsh"
-    get_scenario("web-search").build(20.0, 40.0, 1).save_tsh(source)
-
-    def build():
-        with api.open(source, options=api.Options.production()) as store:
-            store.compress(tmp_path / "out.fctca")
-
-    assert _sequential_rows(build) == 0
-
-
 def test_idle_gate_rows_take_the_per_row_step():
+    """Rows past the idle gate evict a flow fed earlier in the chunk."""
     config = CompressorConfig(idle_timeout=1.0)
     packets = _flow(0.0, 4000, 4)[:-1] + [
         _packet(5.0 + 0.1 * i, 4001 + i) for i in range(10)
     ]
-    engine = ColumnarFlowCompressor(config, name="t")
-    rows = _sequential_rows(
-        lambda: engine.feed_columns(columns_from_records(packets))
-    )
-    # The gate fires on the first packet past the timeout: that row and
-    # every later one in the chunk take the per-row step.
-    assert rows == 10
-    assert serialize_compressed(engine.finish()) == _scalar(packets, config)
+    expected = _scalar(packets, config)
+    for chunk in (1, 2, 4, len(packets)):
+        assert _columnar(packets, config, chunk=chunk) == expected
 
 
 def test_rebase_rows_take_the_per_row_step():
+    """Rows below the implicit base, mid-chunk: each rebases first."""
     packets = _flow(10.0, 4000, 5) + _flow(2.0, 4001, 5)
-    engine = ColumnarFlowCompressor(name="t")
-    rows = _sequential_rows(
-        lambda: engine.feed_columns(columns_from_records(packets))
-    )
-    assert rows == 5
-    assert serialize_compressed(engine.finish()) == _scalar(packets)
+    expected = _scalar(packets)
+    for chunk in (1, 3, 6, len(packets)):
+        assert _columnar(packets, chunk=chunk) == expected

@@ -4,9 +4,11 @@
 table (a key → slot dict, per-slot arrays and one packet log).  These
 tests pin the shapes the table makes its own: flows reopened or
 continued across chunks, a log that compacts while flows stay open,
-eviction order taken from the table, and the batched clamps on NaN and
-negative-zero values.  Every identity check compares against the
-reference compressor in ``tests/compress_oracle.py``.
+eviction order taken from the table, eviction inside the kernel under
+every feed shape, growth that never reads an entry before writing it,
+and the batched clamps on NaN and negative-zero values.  Every identity
+check compares against the reference compressor in
+``tests/compress_oracle.py``.
 """
 
 from __future__ import annotations
@@ -19,14 +21,14 @@ import pytest
 from repro.archive import ArchiveWriter
 from repro.core.codec import serialize_compressed
 from repro.core.columnar import ColumnarFlowCompressor
-from repro.core.compressor import compress_trace
+from repro.core.compressor import CompressorConfig, compress_trace
 from repro.core.streaming import StreamingCompressor
 from repro.net.columns import columns_from_records
 from repro.net.packet import PacketRecord
-from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_SYN
+from repro.net.tcp import TCP_ACK, TCP_FIN, TCP_RST, TCP_SYN
 from repro.synth.scenarios import get_scenario, scenario_names
 
-from tests.compress_oracle import run_oracle
+from tests.compress_oracle import FlowClusterCompressor, run_oracle
 from tests.property.test_columnar_identity import scalar_bytes
 from tests.property.test_scenario_identity import scenario_packets
 
@@ -48,9 +50,9 @@ def _packet(ts, sport=4000, flags=TCP_ACK, payload=100, reverse=False, src=CLIEN
     )
 
 
-def _chunked(packets, cuts, **kwargs):
+def _chunked(packets, cuts, config=None, **kwargs):
     """The engine fed ``packets`` cut at the given row offsets."""
-    engine = ColumnarFlowCompressor(name="t", **kwargs)
+    engine = ColumnarFlowCompressor(config, name="t", **kwargs)
     bounds = [0, *cuts, len(packets)]
     for start, stop in zip(bounds, bounds[1:]):
         engine.feed_columns(columns_from_records(packets[start:stop]))
@@ -227,3 +229,140 @@ def test_record_feeds_match_column_feeds(name, tmp_path):
             feed(writer)
         archives.append(dest.read_bytes())
     assert archives[0] == archives[1] == archives[2]
+
+
+# -- idle eviction inside the kernel -----------------------------------------
+
+SHORT_IDLE = CompressorConfig(idle_timeout=1.0)
+
+
+def _oracle_with_peak(packets, config=None, **kwargs):
+    """The reference run and the engine's peak over it: the flows open
+    right after each open, a FIN/RST close coming after its row's open."""
+    oracle = FlowClusterCompressor(config, name="t", **kwargs)
+    peak = 0
+    for packet in packets:
+        opens = oracle._active.find(packet.five_tuple().canonical()) is None
+        oracle.add_packet(packet)
+        if opens:
+            closed_by_row = bool(packet.flags & (TCP_FIN | TCP_RST))
+            peak = max(peak, oracle.active_flows + closed_by_row)
+    oracle.finish()
+    return oracle, peak
+
+
+@pytest.fixture(scope="module")
+def short_idle_flood():
+    """An 8 s flood under a 1 s idle timeout: most rows evict."""
+    packets = get_scenario("flood").build(8.0, 40.0, 1).packets
+    oracle, peak = _oracle_with_peak(packets, SHORT_IDLE)
+    assert oracle.stats.flows_evicted > 1000
+    return packets, serialize_compressed(oracle.output), oracle.stats, peak
+
+
+def _streamed(packets, feed):
+    compressor = StreamingCompressor(SHORT_IDLE, name="t")
+    feed(compressor, packets)
+    return compressor
+
+
+def _fed_in_chunks(size):
+    def feed(compressor, packets):
+        for start in range(0, len(packets), size):
+            compressor.feed_columns(columns_from_records(packets[start : start + size]))
+
+    return feed
+
+
+def _fed_by_record(compressor, packets):
+    for packet in packets:
+        compressor.add_packet(packet)
+
+
+@pytest.mark.parametrize(
+    "feed",
+    [
+        _fed_in_chunks(10**6),
+        _fed_in_chunks(2048),
+        _fed_in_chunks(97),
+        _fed_in_chunks(1),
+        _fed_by_record,
+    ],
+    ids=["whole", "2048", "97", "1", "add_packet"],
+)
+def test_short_idle_flood_matches_the_reference(short_idle_flood, feed):
+    packets, expected, stats, peak = short_idle_flood
+    compressor = _streamed(packets, feed)
+    assert serialize_compressed(compressor.finish()) == expected
+    assert compressor.stats.flows_evicted == stats.flows_evicted
+    assert compressor.streaming_stats.peak_active_flows == peak
+
+
+def test_short_idle_flood_through_the_archive_writer(short_idle_flood, tmp_path):
+    packets, _, stats, peak = short_idle_flood
+    epoch = packets[0].timestamp
+    oracle, oracle_peak = _oracle_with_peak(packets, SHORT_IDLE, base_time=epoch)
+    oracle.output.name = "flood/seg-00000"
+    with ArchiveWriter.create(tmp_path / "oracle.fctca", epoch=epoch) as writer:
+        writer.write_segment(oracle.output)
+    dest = tmp_path / "flood.fctca"
+    with ArchiveWriter.create(
+        dest, epoch=epoch, segment_span=None, name="flood", config=SHORT_IDLE
+    ) as writer:
+        writer.feed(iter(packets))
+        compressor = writer._feeder.compressor
+        assert compressor.stats.flows_evicted == stats.flows_evicted
+        assert compressor.streaming_stats.peak_active_flows == oracle_peak == peak
+    assert dest.read_bytes() == (tmp_path / "oracle.fctca").read_bytes()
+
+
+@pytest.fixture(params=[-1, 2**62], ids=["minus-one", "huge"])
+def poisoned_growth(monkeypatch, request):
+    """Table arrays grow filled with poison instead of left uninitialized:
+    NaN floats, ``True`` bools and a poison int, so a read of an entry
+    the engine never wrote changes the output or fails."""
+    import numpy as np
+
+    from repro.core import columnar
+
+    def grown(column, size, keep):
+        kind = column.dtype.kind
+        poison = (
+            np.nan if kind == "f"
+            else True if kind == "b"
+            else np.iinfo(column.dtype).max if kind == "u"
+            else request.param
+        )
+        out = np.full(size, poison, dtype=column.dtype)
+        out[:keep] = column[:keep]
+        return out
+
+    monkeypatch.setattr(columnar, "_grown", grown)
+
+
+def test_poisoned_growth_keeps_idle_eviction_and_rebase(poisoned_growth):
+    flows = [
+        [_packet(0.01 * i + start, sport=port) for i in range(4)]
+        for start, port in ((0.0, 4000), (0.5, 4001), (5.0, 4002))
+    ]
+    evicting = sorted(sum(flows, []), key=lambda packet: packet.timestamp)
+    rebasing = [_packet(10.0 + 0.1 * i, sport=4000 + i % 3) for i in range(12)]
+    rebasing[5:5] = [_packet(2.0 + 0.1 * i, sport=5000) for i in range(4)]
+    for packets in (evicting, rebasing):
+        oracle = run_oracle(packets, SHORT_IDLE, name="t")
+        expected = serialize_compressed(oracle.output)
+        for chunk in (1, 3, len(packets)):
+            cuts = list(range(chunk, len(packets), chunk))
+            engine = _chunked(packets, cuts, config=SHORT_IDLE)
+            assert serialize_compressed(engine.finish()) == expected
+
+
+def test_poisoned_growth_keeps_the_short_idle_flood(
+    poisoned_growth, short_idle_flood
+):
+    packets, expected, stats, peak = short_idle_flood
+    for size in (len(packets), 97):
+        compressor = _streamed(packets, _fed_in_chunks(size))
+        assert serialize_compressed(compressor.finish()) == expected
+        assert compressor.stats.flows_evicted == stats.flows_evicted
+        assert compressor.streaming_stats.peak_active_flows == peak

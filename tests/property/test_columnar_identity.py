@@ -84,17 +84,34 @@ _packet = st.builds(
     packets=st.lists(_packet, min_size=0, max_size=120),
     chunk_size=st.integers(min_value=1, max_value=50),
     seed=st.integers(min_value=0, max_value=2**16),
+    idle_timeout=st.sampled_from((0.5, 5.0, 64.0)),
+    span=st.sampled_from((5.0, 50.0, 5000.0)),
+    nan_rows=st.sets(st.integers(min_value=0, max_value=119), max_size=3),
 )
-def test_arbitrary_packet_sequences(packets, chunk_size, seed):
+def test_arbitrary_packet_sequences(
+    packets, chunk_size, seed, idle_timeout, span, nan_rows
+):
     """Tiny 5-tuple space → heavy key collisions, reordering → rebases.
 
-    Unsorted hypothesis timestamps drive the auto-base rebase path;
-    FIN/RST mixes drive mid-chunk closes; the cramped address space
-    forces flow reuse after termination.
+    Unsorted hypothesis timestamps drive the auto-base rebase path and
+    rows far below the ones before them; FIN/RST mixes drive mid-chunk
+    closes; the cramped address space forces flow reuse after
+    termination or eviction.  Timestamps squeezed into ``span`` seconds
+    against a drawn idle timeout mix evictions with flows that survive,
+    and sparse NaN stamps never go stale and never evict.
     """
-    expected = scalar_bytes(packets)
-    assert columnar_bytes(packets, chunks=chunk_size) == expected
-    assert columnar_bytes(packets, seed=seed) == expected
+    packets = [
+        replace(
+            packet,
+            timestamp=float("nan") if row in nan_rows
+            else packet.timestamp * (span / 5000.0),
+        )
+        for row, packet in enumerate(packets)
+    ]
+    config = CompressorConfig(idle_timeout=idle_timeout)
+    expected = scalar_bytes(packets, config)
+    assert columnar_bytes(packets, config, chunks=chunk_size) == expected
+    assert columnar_bytes(packets, config, seed=seed) == expected
 
 
 @settings(max_examples=10, deadline=None)
