@@ -44,7 +44,7 @@ from typing import Iterable
 from zlib import crc32
 
 from repro.core.codec import quantize_rtt, quantize_timestamp
-from repro.core.datasets import CompressedTrace, TimeSeqColumns
+from repro.core.datasets import CompressedTrace
 from repro.core.errors import ArchiveError
 
 ARCHIVE_MAGIC = b"FCTA"
@@ -296,7 +296,6 @@ def index_entry_for(
     offset: int,
     length: int,
     section_backends: tuple[int, int, int, int] = RAW_SECTION_BACKENDS,
-    columns: TimeSeqColumns | None = None,
 ) -> SegmentIndexEntry:
     """Build the footer entry describing one serialized segment.
 
@@ -304,23 +303,15 @@ def index_entry_for(
     index is exact with respect to what a decoder will see — a query
     compared against these bounds can never miss a decoded record.
     ``section_backends`` records the wire tags the segment's serializer
-    actually used (:attr:`~repro.core.codec.ContainerWriteResult.backend_tags`);
-    ``columns`` are the segment's time-seq fields when the caller has
-    already extracted them for the serializer.
+    actually used (:attr:`~repro.core.codec.ContainerWriteResult.backend_tags`).
     """
-    if not compressed.time_seq:
+    columns = compressed.time_seq
+    if not columns:
         raise ArchiveError("refusing to index an empty segment")
-    if columns is None:
-        columns = TimeSeqColumns.of(compressed.time_seq)
     # Both quantizers are monotone (saturation included), so quantizing
     # the raw extremes gives the extremes of the quantized values.
     timestamps, rtts = columns.timestamps, columns.rtts
-    short_sizes = [t.n for t in compressed.short_templates]
-    long_sizes = [t.n for t in compressed.long_templates]
-    flow_packets = [
-        *map(short_sizes.__getitem__, columns.short_refs()),
-        *map(long_sizes.__getitem__, columns.long_refs()),
-    ]
+    flow_packets = compressed.flow_packets()
     return SegmentIndexEntry(
         offset=offset,
         length=length,

@@ -42,7 +42,7 @@ from repro.archive.format import (
 )
 from repro.core.codec import validate_backend_request, write_container
 from repro.core.compressor import CompressorConfig
-from repro.core.datasets import CompressedTrace, TimeSeqColumns
+from repro.core.datasets import CompressedTrace
 from repro.core.errors import ArchiveError
 from repro.core.streaming import RECORD_CHUNK_PACKETS, StreamingCompressor
 from repro.net.columns import PacketColumns, columns_from_records
@@ -581,8 +581,6 @@ class ArchiveWriter:
             raise ArchiveError("archive writer already closed")
         if not compressed.time_seq:
             raise ArchiveError("refusing to write an empty segment")
-        # The serializer and the index entry share one field extraction.
-        columns = TimeSeqColumns.of(compressed.time_seq)
         with self._lock:
             offset = self._stream.tell()
             result = write_container(
@@ -590,10 +588,9 @@ class ArchiveWriter:
                 compressed,
                 backend=backend if backend is not None else self._backend,
                 level=level if level is not None else self._level,
-                columns=columns,
             )
             entry = index_entry_for(
-                compressed, offset, result.length, result.backend_tags, columns
+                compressed, offset, result.length, result.backend_tags
             )
             self._entries.append(entry)
         obs_current().counter(

@@ -44,7 +44,7 @@ import io
 import struct
 from dataclasses import dataclass
 from itertools import chain, repeat
-from operator import truediv
+from operator import and_, gt, truediv
 from typing import BinaryIO, Mapping
 
 from repro.core.backends import (
@@ -56,11 +56,9 @@ from repro.core.backends import (
 from repro.core.datasets import (
     AddressTable,
     CompressedTrace,
-    DatasetId,
     LongFlowTemplate,
     ShortFlowTemplate,
     TimeSeqColumns,
-    TimeSeqRecord,
 )
 from repro.core.errors import CodecError
 from repro.obs import current as obs_current
@@ -207,22 +205,28 @@ def _pack_addresses(addresses: AddressTable) -> bytes:
     return b"".join(struct.pack(">I", address) for address in addresses)
 
 
-def _pack_time_seq_scalar(records: list[TimeSeqRecord]) -> bytes:
+def _pack_time_seq_scalar(columns: TimeSeqColumns) -> bytes:
     out = bytearray()
-    for record in records:
-        timestamp_units = quantize_timestamp(record.timestamp)
-        template_ref = record.template_index
-        if template_ref > MAX_TEMPLATE_INDEX:
-            raise CodecError(f"template index too large: {template_ref}")
-        if record.dataset is DatasetId.LONG:
+    pack = _TIME_SEQ.pack
+    for row, (timestamp, is_long, template_ref, address_index, rtt) in enumerate(
+        zip(*columns.columns())
+    ):
+        timestamp_units = _quantize_field(row, "timestamp", timestamp, quantize_timestamp)
+        if is_long:
             template_ref |= 0x8000
-        rtt_units = quantize_rtt(record.rtt)
-        out.extend(
-            _TIME_SEQ.pack(
-                timestamp_units, template_ref, record.address_index, rtt_units
-            )
-        )
+        rtt_units = _quantize_field(row, "RTT", rtt, quantize_rtt)
+        out += pack(timestamp_units, template_ref, address_index, rtt_units)
     return bytes(out)
+
+
+def _quantize_field(row: int, what: str, seconds: float, quantize) -> int:
+    """``quantize(seconds)``; a NaN or infinite unit count raises a CodecError."""
+    try:
+        return quantize(seconds)
+    except (OverflowError, ValueError):
+        raise CodecError(
+            f"time-seq[{row}]: cannot quantize {what} {seconds!r}"
+        ) from None
 
 
 # The vectorized time-seq record as a structured dtype: the same
@@ -235,39 +239,27 @@ _TIME_SEQ_DTYPE_FIELDS = [
 ]
 
 
-def _pack_time_seq(
-    records: list[TimeSeqRecord], columns: TimeSeqColumns | None = None
-) -> bytes:
-    if len(records) < _VECTOR_MIN:
-        return _pack_time_seq_scalar(records)
+def _pack_time_seq(columns: TimeSeqColumns) -> bytes:
+    """The time-seq section of a trace :func:`_check_counts` passed: every
+    field is non-negative and every index fits, so only a field with no
+    unit count can fail, and the scalar packer names its row."""
+    if len(columns) < _VECTOR_MIN:
+        return _pack_time_seq_scalar(columns)
     import numpy as np
 
-    if columns is None:
-        columns = TimeSeqColumns.of(records)
+    ts_units = np.rint(
+        np.array(columns.timestamps, dtype=np.float64) * TIMESTAMP_UNITS_PER_SECOND
+    )
+    rtt_units = np.rint(np.array(columns.rtts, dtype=np.float64) * RTT_UNITS_PER_SECOND)
+    if not (np.isfinite(ts_units).all() and np.isfinite(rtt_units).all()):
+        return _pack_time_seq_scalar(columns)
     refs = np.array(columns.template_index, dtype=np.int64)
-    bad = np.nonzero(refs > MAX_TEMPLATE_INDEX)[0]
-    if bad.size:
-        # Same first-offender error as the scalar loop.
-        raise CodecError(f"template index too large: {int(refs[bad[0]])}")
-    addrs = np.array(columns.address_index, dtype=np.int64)
-    if refs.min() < 0 or addrs.min() < 0 or addrs.max() > _MAX_U16:
-        return _pack_time_seq_scalar(records)  # scalar path's struct error
-    timestamps = np.array(columns.timestamps, dtype=np.float64)
-    rtts = np.array(columns.rtts, dtype=np.float64)
-    scaled_ts = timestamps * TIMESTAMP_UNITS_PER_SECOND
-    scaled_rtt = rtts * RTT_UNITS_PER_SECOND
-    if not (np.isfinite(scaled_ts).all() and np.isfinite(scaled_rtt).all()):
-        return _pack_time_seq_scalar(records)
-    ts_units = np.minimum(np.rint(scaled_ts), float(_MAX_U32))
-    rtt_units = np.minimum(np.rint(scaled_rtt), float(_MAX_U16))
-    if ts_units.min() < 0 or rtt_units.min() < 0:
-        return _pack_time_seq_scalar(records)
     long_flag = np.array(columns.long, dtype=np.int64)
-    rows = np.empty(len(records), dtype=np.dtype(_TIME_SEQ_DTYPE_FIELDS))
-    rows["ts"] = ts_units.astype(np.uint32)
+    rows = np.empty(len(columns), dtype=np.dtype(_TIME_SEQ_DTYPE_FIELDS))
+    rows["ts"] = np.minimum(ts_units, float(_MAX_U32)).astype(np.uint32)
     rows["ref"] = (refs | (long_flag << 15)).astype(np.uint16)
-    rows["addr"] = addrs.astype(np.uint16)
-    rows["rtt"] = rtt_units.astype(np.uint16)
+    rows["addr"] = np.array(columns.address_index, dtype=np.int64).astype(np.uint16)
+    rows["rtt"] = np.minimum(rtt_units, float(_MAX_U16)).astype(np.uint16)
     return rows.tobytes()
 
 
@@ -329,27 +321,23 @@ def _parse_addresses(stream: BinaryIO, count: int) -> AddressTable:
     return addresses
 
 
-def _parse_time_seq(stream: BinaryIO, count: int) -> list[TimeSeqRecord]:
-    records: list[TimeSeqRecord] = []
-    append = records.append
-    unpack = _TIME_SEQ.unpack
-    short, long = DatasetId.SHORT, DatasetId.LONG
-    for _ in range(count):
-        timestamp_units, template_ref, address_index, rtt_units = unpack(
-            _read_exact(stream, TIME_SEQ_RECORD_BYTES, "time-seq record")
+def _parse_time_seq(stream: BinaryIO, count: int) -> TimeSeqColumns:
+    data = _read_exact(stream, TIME_SEQ_RECORD_BYTES * count, "time-seq record")
+    columns = TimeSeqColumns()
+    if count:
+        timestamp_units, template_refs, address_indices, rtt_units = zip(
+            *_TIME_SEQ.iter_unpack(data)
         )
-        # Positional: keyword construction of this frozen dataclass
-        # costs about half as much again, once per flow on every read.
-        append(
-            TimeSeqRecord(
-                timestamp_units / TIMESTAMP_UNITS_PER_SECOND,
-                long if template_ref & 0x8000 else short,
-                template_ref & MAX_TEMPLATE_INDEX,
-                address_index,
-                rtt_units / RTT_UNITS_PER_SECOND,
-            )
+        columns.timestamps = list(
+            map(truediv, timestamp_units, repeat(TIMESTAMP_UNITS_PER_SECOND))
         )
-    return records
+        columns.long = list(map(gt, template_refs, repeat(MAX_TEMPLATE_INDEX)))
+        columns.template_index = list(
+            map(and_, template_refs, repeat(MAX_TEMPLATE_INDEX))
+        )
+        columns.address_index = list(address_indices)
+        columns.rtts = list(map(truediv, rtt_units, repeat(RTT_UNITS_PER_SECOND)))
+    return columns
 
 
 # -- backend resolution ----------------------------------------------------
@@ -424,8 +412,8 @@ class ContainerWriteResult:
         return tuple(get_backend(s.backend).tag for s in self.sections)
 
 
-def _check_counts(compressed: CompressedTrace, columns: TimeSeqColumns) -> None:
-    compressed.validate(columns)
+def _check_counts(compressed: CompressedTrace) -> None:
+    compressed.validate()
     if len(compressed.short_templates) > MAX_TEMPLATE_INDEX + 1:
         raise CodecError(
             f"too many short templates for codec: {len(compressed.short_templates)}"
@@ -457,14 +445,12 @@ def _pack_header(compressed: CompressedTrace, version: int) -> bytes:
     )
 
 
-def _section_bodies(
-    compressed: CompressedTrace, columns: TimeSeqColumns
-) -> tuple[bytes, bytes, bytes, bytes]:
+def _section_bodies(compressed: CompressedTrace) -> tuple[bytes, bytes, bytes, bytes]:
     return (
         _pack_short_templates(compressed.short_templates),
         _pack_long_templates(compressed.long_templates),
         _pack_addresses(compressed.addresses),
-        _pack_time_seq(compressed.time_seq, columns),
+        _pack_time_seq(compressed.time_seq),
     )
 
 
@@ -477,7 +463,6 @@ def write_container(
     *,
     backend: str | Mapping[str, str] | None = None,
     level: int | None = None,
-    columns: TimeSeqColumns | None = None,
 ) -> ContainerWriteResult:
     """Write one v2 container; returns the per-section backend accounting.
 
@@ -485,19 +470,15 @@ def write_container(
     everywhere, a name, ``"auto"``, or a per-section mapping); ``level``
     is forwarded to backends that take one.  With ``auto``, each section
     is trial-compressed independently and the winner's tag — never the
-    word "auto" — lands on disk.  ``columns`` is the trace's
-    :class:`~repro.core.datasets.TimeSeqColumns` when the caller has
-    them (the archive writer shares them with the index entry).
+    word "auto" — lands on disk.
     """
-    if columns is None:
-        columns = TimeSeqColumns.of(compressed.time_seq)
-    _check_counts(compressed, columns)
+    _check_counts(compressed)
     spec = resolve_backend_spec(backend)
     registry = obs_current()
     with registry.timer(
         "stage.encode", "wall time packing and backend-coding sections"
     ).time():
-        bodies = _section_bodies(compressed, columns)
+        bodies = _section_bodies(compressed)
         # A plain backend name is an explicit request: a level it cannot
         # honor is an error.  Under auto / per-section mappings / the raw
         # default the level is advisory — it applies where a leveled codec
@@ -585,11 +566,10 @@ def write_compressed_v1(stream: BinaryIO, compressed: CompressedTrace) -> int:
     new files should use :func:`write_compressed`, whose ``raw`` default
     stores the same section bytes behind 36 bytes of tags.
     """
-    columns = TimeSeqColumns.of(compressed.time_seq)
-    _check_counts(compressed, columns)
+    _check_counts(compressed)
     start = stream.tell()
     stream.write(_pack_header(compressed, VERSION_V1))
-    for body in _section_bodies(compressed, columns):
+    for body in _section_bodies(compressed):
         stream.write(body)
     return stream.tell() - start
 

@@ -61,7 +61,6 @@ reference's to the byte.  The replicated semantics worth naming:
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import repeat
 from operator import lshift, or_
 
@@ -73,9 +72,7 @@ from repro.core.compressor import (
 )
 from repro.core.datasets import (
     CompressedTrace,
-    DatasetId,
     LongFlowTemplate,
-    TimeSeqRecord,
     inter_packet_gaps,
 )
 from repro.core.errors import CompressionError
@@ -92,7 +89,7 @@ _flag_class_np = None
 
 _MIN_SLOTS = 256
 _MIN_LOG_ROWS = 1024
-_RECORD_BATCH = 4096
+_FLUSH_BATCH = 4096
 
 # A flow's dict key is its canonical key pair as one int, ``lo << 48 |
 # hi`` (``hi`` is an address-and-port end, 48 bits): one untracked
@@ -460,10 +457,10 @@ class ColumnarFlowCompressor:
             self._table.slots.clear()
             # A close gives the same output batch by batch.  Batches bound
             # the working arrays of a large flush, and the table is gone
-            # before the close builds its records.
+            # before the close extends the time-seq.
             batches = [
-                self._take_flows(slots[start : start + _RECORD_BATCH])
-                for start in range(0, len(slots), _RECORD_BATCH)
+                self._take_flows(slots[start : start + _FLUSH_BATCH])
+                for start in range(0, len(slots), _FLUSH_BATCH)
             ]
             self._table = _FlowTable()
             for flows in batches:
@@ -478,10 +475,8 @@ class ColumnarFlowCompressor:
         # the trace's true earliest packet.
         delta = self._base_time - now
         self._base_time = now
-        self._output.time_seq[:] = [
-            replace(record, timestamp=record.timestamp + delta)
-            for record in self._output.time_seq
-        ]
+        timestamps = self._output.time_seq.timestamps
+        timestamps[:] = [timestamp + delta for timestamp in timestamps]
 
     def _call_bounds(self, timestamps) -> list[int]:
         """Where a chunk is cut into kernel calls: its ends, every rebase
@@ -835,22 +830,14 @@ class ColumnarFlowCompressor:
         stamps = first_ts - base
         stamps = np.where(stamps > 0.0, stamps, 0.0)
         rtts = np.where(short & (rtts > 0.0), rtts, 0.0)
-        # Records are built a batch at a time, so the field lists stay
-        # small; the address indices are the table's own ints, and a
-        # zero RTT is the one shared 0.0.
-        append = output.time_seq.extend
-        for start in range(0, count, _RECORD_BATCH):
-            batch = slice(start, start + _RECORD_BATCH)
-            append(
-                map(
-                    TimeSeqRecord,
-                    stamps[batch].tolist(),
-                    map((_LONG, _SHORT).__getitem__, short[batch].tolist()),
-                    indices[batch].tolist(),
-                    map(interned.__getitem__, inverse[batch].tolist()),
-                    [rtt or 0.0 for rtt in rtts[batch].tolist()],
-                )
-            )
+        # The address indices are the table's own ints, and a zero RTT
+        # is the one shared 0.0.
+        time_seq = output.time_seq
+        time_seq.timestamps += stamps.tolist()
+        time_seq.long += (~short).tolist()
+        time_seq.template_index += indices.tolist()
+        time_seq.address_index += map(interned.__getitem__, inverse.tolist())
+        time_seq.rtts += [rtt or 0.0 for rtt in rtts.tolist()]
         short_count = len(short_flows)
         stats.flows_closed += count
         stats.short_flows += short_count
@@ -859,5 +846,3 @@ class ColumnarFlowCompressor:
         stats.template_misses += short_count - hits
         output.original_packet_count += int(lengths.sum())
 
-
-_SHORT, _LONG = DatasetId.SHORT, DatasetId.LONG

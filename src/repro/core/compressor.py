@@ -63,7 +63,7 @@ class CompressorConfig:
     def __post_init__(self) -> None:
         if self.short_flow_max < 1:
             raise ValueError(f"short_flow_max must be >= 1: {self.short_flow_max}")
-        if self.idle_timeout <= 0:
+        if not self.idle_timeout > 0:
             raise ValueError(f"idle_timeout must be positive: {self.idle_timeout}")
 
 

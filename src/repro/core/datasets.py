@@ -24,9 +24,10 @@
 from __future__ import annotations
 
 import enum
+from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import not_, sub
+from operator import eq, not_, sub
 from typing import Iterable
 
 
@@ -35,6 +36,9 @@ class DatasetId(enum.Enum):
 
     SHORT = "S"
     LONG = "L"
+
+
+DATASETS = (DatasetId.SHORT, DatasetId.LONG)  # by a time-seq row's long flag
 
 
 def _check_values(values) -> None:
@@ -177,31 +181,74 @@ class TimeSeqRecord:
             raise ValueError(f"negative RTT: {self.rtt}")
 
 
-@dataclass(frozen=True, slots=True)
-class TimeSeqColumns:
-    """The ``time-seq`` dataset as five aligned field lists.
+class TimeSeqColumns(MutableSequence):
+    """The ``time-seq`` dataset as five aligned field lists, which the
+    program reads and writes directly.
 
-    Sealing a trace reads every record in several places — the integrity
-    check, the section packer and the archive index entry — so a seal
-    extracts the fields once, with :meth:`of`, and shares them.
+    As a :class:`~collections.abc.MutableSequence` of :class:`TimeSeqRecord`,
+    reading builds records on demand, writing splits records into the
+    lists, and it compares equal to any sequence of equal records.
     """
 
-    timestamps: list[float]
-    long: list[bool]
-    template_index: list[int]
-    address_index: list[int]
-    rtts: list[float]
+    __slots__ = ("timestamps", "long", "template_index", "address_index", "rtts")
 
-    @classmethod
-    def of(cls, records: list[TimeSeqRecord]) -> "TimeSeqColumns":
-        long = DatasetId.LONG
-        return cls(
-            [record.timestamp for record in records],
-            [record.dataset is long for record in records],
-            [record.template_index for record in records],
-            [record.address_index for record in records],
-            [record.rtt for record in records],
+    def __init__(self, records: Iterable[TimeSeqRecord] = ()) -> None:
+        self.timestamps: list[float] = []
+        self.long: list[bool] = []
+        self.template_index: list[int] = []
+        self.address_index: list[int] = []
+        self.rtts: list[float] = []
+        self.extend(records)
+
+    def columns(self) -> tuple[list, list, list, list, list]:
+        """The five lists, in record field order."""
+        return (
+            self.timestamps,
+            self.long,
+            self.template_index,
+            self.address_index,
+            self.rtts,
         )
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(map(self.__getitem__, range(len(self))[index]))
+        return TimeSeqRecord(
+            self.timestamps[index],
+            DATASETS[self.long[index]],
+            self.template_index[index],
+            self.address_index[index],
+            self.rtts[index],
+        )
+
+    def __setitem__(self, index, value) -> None:
+        if isinstance(index, slice):
+            rows = list(map(_fields, value))
+            # An extended slice of the wrong length fails on the first
+            # list, before any list changes.
+            for column, values in zip(self.columns(), list(zip(*rows)) or [()] * 5):
+                column[index] = values
+        else:
+            for column, field_value in zip(self.columns(), _fields(value)):
+                column[index] = field_value
+
+    def __delitem__(self, index) -> None:
+        for column in self.columns():
+            del column[index]
+
+    def insert(self, index: int, value: TimeSeqRecord) -> None:
+        for column, field_value in zip(self.columns(), _fields(value)):
+            column.insert(index, field_value)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, TimeSeqColumns):
+            return self.columns() == other.columns()
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
 
     def short_refs(self) -> Iterable[int]:
         """The template indices of the short-flow records, in order."""
@@ -212,16 +259,36 @@ class TimeSeqColumns:
         return compress(self.template_index, self.long)
 
 
+def _fields(record: TimeSeqRecord) -> tuple[float, bool, int, int, float]:
+    """A record's five column values."""
+    if not isinstance(record, TimeSeqRecord):
+        raise TypeError(f"time-seq rows are TimeSeqRecord, not {type(record).__name__}")
+    return (
+        record.timestamp,
+        record.dataset is DatasetId.LONG,
+        record.template_index,
+        record.address_index,
+        record.rtt,
+    )
+
+
 @dataclass
 class CompressedTrace:
-    """All four datasets plus bookkeeping for one compressed trace."""
+    """All four datasets plus bookkeeping for one compressed trace.
+
+    ``time_seq`` may be given as any iterable of :class:`TimeSeqRecord`.
+    """
 
     short_templates: list[ShortFlowTemplate] = field(default_factory=list)
     long_templates: list[LongFlowTemplate] = field(default_factory=list)
     addresses: AddressTable = field(default_factory=AddressTable)
-    time_seq: list[TimeSeqRecord] = field(default_factory=list)
+    time_seq: TimeSeqColumns = field(default_factory=TimeSeqColumns)
     name: str = "compressed"
     original_packet_count: int = 0
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.time_seq, TimeSeqColumns):
+            self.time_seq = TimeSeqColumns(self.time_seq)
 
     def flow_count(self) -> int:
         """Number of flows recorded (time-seq entries)."""
@@ -237,13 +304,18 @@ class CompressedTrace:
             return self.short_templates[record.template_index]
         return self.long_templates[record.template_index]
 
+    def flow_packets(self) -> list[int]:
+        """Each row's template n: the short-flow rows', then the long-flow rows'."""
+        short_sizes = [template.n for template in self.short_templates]
+        long_sizes = [template.n for template in self.long_templates]
+        return [
+            *map(short_sizes.__getitem__, self.time_seq.short_refs()),
+            *map(long_sizes.__getitem__, self.time_seq.long_refs()),
+        ]
+
     def packet_count(self) -> int:
         """Packets the decompressed trace will contain."""
-        return sum(self.template_for(record).n for record in self.time_seq)
-
-    def packets_for(self, record: TimeSeqRecord) -> int:
-        """Packets the given time-seq record stands for (its template's n)."""
-        return self.template_for(record).n
+        return sum(self.flow_packets())
 
     def time_bounds(self) -> tuple[float, float] | None:
         """(earliest, latest) time-seq timestamp, or None when empty.
@@ -251,82 +323,75 @@ class CompressedTrace:
         The archive's segment index stores these bounds so time-range
         queries can skip whole segments without decoding them.
         """
-        if not self.time_seq:
+        timestamps = self.time_seq.timestamps
+        if not timestamps:
             return None
-        timestamps = [record.timestamp for record in self.time_seq]
         return min(timestamps), max(timestamps)
 
-    def select(
-        self, records: Iterable[TimeSeqRecord], name: str | None = None
-    ) -> "CompressedTrace":
-        """A new trace holding only ``records`` (from this trace's time-seq).
+    def select(self, rows: Iterable[int], name: str | None = None) -> "CompressedTrace":
+        """A new trace holding only the time-seq ``rows`` (row indices).
 
         Referenced templates and addresses are copied and re-indexed
         densely; everything unreferenced is dropped.  This is the dataset
         side of archive filtering: a query engine selects matching
-        time-seq records and this builds the self-contained sub-trace.
+        time-seq rows and this builds the self-contained sub-trace.
         ``original_packet_count`` becomes the selected flows' packet total
         (the only packet accounting that survives a flow-level subset).
         """
         subset = CompressedTrace(name=name or self.name)
-        short_map: dict[int, int] = {}
-        long_map: dict[int, int] = {}
-        for record in records:
-            if record.dataset is DatasetId.SHORT:
-                index = short_map.get(record.template_index)
-                if index is None:
-                    index = len(subset.short_templates)
-                    subset.short_templates.append(
-                        self.short_templates[record.template_index]
-                    )
-                    short_map[record.template_index] = index
-            else:
-                index = long_map.get(record.template_index)
-                if index is None:
-                    index = len(subset.long_templates)
-                    subset.long_templates.append(
-                        self.long_templates[record.template_index]
-                    )
-                    long_map[record.template_index] = index
-            address_index = subset.addresses.intern(
-                self.addresses.lookup(record.address_index)
-            )
-            subset.time_seq.append(
-                TimeSeqRecord(
-                    timestamp=record.timestamp,
-                    dataset=record.dataset,
-                    template_index=index,
-                    address_index=address_index,
-                    rtt=record.rtt,
-                )
-            )
-            subset.original_packet_count += self.packets_for(record)
+        source, target = self.time_seq, subset.time_seq
+        templates = (self.short_templates, self.long_templates)
+        kept = (subset.short_templates, subset.long_templates)
+        remaps: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        intern, lookup = subset.addresses.intern, self.addresses.lookup
+        for row in rows:
+            is_long = source.long[row]
+            template_index = source.template_index[row]
+            template = templates[is_long][template_index]
+            remap = remaps[is_long]
+            index = remap.get(template_index)
+            if index is None:
+                index = remap[template_index] = len(kept[is_long])
+                kept[is_long].append(template)
+            target.timestamps.append(source.timestamps[row])
+            target.long.append(is_long)
+            target.template_index.append(index)
+            target.address_index.append(intern(lookup(source.address_index[row])))
+            target.rtts.append(source.rtts[row])
+            subset.original_packet_count += template.n
         return subset
 
-    def sorted_time_seq(self) -> list[TimeSeqRecord]:
-        """time-seq entries sorted by timestamp (the decompressor's order).
+    def sorted_time_seq(self) -> list[int]:
+        """time-seq row indices sorted by timestamp (the decompressor's order).
 
         "Note that this dataset is sorted by the time-stamp data field."
+        The sort is stable: rows with equal timestamps keep file order.
         """
-        return sorted(self.time_seq, key=lambda r: r.timestamp)
+        timestamps = self.time_seq.timestamps
+        return sorted(range(len(timestamps)), key=timestamps.__getitem__)
 
-    def validate(self, columns: TimeSeqColumns | None = None) -> None:
-        """Check cross-dataset referential integrity; raise on corruption.
+    def validate(self) -> None:
+        """Check every time-seq row's fields and references; raise on
+        corruption.
 
-        With the time-seq ``columns`` at hand, an in-range dataset is
-        confirmed from three maxima; the record walk then runs only to
-        name the first offender.
+        An in-range dataset is confirmed from four minima and three
+        maxima; the row walk runs only to name the first offender, with
+        :class:`TimeSeqRecord`'s message for a negative field.
         """
+        columns = self.time_seq
         short_count, long_count = self.template_counts()
         address_count = len(self.addresses)
         if (
-            columns is not None
+            min(columns.timestamps, default=0.0) >= 0
+            and min(columns.template_index, default=0) >= 0
+            and min(columns.address_index, default=0) >= 0
+            and min(columns.rtts, default=0.0) >= 0
             and max(columns.short_refs(), default=-1) < short_count
             and max(columns.long_refs(), default=-1) < long_count
             and max(columns.address_index, default=-1) < address_count
         ):
             return
-        for position, record in enumerate(self.time_seq):
+        for position, record in enumerate(columns):
             limit = short_count if record.dataset is DatasetId.SHORT else long_count
             if record.template_index >= limit:
                 raise ValueError(

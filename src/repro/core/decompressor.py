@@ -51,10 +51,8 @@ from repro.core.codec import (
 )
 from repro.core.datasets import (
     CompressedTrace,
-    DatasetId,
     LongFlowTemplate,
     ShortFlowTemplate,
-    TimeSeqRecord,
 )
 from repro.core.errors import CodecError
 from repro.flows.characterize import CharacterizationConfig, decode_packet_value
@@ -169,49 +167,64 @@ class FlowSpec:
     order: tuple[int, ...]
 
 
+def flow_identities(
+    compressed: CompressedTrace,
+    row_filter: Callable[[int], bool] | None = None,
+) -> Iterator[tuple[int, tuple[int, bool, int, int, int], int]]:
+    """The time-seq walk replay and flow metadata share: per row, in
+    ``sorted_time_seq`` order, ``(position, identity, occurrence)`` —
+    with the config seed, the :func:`flow_seed` inputs.  Occurrence
+    ordinals count over the full walk, so ``row_filter`` (given the row
+    index) drops rows without changing the survivors' seeds.
+    """
+    columns = compressed.time_seq.columns()
+    timestamps, long, template_indices, address_indices, rtts = columns
+    lookup = compressed.addresses.lookup
+    occurrences: dict[tuple, int] = {}
+    for position, row in enumerate(compressed.sorted_time_seq()):
+        try:
+            server_ip = lookup(address_indices[row])
+        except IndexError as exc:  # validate() should have caught this
+            raise CodecError(
+                f"dangling address index: {address_indices[row]}"
+            ) from exc
+        identity = (
+            quantize_timestamp(timestamps[row]),
+            long[row],
+            template_indices[row],
+            server_ip,
+            quantize_rtt(rtts[row]),
+        )
+        occurrence = occurrences.get(identity, 0)
+        occurrences[identity] = occurrence + 1
+        if row_filter is None or row_filter(row):
+            yield position, identity, occurrence
+
+
 def flow_specs(
     compressed: CompressedTrace,
     config: DecompressorConfig,
     *,
     order_prefix: tuple[int, ...] = (),
-    record_filter: Callable[[TimeSeqRecord], bool] | None = None,
+    row_filter: Callable[[int], bool] | None = None,
 ) -> Iterator[FlowSpec]:
     """Resolve ``time-seq`` into replayable specs, in timestamp order.
 
-    ``record_filter`` drops records from the output *without* changing
+    ``row_filter`` drops time-seq rows from the output *without* changing
     the surviving flows' seeds: occurrence ordinals are counted over the
     full record walk, so a filtered replay (the query engine's packet
     stream) emits exactly the packets the unfiltered replay would.
     Start timestamps of the yielded specs are nondecreasing — the
     invariant the streaming merge's admission logic relies on.
     """
-    occurrences: dict[tuple, int] = {}
-    for index, record in enumerate(compressed.sorted_time_seq()):
-        timestamp_units = quantize_timestamp(record.timestamp)
-        rtt_units = quantize_rtt(record.rtt)
-        is_long = record.dataset is DatasetId.LONG
-        try:
-            server_ip = compressed.addresses.lookup(record.address_index)
-        except IndexError as exc:  # validate() should have caught this
-            raise CodecError(
-                f"dangling address index: {record.address_index}"
-            ) from exc
-        identity = (
-            timestamp_units,
-            is_long,
-            record.template_index,
-            server_ip,
-            rtt_units,
-        )
-        occurrence = occurrences.get(identity, 0)
-        occurrences[identity] = occurrence + 1
-        if record_filter is not None and not record_filter(record):
-            continue
+    templates = (compressed.short_templates, compressed.long_templates)
+    for index, identity, occurrence in flow_identities(compressed, row_filter):
+        timestamp_units, is_long, template_index, server_ip, rtt_units = identity
         yield FlowSpec(
             start=timestamp_units / TIMESTAMP_UNITS_PER_SECOND,
             rtt=rtt_units / RTT_UNITS_PER_SECOND,
             is_long=is_long,
-            template=compressed.template_for(record),
+            template=templates[is_long][template_index],
             server_ip=server_ip,
             seed=flow_seed(config.seed, *identity, occurrence),
             order=(*order_prefix, index),

@@ -48,24 +48,20 @@ from repro.core.codec import (
     RTT_UNITS_PER_SECOND,
     TIMESTAMP_UNITS_PER_SECOND,
     quantize_gap,
-    quantize_rtt,
-    quantize_timestamp,
 )
 from repro.core.datasets import (
     CompressedTrace,
-    DatasetId,
     LongFlowTemplate,
     ShortFlowTemplate,
-    TimeSeqRecord,
 )
 from repro.core.decompressor import (
     SERVER_PORT,
     DecompressorConfig,
+    flow_identities,
     flow_seed,
     flow_specs,
     synthesize_flow,
 )
-from repro.core.errors import CodecError
 from repro.flows.characterize import decode_packet_value
 from repro.net.ip import random_class_b_or_c
 
@@ -181,15 +177,15 @@ def flow_records(
     config: DecompressorConfig | None = None,
     *,
     segment: int = 0,
-    record_filter: Callable[[TimeSeqRecord], bool] | None = None,
+    row_filter: Callable[[int], bool] | None = None,
 ) -> Iterator[FlowRecord]:
     """Yield flow metadata in timestamp order without synthesizing packets.
 
-    The walk is :func:`~repro.core.decompressor.flow_specs` verbatim —
-    same identity tuple, same occurrence ordinals counted over the full
-    record walk (so ``record_filter`` never perturbs surviving flows'
-    seeds) — but the only RNG work per flow is the one draw that decides
-    the client address.  Start timestamps are nondecreasing, the
+    The walk is :func:`~repro.core.decompressor.flow_identities`, the
+    one :func:`~repro.core.decompressor.flow_specs` takes (so
+    ``row_filter`` never perturbs surviving flows' seeds), but the
+    only RNG work per flow is the one draw that decides the client
+    address.  Start timestamps are nondecreasing, the
     invariant the streaming window aggregator relies on.
 
     End timestamps add the template's steps to the start one at a time,
@@ -200,10 +196,7 @@ def flow_records(
     config_seed = config.seed
     default_rtt = config.default_rtt
     back_to_back = config.back_to_back_gap
-    lookup = compressed.addresses.lookup
-    template_for = compressed.template_for
-    long_dataset = DatasetId.LONG
-    occurrences: dict[tuple, int] = {}
+    templates = (compressed.short_templates, compressed.long_templates)
     # Per (is_long, template index): the profile's fields a record
     # needs, read once per segment instead of once per flow.
     shapes: dict[tuple[bool, int], tuple] = {}
@@ -214,26 +207,13 @@ def flow_records(
     # address draw never reads.
     rng = random.Random()
     reseed = super(random.Random, rng).seed
-    for record in compressed.sorted_time_seq():
-        timestamp_units = quantize_timestamp(record.timestamp)
-        rtt_units = quantize_rtt(record.rtt)
-        is_long = record.dataset is long_dataset
-        template_index = record.template_index
-        try:
-            server_ip = lookup(record.address_index)
-        except IndexError as exc:  # validate() should have caught this
-            raise CodecError(
-                f"dangling address index: {record.address_index}"
-            ) from exc
-        identity = (timestamp_units, is_long, template_index, server_ip, rtt_units)
-        occurrence = occurrences.get(identity, 0)
-        occurrences[identity] = occurrence + 1
-        if record_filter is not None and not record_filter(record):
-            continue
+    for _, identity, occurrence in flow_identities(compressed, row_filter):
+        timestamp_units, is_long, template_index, server_ip, rtt_units = identity
         key = (is_long, template_index)
         shape = shapes.get(key)
         if shape is None:
-            profile = profile_template(template_for(record), is_long, config)
+            template = templates[is_long][template_index]
+            profile = profile_template(template, is_long, config)
             shape = shapes[key] = (
                 profile.n,
                 profile.bytes_fwd + profile.bytes_rev,
@@ -281,7 +261,7 @@ def flow_records_by_decode(
     config: DecompressorConfig | None = None,
     *,
     segment: int = 0,
-    record_filter: Callable[[TimeSeqRecord], bool] | None = None,
+    row_filter: Callable[[int], bool] | None = None,
 ) -> Iterator[FlowRecord]:
     """The differential twin: the same records via full packet synthesis.
 
@@ -294,7 +274,7 @@ def flow_records_by_decode(
     """
     config = config or DecompressorConfig()
     for spec in flow_specs(
-        compressed, config, order_prefix=(segment,), record_filter=record_filter
+        compressed, config, order_prefix=(segment,), row_filter=row_filter
     ):
         packets_fwd = packets_rev = 0
         bytes_fwd = bytes_rev = 0

@@ -24,10 +24,8 @@ from dataclasses import dataclass, field
 
 from repro.core.datasets import (
     CompressedTrace,
-    DatasetId,
     LongFlowTemplate,
     ShortFlowTemplate,
-    TimeSeqRecord,
 )
 from repro.core.decompressor import DecompressorConfig, decompress_trace
 from repro.trace.trace import Trace
@@ -100,20 +98,22 @@ class TraceModel:
         long_usage = [0] * len(compressed.long_templates)
         address_usage = [0] * len(compressed.addresses)
         rtt_samples: list[float] = []
-        long_count = 0
-        for record in compressed.time_seq:
-            if record.dataset is DatasetId.SHORT:
-                short_usage[record.template_index] += 1
-                if record.rtt > 0:
-                    rtt_samples.append(record.rtt)
+        columns = compressed.time_seq
+        for is_long, template_index, address_index, rtt in zip(
+            columns.long, columns.template_index, columns.address_index, columns.rtts
+        ):
+            if is_long:
+                long_usage[template_index] += 1
             else:
-                long_usage[record.template_index] += 1
-                long_count += 1
-            address_usage[record.address_index] += 1
+                short_usage[template_index] += 1
+                if rtt > 0:
+                    rtt_samples.append(rtt)
+            address_usage[address_index] += 1
+        long_count = sum(long_usage)
 
-        records = compressed.sorted_time_seq()
-        span = records[-1].timestamp - records[0].timestamp
-        arrival_rate = len(records) / span if span > 0 else float(len(records))
+        flows = len(columns)
+        span = max(columns.timestamps) - min(columns.timestamps)
+        arrival_rate = flows / span if span > 0 else float(flows)
 
         model = cls(
             short_templates=list(compressed.short_templates),
@@ -124,7 +124,7 @@ class TraceModel:
             address_usage=address_usage,
             arrival_rate=arrival_rate,
             rtt_samples=rtt_samples or [0.05],
-            long_fraction=long_count / len(records),
+            long_fraction=long_count / flows,
         )
         model._short_choice = (
             _WeightedChoice.from_counts(short_usage) if sum(short_usage) else None
@@ -154,6 +154,7 @@ class TraceModel:
         for address in self.addresses:
             synthetic.addresses.intern(address)
 
+        columns = synthetic.time_seq
         timestamp = 0.0
         for _ in range(flow_count):
             timestamp += rng.expovariate(self.arrival_rate)
@@ -165,22 +166,16 @@ class TraceModel:
                 )
             )
             if make_long:
-                dataset = DatasetId.LONG
                 template_index = self._long_choice.sample(rng)
                 rtt = 0.0
             else:
-                dataset = DatasetId.SHORT
                 template_index = self._short_choice.sample(rng)
                 rtt = rng.choice(self.rtt_samples)
-            synthetic.time_seq.append(
-                TimeSeqRecord(
-                    timestamp=timestamp,
-                    dataset=dataset,
-                    template_index=template_index,
-                    address_index=self._address_choice.sample(rng),
-                    rtt=rtt,
-                )
-            )
+            columns.timestamps.append(timestamp)
+            columns.long.append(make_long)
+            columns.template_index.append(template_index)
+            columns.address_index.append(self._address_choice.sample(rng))
+            columns.rtts.append(rtt)
         synthetic.original_packet_count = synthetic.packet_count()
         return synthetic
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from repro.analysis.report import format_table
 from repro.core.codec import serialize_compressed
 from repro.core.compressor import CompressorConfig
-from repro.core.datasets import DatasetId
 from repro.core.streaming import StreamingCompressor
 from repro.experiments.common import ExperimentConfig, ExperimentResult
 from repro.flows.assembler import assemble_flows
@@ -55,17 +54,15 @@ def _mean_cluster_distance(trace, compressed, config: CompressorConfig) -> float
     chosen threshold introduced.
     """
     flows = assemble_flows(trace.packets)
-    short_records = [
-        record for record in compressed.time_seq if record.dataset is DatasetId.SHORT
-    ]
+    short_refs = compressed.time_seq.short_refs()
     flows_by_start = sorted(flows, key=lambda f: f.start_time())
     short_flows = [
         flow for flow in flows_by_start if len(flow) <= config.short_flow_max
     ]
     total = 0.0
     counted = 0
-    for flow, record in zip(short_flows, short_records):
-        template = compressed.short_templates[record.template_index]
+    for flow, template_index in zip(short_flows, short_refs):
+        template = compressed.short_templates[template_index]
         vector = characterize_flow(flow, config.characterization)
         if len(vector) == template.n:
             total += vector_distance(vector, template.values)

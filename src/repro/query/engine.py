@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from operator import attrgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -54,7 +53,7 @@ from repro.archive.reader import ArchiveReader, ArchiveSpecFeed, segment_runs
 from repro.archive.writer import ArchiveWriter
 from repro.core.backends import backend_for_tag
 from repro.core.codec import SECTION_NAMES, validate_backend_request
-from repro.core.datasets import CompressedTrace, DatasetId, TimeSeqRecord
+from repro.core.datasets import DATASETS, CompressedTrace, DatasetId
 from repro.core.decompressor import DecompressorConfig, FlowSpec, flow_specs
 from repro.core.flowmeta import (
     FlowRecord,
@@ -158,24 +157,21 @@ class QueryResult:
 def flow_summaries(
     segment: int, compressed: CompressedTrace
 ) -> Iterator[FlowSummary]:
-    """Resolve every time-seq record of one decoded segment."""
-    for record in compressed.time_seq:
-        yield summarize_record(segment, compressed, record)
-
-
-def summarize_record(
-    segment: int, compressed: CompressedTrace, record: TimeSeqRecord
-) -> FlowSummary:
-    """Resolve one ``time-seq`` record into its :class:`FlowSummary` row."""
-    return FlowSummary(
-        segment=segment,
-        timestamp=record.timestamp,
-        kind=record.dataset,
-        template_index=record.template_index,
-        packet_count=compressed.packets_for(record),
-        destination=compressed.addresses.lookup(record.address_index),
-        rtt=record.rtt,
-    )
+    """Resolve every time-seq row of one decoded segment, in file order."""
+    templates = (compressed.short_templates, compressed.long_templates)
+    lookup = compressed.addresses.lookup
+    for timestamp, is_long, template_index, address_index, rtt in zip(
+        *compressed.time_seq.columns()
+    ):
+        yield FlowSummary(
+            segment,
+            timestamp,
+            DATASETS[is_long],
+            template_index,
+            templates[is_long][template_index].n,
+            lookup(address_index),
+            rtt,
+        )
 
 
 class SegmentView:
@@ -237,10 +233,8 @@ class SegmentView:
         source = compressed if compressed is not None else self._compressed
         records = tuple(flow_records(source, config, segment=self.segment))
         if not self._by_start:
-            # sorted_time_seq is a stable sort on timestamp over file
-            # order; the summaries carry the same timestamps in the same
-            # file order, so this is the records' order.
-            self._by_start = tuple(sorted(self.flows, key=attrgetter("timestamp")))
+            order = source.sorted_time_seq()
+            self._by_start = tuple(map(self.flows.__getitem__, order))
         self._records[config] = records
         self._compressed = None
 
@@ -456,17 +450,17 @@ class QueryEngine:
             compressed = self.reader.load_segment(segment)
             scanned(segment)
 
-            def keep(record: TimeSeqRecord) -> bool:
+            summaries = tuple(flow_summaries(segment, compressed))
+
+            def keep(row: int) -> bool:
                 stats.flows_scanned += 1
-                if match_all or predicate.match_flow(
-                    summarize_record(segment, compressed, record)
-                ):
+                if match_all or predicate.match_flow(summaries[row]):
                     stats.flows_matched += 1
                     return True
                 return False
 
             return flow_records_by_decode(
-                compressed, config, segment=segment, record_filter=keep
+                compressed, config, segment=segment, row_filter=keep
             )
 
         def stream() -> Iterator[FlowRecord]:
@@ -567,17 +561,19 @@ class QueryEngine:
             stats.segments_decoded += 1
             stats.bytes_decoded += self.reader.entries[segment].length
 
-            def keep(record: TimeSeqRecord) -> bool:
+            summaries = tuple(flow_summaries(segment, compressed))
+
+            def keep(row: int) -> bool:
                 stats.flows_scanned += 1
                 if limit is not None and stats.flows_matched >= limit:
                     return False
-                if predicate.match_flow(summarize_record(segment, compressed, record)):
+                if predicate.match_flow(summaries[row]):
                     stats.flows_matched += 1
                     return True
                 return False
 
             return flow_specs(
-                compressed, config, order_prefix=(segment,), record_filter=keep
+                compressed, config, order_prefix=(segment,), row_filter=keep
             )
 
         halt = None
@@ -638,11 +634,11 @@ class QueryEngine:
                 compressed = self.reader.load_segment(index)
                 stats.segments_decoded += 1
                 stats.bytes_decoded += entry.length
-                matched: list[TimeSeqRecord] = []
-                for record in compressed.time_seq:
+                matched: list[int] = []
+                for row, flow in enumerate(flow_summaries(index, compressed)):
                     stats.flows_scanned += 1
-                    if predicate.match_flow(summarize_record(index, compressed, record)):
-                        matched.append(record)
+                    if predicate.match_flow(flow):
+                        matched.append(row)
                         if limit is not None and stats.flows_matched + len(matched) >= limit:
                             break
                 stats.flows_matched += len(matched)

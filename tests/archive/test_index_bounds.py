@@ -29,7 +29,7 @@ U16_SATURATED_SECONDS = 0xFFFF / 10_000 + 1.0
 def _oracle_entry(compressed: CompressedTrace, offset: int, length: int):
     time_units = [quantize_timestamp(r.timestamp) for r in compressed.time_seq]
     rtt_units = [quantize_rtt(r.rtt) for r in compressed.time_seq]
-    flow_packets = [compressed.packets_for(r) for r in compressed.time_seq]
+    flow_packets = [compressed.template_for(r).n for r in compressed.time_seq]
     short_flows = sum(
         1 for r in compressed.time_seq if r.dataset is DatasetId.SHORT
     )

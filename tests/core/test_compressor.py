@@ -191,6 +191,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CompressorConfig(idle_timeout=0.0)
 
+    def test_nan_idle_timeout(self):
+        # A NaN timeout fails every idle test: that compressor never evicts.
+        with pytest.raises(ValueError, match="idle_timeout must be positive: nan"):
+            CompressorConfig(idle_timeout=float("nan"))
+
 
 class TestBaseTimeAnchor:
     """Regression: the time-seq base must be the *earliest* timestamp.

@@ -181,8 +181,9 @@ class TestCompressedTrace:
     def test_sorted_time_seq(self):
         compressed = build_compressed()
         compressed.time_seq.append(TimeSeqRecord(0.5, DatasetId.SHORT, 0, 0))
-        stamps = [r.timestamp for r in compressed.sorted_time_seq()]
-        assert stamps == sorted(stamps)
+        compressed.time_seq.append(TimeSeqRecord(0.0, DatasetId.LONG, 0, 0))
+        # Row indices in timestamp order; equal timestamps keep file order.
+        assert compressed.sorted_time_seq() == [0, 3, 2, 1]
 
     def test_validate_passes(self):
         build_compressed().validate()

@@ -9,7 +9,9 @@ in-process shortcuts:
 * determinism: a second generation with the same seed is file-identical,
 * ``compress`` / ``decompress`` roundtrips it (packet count preserved),
 * the same scenario generated as ``.pcap`` compresses to a container
-  byte-identical to the TSH one (both raw kinds take one compress path),
+  byte-identical to the TSH one (both raw kinds take one compress path;
+  the two compresses run under different ``PYTHONHASHSEED`` values, so
+  the check also pins the bytes against per-process hash randomization),
 * ``fidelity --scenario NAME`` scores the roundtrip and the written
   report parses with the expected schema and a zero flow-size KS.
 
@@ -37,18 +39,20 @@ RATE = "24"
 SEED = "7"
 
 
-def _env() -> dict:
+def _env(hash_seed: str | None) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = (
         f"{SRC}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else SRC
     )
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     return env
 
 
-def _cli(*args: str) -> subprocess.CompletedProcess:
+def _cli(*args: str, hash_seed: str | None = None) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, "-m", "repro.cli", *args],
-        env=_env(),
+        env=_env(hash_seed),
         capture_output=True,
         text=True,
         timeout=300,
@@ -94,7 +98,10 @@ def smoke(name: str, workdir: Path) -> None:
         raise SystemExit(1)
     print(f"ok: {name}: deterministic ({_packet_count(trace)} packets)")
 
-    _check(_cli("compress", str(trace), str(container)), f"{name}: compress")
+    _check(
+        _cli("compress", str(trace), str(container), hash_seed="0"),
+        f"{name}: compress",
+    )
     _check(
         _cli("decompress", str(container), str(restored)),
         f"{name}: decompress",
@@ -113,7 +120,7 @@ def smoke(name: str, workdir: Path) -> None:
         f"{name}: generate pcap",
     )
     _check(
-        _cli("compress", str(capture), str(pcap_container)),
+        _cli("compress", str(capture), str(pcap_container), hash_seed="1"),
         f"{name}: compress pcap",
     )
     if pcap_container.read_bytes() != container.read_bytes():
