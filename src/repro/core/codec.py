@@ -59,6 +59,7 @@ from repro.core.datasets import (
     LongFlowTemplate,
     ShortFlowTemplate,
     TimeSeqColumns,
+    stored_long_template,
 )
 from repro.core.errors import CodecError
 from repro.obs import current as obs_current
@@ -285,30 +286,11 @@ def _parse_long_templates(stream: BinaryIO, count: int) -> list[LongFlowTemplate
             raise CodecError(
                 "invalid long template: a template needs at least one packet value"
             )
-        values = tuple(_read_exact(stream, n, "long template values"))
-        gap_units = struct.unpack(
-            f">{n}H", _read_exact(stream, 2 * n, "long template gaps")
-        )
-        gaps = tuple(map(truediv, gap_units, repeat(GAP_UNITS_PER_SECOND)))
-        templates.append(_stored_long_template(values, gaps))
+        values = _read_exact(stream, n, "long template values")
+        raw = _read_exact(stream, 2 * n, "long template gaps")
+        gaps = map(truediv, struct.unpack(f">{n}H", raw), repeat(GAP_UNITS_PER_SECOND))
+        templates.append(stored_long_template(values, gaps))
     return templates
-
-
-def _stored_long_template(
-    values: tuple[int, ...], gaps: tuple[float, ...]
-) -> LongFlowTemplate:
-    """A parsed long template, built without ``__post_init__``'s checks.
-
-    The section layout already guarantees them: one byte per value
-    (0..255), one u16 gap per value (never negative), and the caller
-    rejects an empty template.  Long templates carry one value and one
-    gap per packet, so re-checking them would cost a third of the
-    section's parse.
-    """
-    template = object.__new__(LongFlowTemplate)
-    object.__setattr__(template, "values", values)
-    object.__setattr__(template, "gaps", gaps)
-    return template
 
 
 def _parse_addresses(stream: BinaryIO, count: int) -> AddressTable:

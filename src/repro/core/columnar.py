@@ -70,11 +70,7 @@ from repro.core.compressor import (
     CompressorStats,
     TemplateMatcher,
 )
-from repro.core.datasets import (
-    CompressedTrace,
-    LongFlowTemplate,
-    inter_packet_gaps,
-)
+from repro.core.datasets import CompressedTrace, LongFlowTemplate, stored_long_template
 from repro.core.errors import CompressionError
 from repro.net.columns import PacketColumns, columns_from_records
 from repro.net.flowkey import canonical_key_columns
@@ -294,6 +290,30 @@ def _group(ranks, values, times, count: int):
     return values[order], times[order], np.bincount(ranks, minlength=count)
 
 
+def _long_gaps(values, times, sizes):
+    """Long flows' rows, back to back → each row's gap to the next in its
+    flow (0.0 after the last), and which flows are invalid.
+
+    The oracle's rule, where ``min`` skips a NaN unless it comes first: a
+    flow with a negative gap has each gap ``g`` mapped to ``g if g > 0
+    else 0.0``, unless its first gap is NaN.  Such a flow, or one with a
+    value above 255 (the weights allow it), is invalid and keeps its gaps.
+    """
+    import numpy as np
+
+    starts = np.cumsum(sizes) - sizes
+    gaps = np.empty(len(times))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN gap
+        np.subtract(times[1:], times[:-1], out=gaps[:-1])
+    gaps[starts + sizes - 1] = 0.0
+    negative = np.logical_or.reduceat(gaps < 0.0, starts)
+    rejected = np.logical_or.reduceat(values > 255, starts)
+    rejected |= negative & np.isnan(gaps[starts])
+    if negative.any():
+        gaps[np.repeat(negative & ~rejected, sizes) & ~(gaps > 0.0)] = 0.0
+    return gaps, rejected
+
+
 def _running_max(timestamps):
     """Each row's running maximum timestamp, NaN read as -inf."""
     import numpy as np
@@ -365,9 +385,8 @@ def _distinct(columns):
 
     order = np.lexsort(columns[::-1])
     count = len(order)
-    boundary = np.empty(count, dtype=bool)
+    boundary = np.zeros(count, dtype=bool)
     boundary[0] = True
-    boundary[1:] = False
     for column in columns:
         ordered = column[order]
         boundary[1:] |= ordered[1:] != ordered[:-1]
@@ -570,7 +589,8 @@ class ColumnarFlowCompressor:
         first_ts = times[starts]
         last_ts = times[lasts]
         turn_ts = times[np.minimum(turns, count - 1)]
-        rtts = np.where(turned, turn_ts - first_ts, 0.0)
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN RTT
+            rtts = np.where(turned, turn_ts - first_ts, 0.0)
         first_fwd, last_fwd = forwards[starts], forwards[lasts]
         flow_dst = dsts[order[starts]].astype(np.int64)
         first_rows, last_rows = order[starts], order[lasts]
@@ -625,9 +645,9 @@ class ColumnarFlowCompressor:
             flipped = first_fwd[continued] != table.first_fwd[slots]
             setting = ~table.rtt_set[slots] & (flipped | turned[continued])
             turn_at = np.where(flipped, first_ts[continued], turn_ts[continued])
-            table.rtt[slots] = np.where(
-                setting, turn_at - table.first_ts[slots], table.rtt[slots]
-            )
+            with np.errstate(invalid="ignore"):  # inf - inf is a NaN RTT
+                rtt = turn_at - table.first_ts[slots]
+            table.rtt[slots] = np.where(setting, rtt, table.rtt[slots])
             table.rtt_set[slots] |= setting
             table.last_fwd[slots] = last_fwd[continued]
             table.last_ts[slots] = last_ts[continued]
@@ -785,6 +805,16 @@ class ColumnarFlowCompressor:
         short = lengths <= self.config.short_flow_max
         indices = np.empty(count, dtype=np.int64)
 
+        # The oracle matches only the short flows before an invalid long one.
+        long_flows = np.flatnonzero(~short)
+        limit = count
+        if len(long_flows):
+            rows, sizes = np.repeat(~short, lengths), lengths[long_flows]
+            long_values = values[rows]
+            gaps, rejected = _long_gaps(long_values, times[rows], sizes)
+            bad = int(rejected.argmax())
+            limit = int(long_flows[bad]) if rejected[bad] else count
+
         short_flows = np.flatnonzero(short)
         hits = 0
         if len(short_flows):
@@ -795,7 +825,8 @@ class ColumnarFlowCompressor:
             )
             find, add = self._matcher.find, self._matcher.add
             resolved = np.empty(len(firsts), dtype=np.int64)
-            for distinct, flow in enumerate(short_flows[firsts].tolist()):
+            firsts = short_flows[firsts]
+            for distinct, flow in enumerate(firsts[firsts < limit].tolist()):
                 start = int(offsets[flow])
                 vector = tuple(values[start : start + int(lengths[flow])].tolist())
                 index = find(vector)
@@ -807,27 +838,25 @@ class ColumnarFlowCompressor:
             hits += len(short_flows) - len(firsts)
             indices[short_flows] = resolved[label]
 
-        long_flows = np.flatnonzero(~short)
         if len(long_flows):
             long_templates = output.long_templates
-            indices[long_flows] = np.arange(
-                len(long_templates), len(long_templates) + len(long_flows)
+            indices[long_flows] = len(long_templates) + np.arange(len(long_flows))
+            value_list, gap_list = long_values.tolist(), gaps.tolist()
+            stops = np.cumsum(sizes).tolist()
+            cuts = list(map(slice, [0, *stops], stops))
+            if limit < count:  # the checked constructor raises its error
+                cut = cuts[bad]
+                LongFlowTemplate(tuple(value_list[cut]), tuple(gap_list[cut]))
+            long_templates += map(
+                stored_long_template,
+                map(value_list.__getitem__, cuts),
+                map(gap_list.__getitem__, cuts),
             )
-            value_list, time_list = values.tolist(), times.tolist()
-            for start, size in zip(
-                offsets[long_flows].tolist(), lengths[long_flows].tolist()
-            ):
-                stop = start + size
-                long_templates.append(
-                    LongFlowTemplate(
-                        tuple(value_list[start:stop]),
-                        tuple(inter_packet_gaps(time_list[start:stop])),
-                    )
-                )
 
         firsts, inverse = _distinct([dsts])
         interned = list(map(output.addresses.intern, dsts[firsts].tolist()))
-        stamps = first_ts - base
+        with np.errstate(invalid="ignore"):  # a ±inf stamp and base give NaN
+            stamps = first_ts - base
         stamps = np.where(stamps > 0.0, stamps, 0.0)
         rtts = np.where(short & (rtts > 0.0), rtts, 0.0)
         # The address indices are the table's own ints, and a zero RTT

@@ -27,7 +27,7 @@ import enum
 from collections.abc import MutableSequence, Sequence
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import eq, not_, sub
+from operator import eq, not_
 from typing import Iterable
 
 
@@ -90,12 +90,7 @@ class LongFlowTemplate:
                 f"values/gaps length mismatch: {len(self.values)} vs {len(self.gaps)}"
             )
         _check_values(self.values)
-        smallest = min(self.gaps)
-        if smallest < 0 or (
-            smallest != smallest and any(g < 0 for g in self.gaps)
-        ):
-            # ``min`` keeps a leading NaN and compares nothing below it,
-            # so only then can a negative gap hide behind it.
+        if any(gap < 0 for gap in self.gaps):
             raise ValueError("inter-packet gaps cannot be negative")
 
     @property
@@ -104,19 +99,13 @@ class LongFlowTemplate:
         return len(self.values)
 
 
-def inter_packet_gaps(timestamps: list[float]) -> list[float]:
-    """A long flow's gaps: ``t[i+1] - t[i]`` per packet, then a trailing 0.
-
-    A packet stamped earlier than its flow's previous packet — two
-    capture streams merged into one ingest source can interleave that
-    way — gets a 0 gap: a template cannot store a negative one, and
-    rejecting the flow would drop every packet in it.
-    """
-    gaps = list(map(sub, timestamps[1:], timestamps))
-    if gaps and min(gaps) < 0.0:
-        gaps = [max(0.0, gap) for gap in gaps]
-    gaps.append(0.0)
-    return gaps
+def stored_long_template(values: Iterable, gaps: Iterable) -> LongFlowTemplate:
+    """A long template without ``__post_init__``'s checks, for callers that
+    made them for a whole batch: the codec's parser and the compressor."""
+    template = object.__new__(LongFlowTemplate)
+    object.__setattr__(template, "values", tuple(values))
+    object.__setattr__(template, "gaps", tuple(gaps))
+    return template
 
 
 class AddressTable:

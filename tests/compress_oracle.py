@@ -13,6 +13,7 @@ the dataset types and the equation-4 :class:`TemplateMatcher`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import sub
 from typing import Iterator, Optional
 
 from repro.core.compressor import CompressorConfig, CompressorStats, TemplateMatcher
@@ -21,7 +22,6 @@ from repro.core.datasets import (
     DatasetId,
     LongFlowTemplate,
     TimeSeqRecord,
-    inter_packet_gaps,
 )
 from repro.core.errors import CompressionError
 from repro.flows.characterize import packet_value
@@ -29,6 +29,21 @@ from repro.flows.model import Direction, FlowPacket
 from repro.net.flowkey import FiveTuple, flow_hash
 from repro.net.packet import PacketRecord
 from repro.net.tcp import is_flow_terminator
+
+
+def inter_packet_gaps(timestamps: list[float]) -> list[float]:
+    """A long flow's gaps: ``t[i+1] - t[i]`` per packet, then a trailing 0.
+
+    A packet stamped earlier than its flow's previous packet — two
+    capture streams merged into one ingest source can interleave that
+    way — gets a 0 gap: a template cannot store a negative one, and
+    rejecting the flow would drop every packet in it.
+    """
+    gaps = list(map(sub, timestamps[1:], timestamps))
+    if gaps and min(gaps) < 0.0:
+        gaps = [max(0.0, gap) for gap in gaps]
+    gaps.append(0.0)
+    return gaps
 
 
 # -- the active-flow linked list ----------------------------------------------

@@ -181,6 +181,25 @@ def test_nan_and_negative_zero_through_the_batched_clamps(chunk):
         )
 
 
+@pytest.mark.parametrize(
+    "stamps",
+    [(-math.inf, 0.0), (math.inf, -math.inf), (math.inf, math.inf)],
+    ids=["first-minus-inf", "inf-then-minus-inf", "inf-turnaround"],
+)
+def test_infinite_stamps_match_the_reference_without_a_warning(stamps):
+    """``inf - inf`` is NaN in the base and RTT arithmetic, as in the
+    reference, and numpy reports no invalid value (pytest makes a
+    ``RuntimeWarning`` from ``repro`` an error)."""
+    first, second = stamps
+    packets = [
+        _packet(first, sport=4000, flags=TCP_SYN),
+        _packet(second, sport=4000 if first == second else 4001, reverse=True),
+    ]
+    expected = _record_fields(run_oracle(packets, name="t").output)
+    for cuts in ([], [1]):  # one chunk; a chunk per packet
+        assert _record_fields(_chunked(packets, cuts).finish()) == expected
+
+
 def test_flood_past_the_idle_timeout_through_one_segment(tmp_path):
     """A flood longer than the 64 s idle timeout in one archive segment:
     the eviction order comes from the table and equals the reference's."""

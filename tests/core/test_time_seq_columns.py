@@ -237,7 +237,6 @@ class TestNonFiniteFields:
         assert str(raised.value) == message
 
     @pytest.mark.parametrize("count", [3, _VECTOR_MIN + 8])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_infinite_packet_timestamp_from_the_compressor(self, count):
         packets = [
             PacketRecord(float(row), 1, row + 2, 10, 80, flags=2)
